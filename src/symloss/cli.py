@@ -16,8 +16,13 @@ from pathlib import Path
 
 from .datasets import default_config_path
 from .errors import ConfigurationError
-from .experiments import EXPERIMENTS, parse_config, run_experiment
-from .losses import LOSS_NAMES
+from .experiments import (
+    EXPERIMENTS,
+    THRESHOLD_ALIASES,
+    check_loss_name,
+    parse_config,
+    run_experiment,
+)
 
 _SUBCOMMANDS = {name.replace("_", "-"): name for name in EXPERIMENTS}
 
@@ -42,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="override the seed list with a single seed")
         if experiment == "keywords":
             sub.add_argument("--threshold-method",
-                             choices=("breakeven", "heuristic", "default"),
+                             choices=tuple(THRESHOLD_ALIASES),
                              default=None, help="threshold selection method")
             sub.add_argument("--prior", type=float, default=None,
                              help="known positive-class prior for breakeven")
@@ -68,21 +73,12 @@ def main(argv=None) -> int:
             config.seeds = [args.seed]
         if args.experiment == "keywords":
             if args.threshold_method is not None:
-                aliases = {
-                    "breakeven": "breakeven_known_prior",
-                    "heuristic": "heuristic_pseudo_ratio",
-                    "default": "default_zero",
-                }
-                config.threshold_method = aliases[args.threshold_method]
+                config.threshold_method = THRESHOLD_ALIASES[args.threshold_method]
             if args.prior is not None:
                 config.known_prior = args.prior
             if args.loss is not None:
-                if args.loss not in LOSS_NAMES:
-                    raise ConfigurationError(
-                        f"--loss: unknown loss {args.loss!r}; "
-                        f"choose from {', '.join(LOSS_NAMES)}"
-                    )
-                config.train = dataclasses.replace(config.train, loss=args.loss)
+                loss = check_loss_name(args.loss, "--loss")
+                config.train = dataclasses.replace(config.train, loss=loss)
             if args.tau is not None:
                 config.tau = args.tau
 

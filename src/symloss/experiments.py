@@ -15,7 +15,7 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -46,6 +46,8 @@ from .training import TrainConfig, train_auc, train_ber
 __all__ = [
     "ExperimentConfig",
     "EXPERIMENTS",
+    "THRESHOLD_ALIASES",
+    "check_loss_name",
     "parse_config",
     "run_experiment",
     "run_verify_identities",
@@ -66,11 +68,20 @@ EXPERIMENTS = (
 )
 
 # user-facing names for the threshold methods
-_THRESHOLD_ALIASES = {
+THRESHOLD_ALIASES = {
     "breakeven": "breakeven_known_prior",
     "heuristic": "heuristic_pseudo_ratio",
     "default": "default_zero",
 }
+
+
+def check_loss_name(name: str, where: str) -> str:
+    """``name`` if it is a catalog loss, else a ConfigurationError naming ``where``."""
+    try:
+        get_loss(name)
+    except ValueError as exc:
+        raise ConfigurationError(f"{where}: {exc}") from None
+    return name
 
 
 def _fmt(value) -> str:
@@ -160,25 +171,21 @@ class _Section:
             return False
         raise ConfigurationError(f"[{self.name}] {key}: {value!r} is not a boolean")
 
-    def get_float_list(self, key: str, default=None, required=False) -> Optional[list[float]]:
+    def _get_list(self, key: str, default, required, kind, label: str) -> Optional[list]:
         value = self._raw(key, None, required)
         if value is None:
             return default
         items = [item.strip() for item in value.split(",") if item.strip()]
-        return [self._convert(key, item, float, "a number") for item in items]
+        return [self._convert(key, item, kind, label) for item in items]
+
+    def get_float_list(self, key: str, default=None, required=False) -> Optional[list[float]]:
+        return self._get_list(key, default, required, float, "a number")
 
     def get_int_list(self, key: str, default=None, required=False) -> Optional[list[int]]:
-        value = self._raw(key, None, required)
-        if value is None:
-            return default
-        items = [item.strip() for item in value.split(",") if item.strip()]
-        return [self._convert(key, item, int, "an integer") for item in items]
+        return self._get_list(key, default, required, int, "an integer")
 
     def get_str_list(self, key: str, default=None, required=False) -> Optional[list[str]]:
-        value = self._raw(key, None, required)
-        if value is None:
-            return default
-        return [item.strip() for item in value.split(",") if item.strip()]
+        return self._get_list(key, default, required, str, "a string")
 
 
 @dataclass
@@ -228,20 +235,14 @@ class ExperimentConfig:
 def _parse_losses(section: _Section, key: str, default: list[str]) -> list[str]:
     names = section.get_str_list(key, default=default)
     if names == ["all"]:
-        names = list(LOSS_NAMES)
-    for name in names:
-        if name not in LOSS_NAMES:
-            raise ConfigurationError(
-                f"[{section.name}] {key}: unknown loss {name!r}; "
-                f"choose from {', '.join(LOSS_NAMES)}"
-            )
-    return names
+        return list(LOSS_NAMES)
+    return [check_loss_name(name, f"[{section.name}] {key}") for name in names]
 
 
 def _parse_train(section: _Section) -> TrainConfig:
     kwargs = dict(
         objective=section.get_str("objective", default="ber", choices=("ber", "auc")),
-        loss=section.get_str("loss", default="sigmoid"),
+        loss=check_loss_name(section.get_str("loss", default="sigmoid"), f"[{section.name}] loss"),
         step_size=section.get_float("step_size", default=0.05),
         adaptive_moments=section.get_bool("adaptive_moments", default=True),
         epochs=section.get_int("epochs", default=150),
@@ -251,11 +252,6 @@ def _parse_train(section: _Section) -> TrainConfig:
         model=section.get_str("model", default="linear", choices=("linear", "mlp")),
         hidden_units=section.get_int("hidden_units", default=8),
     )
-    if kwargs["loss"] not in LOSS_NAMES:
-        raise ConfigurationError(
-            f"[{section.name}] loss: unknown loss {kwargs['loss']!r}; "
-            f"choose from {', '.join(LOSS_NAMES)}"
-        )
     try:
         return TrainConfig(**kwargs)
     except ValueError as exc:
@@ -340,9 +336,10 @@ def parse_config(path, experiment: Optional[str] = None) -> ExperimentConfig:
                 "[assertions] loss_order: expected 'lossA <= lossB'"
             )
         for part in parts:
-            if part not in LOSS_NAMES:
+            check_loss_name(part, "[assertions] loss_order")
+            if part not in config.losses:
                 raise ConfigurationError(
-                    f"[assertions] loss_order: unknown loss {part!r}"
+                    f"[assertions] loss_order: {part!r} must also be in [losses] names"
                 )
         config.loss_order = (parts[0], parts[1])
 
@@ -372,9 +369,9 @@ def parse_config(path, experiment: Optional[str] = None) -> ExperimentConfig:
     method = corpus.get_str(
         "threshold_method",
         default="breakeven",
-        choices=tuple(_THRESHOLD_ALIASES) + THRESHOLD_METHODS,
+        choices=tuple(THRESHOLD_ALIASES) + THRESHOLD_METHODS,
     )
-    config.threshold_method = _THRESHOLD_ALIASES.get(method, method)
+    config.threshold_method = THRESHOLD_ALIASES.get(method, method)
     config.known_prior = corpus.get_float("prior", default=None)
 
     return config
@@ -460,21 +457,8 @@ def _train_and_evaluate(config, loss_name, params, seed):
     sampler_pos, sampler_neg = config.gaussians.samplers()
     n = config.n_train_per_class
     set_pos, set_neg = sample_mcd(sampler_pos, sampler_neg, params, n, n, seed=seed)
-    train_config = TrainConfig(
-        objective=config.train.objective,
-        loss=loss_name,
-        step_size=config.train.step_size,
-        adaptive_moments=config.train.adaptive_moments,
-        epochs=config.train.epochs,
-        batch_size=config.train.batch_size,
-        pair_batch=config.train.pair_batch,
-        weight_decay=config.train.weight_decay,
-        model=config.train.model,
-        hidden_units=config.train.hidden_units,
-        seed=seed,
-    )
     trainer = train_ber if config.train.objective == "ber" else train_auc
-    trace = trainer(set_pos, set_neg, train_config)
+    trace = trainer(set_pos, set_neg, replace(config.train, loss=loss_name, seed=seed))
 
     test_rng = np.random.default_rng(seed + 982_451_653)
     test_pos = sampler_pos(test_rng, config.n_test_per_class)
@@ -484,10 +468,10 @@ def _train_and_evaluate(config, loss_name, params, seed):
     return trace, ber, score
 
 
-def _sweep(config: ExperimentConfig) -> tuple[list, dict]:
+def _sweep(config: ExperimentConfig, grid: list[McdParams]) -> tuple[list, dict]:
     rows = []
     cell_means: dict = {}
-    for params in config.noise_grid:
+    for params in grid:
         for loss_name in config.losses:
             bers, aucs = [], []
             for seed in config.seeds:
@@ -532,41 +516,34 @@ def _write_sweep_outputs(config, rows, cell_means) -> list[Path]:
     return [results, aggregate]
 
 
-def _check_loss_order(config, cell_means) -> int:
+def _check_loss_order(config, cell_means, grid) -> int:
     if config.loss_order is None:
         return 0
     first, second = config.loss_order
-    if first not in config.losses or second not in config.losses:
-        raise ConfigurationError(
-            f"[assertions] loss_order: {first!r} and {second!r} must both be in [losses] names"
-        )
-    for params in config.noise_grid:
+    for params in grid:
         if cell_means[(params, first)][0] > cell_means[(params, second)][0]:
             return 1
     return 0
 
 
-def run_noise_sweep(config: ExperimentConfig) -> int:
-    """Train per (noise cell, loss, seed); report clean-test BER/AUC."""
-    if not config.noise_grid:
+def _run_sweep(config: ExperimentConfig, grid: list[McdParams]) -> int:
+    if not grid:
         raise ConfigurationError("[noise] pi_corr_pos: noise grid is empty")
     config.output_dir.mkdir(parents=True, exist_ok=True)
-    rows, cell_means = _sweep(config)
+    rows, cell_means = _sweep(config, grid)
     artifacts = _write_sweep_outputs(config, rows, cell_means)
     write_manifest(config, artifacts)
-    return _check_loss_order(config, cell_means)
+    return _check_loss_order(config, cell_means, grid)
+
+
+def run_noise_sweep(config: ExperimentConfig) -> int:
+    """Train per (noise cell, loss, seed); report clean-test BER/AUC."""
+    return _run_sweep(config, config.noise_grid)
 
 
 def run_loss_compare(config: ExperimentConfig) -> int:
-    """A one-cell sweep across many losses."""
-    if not config.noise_grid:
-        raise ConfigurationError("[noise] pi_corr_pos: noise grid is empty")
-    config.noise_grid = config.noise_grid[:1]
-    config.output_dir.mkdir(parents=True, exist_ok=True)
-    rows, cell_means = _sweep(config)
-    artifacts = _write_sweep_outputs(config, rows, cell_means)
-    write_manifest(config, artifacts)
-    return _check_loss_order(config, cell_means)
+    """A sweep across many losses on the first noise cell only."""
+    return _run_sweep(config, config.noise_grid[:1])
 
 
 def _run_reduction_demo(config: ExperimentConfig, reduction: str) -> int:
@@ -650,19 +627,7 @@ def run_keywords(config: ExperimentConfig) -> int:
     config.output_dir.mkdir(parents=True, exist_ok=True)
     corpus, keywords = _load_corpus_assets(config)
     pipeline_config = PipelineConfig(
-        train=TrainConfig(
-            objective="auc",
-            loss=config.train.loss,
-            step_size=config.train.step_size,
-            adaptive_moments=config.train.adaptive_moments,
-            epochs=config.train.epochs,
-            batch_size=config.train.batch_size,
-            pair_batch=config.train.pair_batch,
-            weight_decay=config.train.weight_decay,
-            model=config.train.model,
-            hidden_units=config.train.hidden_units,
-            seed=config.seeds[0],
-        ),
+        train=replace(config.train, objective="auc", seed=config.seeds[0]),
         tau=config.tau,
         scheme=config.scheme,
         min_doc_freq=config.min_doc_freq,

@@ -26,10 +26,9 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .distributions import SampleSet
 from .errors import NonDifferentiableLossError
 from .losses import LossSpec, get_loss
-from .risks import pairwise_mean_loss
+from .risks import _points_of, pairwise_mean_loss
 
 __all__ = [
     "Scorer",
@@ -219,15 +218,6 @@ class TrainTrace:
             json.dump(payload, fh, sort_keys=True, indent=2)
 
 
-def _points(sample_set) -> np.ndarray:
-    points = sample_set.points if isinstance(sample_set, SampleSet) else np.asarray(sample_set, float)
-    if points.ndim == 1:
-        points = points.reshape(-1, 1)
-    if points.shape[0] == 0:
-        raise ValueError("training set is empty")
-    return points
-
-
 def _resolve_loss(config: TrainConfig) -> LossSpec:
     loss = get_loss(config.loss)
     if not loss.differentiable:
@@ -241,6 +231,22 @@ def _init_scorer(config: TrainConfig, dimension: int, rng: np.random.Generator) 
     if config.model == "linear":
         return Scorer.linear(dimension)
     return Scorer.mlp(dimension, config.hidden_units, rng)
+
+
+def _ber_gradient(
+    loss: LossSpec,
+    scorer: Scorer,
+    theta: np.ndarray,
+    X_pos: np.ndarray,
+    X_neg: np.ndarray,
+    weight_decay: float,
+) -> np.ndarray:
+    """Parameter gradient of the balanced risk on the given points."""
+    sp, jp = scorer.score_with_jacobian(X_pos, params=theta)
+    sn, jn = scorer.score_with_jacobian(X_neg, params=theta)
+    grad_pos = loss.grad(sp) @ jp / sp.shape[0]
+    grad_neg = -loss.grad(-sn) @ jn / sn.shape[0]
+    return 0.5 * (grad_pos + grad_neg) + 2.0 * weight_decay * theta
 
 
 def make_ber_objective(
@@ -259,11 +265,7 @@ def make_ber_objective(
         return risk + weight_decay * float(theta @ theta)
 
     def gradient(theta: np.ndarray) -> np.ndarray:
-        sp, jp = scorer.score_with_jacobian(X_pos, params=theta)
-        sn, jn = scorer.score_with_jacobian(X_neg, params=theta)
-        grad_pos = loss.grad(sp) @ jp / sp.shape[0]
-        grad_neg = -loss.grad(-sn) @ jn / sn.shape[0]
-        return 0.5 * (grad_pos + grad_neg) + 2.0 * weight_decay * theta
+        return _ber_gradient(loss, scorer, theta, X_pos, X_neg, weight_decay)
 
     return value, gradient
 
@@ -330,22 +332,18 @@ def train_ber(set_pos, set_neg, config: TrainConfig, init_scorer: Optional[Score
     scorer initialization and all batch draws.
     """
     loss = _resolve_loss(config)
-    X_pos, X_neg = _points(set_pos), _points(set_neg)
+    X_pos, X_neg = _points_of(set_pos), _points_of(set_neg)
     rng = np.random.default_rng(config.seed)
     scorer = init_scorer.copy() if init_scorer is not None else _init_scorer(config, X_pos.shape[1], rng)
 
     objective, _ = make_ber_objective(loss, X_pos, X_neg, scorer, config.weight_decay)
     n_pos, n_neg = X_pos.shape[0], X_neg.shape[0]
     bs = config.batch_size
-    wd = config.weight_decay
 
     def step_gradient(rng: np.random.Generator, theta: np.ndarray) -> np.ndarray:
         ip = rng.integers(0, n_pos, size=bs)
         im = rng.integers(0, n_neg, size=bs)
-        sp, jp = scorer.score_with_jacobian(X_pos[ip], params=theta)
-        sn, jn = scorer.score_with_jacobian(X_neg[im], params=theta)
-        grad = 0.5 * (loss.grad(sp) @ jp - loss.grad(-sn) @ jn) / bs
-        return grad + 2.0 * wd * theta
+        return _ber_gradient(loss, scorer, theta, X_pos[ip], X_neg[im], config.weight_decay)
 
     steps_per_epoch = max(1, math.ceil(max(n_pos, n_neg) / bs))
     objectives = _run_steps(config, scorer, rng, step_gradient, objective, steps_per_epoch)
@@ -360,7 +358,7 @@ def train_auc(set_pos, set_neg, config: TrainConfig, init_scorer: Optional[Score
     pairwise objective.
     """
     loss = _resolve_loss(config)
-    X_pos, X_neg = _points(set_pos), _points(set_neg)
+    X_pos, X_neg = _points_of(set_pos), _points_of(set_neg)
     rng = np.random.default_rng(config.seed)
     scorer = init_scorer.copy() if init_scorer is not None else _init_scorer(config, X_pos.shape[1], rng)
 

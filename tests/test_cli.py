@@ -2,10 +2,14 @@
 
 import csv
 import json
+from dataclasses import replace
 
 import pytest
 
+import symloss.experiments
+import symloss.textpipe
 from symloss.cli import main
+from symloss.datasets import default_config_path
 from symloss.errors import ConfigurationError
 from symloss.experiments import parse_config, run_experiment
 
@@ -33,6 +37,27 @@ def write_config(tmp_path, text, name="config.ini"):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+def sweep_config(tmp_path):
+    return write_config(
+        tmp_path,
+        f"""
+[experiment]
+name = noise_sweep
+output_dir = {tmp_path / 'out'}
+seeds = 0, 1
+
+[noise]
+pi_corr_pos = 0.8
+pi_corr_neg = 0.3
+
+[losses]
+names = sigmoid, logistic
+{SMALL_DATASET}
+{SMALL_TRAIN}
+""",
+    )
 
 
 def read_csv(path):
@@ -89,6 +114,44 @@ class TestParseConfig:
         with pytest.raises(ConfigurationError, match=r"\[corpus\] tau"):
             parse_config(path)
 
+    @pytest.mark.parametrize(
+        "text, location",
+        [
+            ("[train]\nloss = gamma\n", r"\[train\] loss"),
+            ("[assertions]\nloss_order = gamma <= sigmoid\n", r"\[assertions\] loss_order"),
+        ],
+    )
+    def test_unknown_loss_names_location_and_choices(self, tmp_path, text, location):
+        path = write_config(tmp_path, "[experiment]\nname = noise_sweep\n\n" + text)
+        expected = location + r": unknown loss 'gamma'; choose from"
+        with pytest.raises(ConfigurationError, match=expected):
+            parse_config(path)
+
+    def test_loss_order_outside_loss_names_fails_before_training(self, tmp_path):
+        out = tmp_path / "out"
+        path = write_config(
+            tmp_path,
+            f"""
+[experiment]
+name = noise_sweep
+output_dir = {out}
+
+[noise]
+pi_corr_pos = 0.8
+pi_corr_neg = 0.3
+
+[losses]
+names = sigmoid, logistic
+
+[assertions]
+loss_order = sigmoid <= hinge
+""",
+        )
+        with pytest.raises(ConfigurationError, match=r"\[assertions\] loss_order.*'hinge'"):
+            parse_config(path)
+        assert main(["noise-sweep", "--config", str(path)]) == 2
+        assert not out.exists()
+
 
 class TestVerifyIdentitiesCommand:
     def test_small_run_exits_zero(self, tmp_path):
@@ -143,29 +206,8 @@ instances = 1
 
 
 class TestNoiseSweepCommand:
-    def sweep_config(self, tmp_path, extra=""):
-        return write_config(
-            tmp_path,
-            f"""
-[experiment]
-name = noise_sweep
-output_dir = {tmp_path / 'out'}
-seeds = 0, 1
-
-[noise]
-pi_corr_pos = 0.8
-pi_corr_neg = 0.3
-
-[losses]
-names = sigmoid, logistic
-{SMALL_DATASET}
-{SMALL_TRAIN}
-{extra}
-""",
-        )
-
     def test_writes_results_and_aggregate(self, tmp_path):
-        assert main(["noise-sweep", "--config", str(self.sweep_config(tmp_path))]) == 0
+        assert main(["noise-sweep", "--config", str(sweep_config(tmp_path))]) == 0
         results = read_csv(tmp_path / "out" / "results.csv")
         # header + 1 cell x 2 losses x 2 seeds
         assert len(results) == 1 + 4
@@ -175,7 +217,7 @@ names = sigmoid, logistic
         assert set(manifest["artifacts"]) == {"results.csv", "aggregate.csv"}
 
     def test_rerun_is_byte_identical(self, tmp_path):
-        config = self.sweep_config(tmp_path)
+        config = sweep_config(tmp_path)
         assert main(["noise-sweep", "--config", str(config)]) == 0
         first = {
             name: (tmp_path / "out" / name).read_bytes()
@@ -227,8 +269,35 @@ batch_size = 64
         ber_col = aggregate[0].index("mean_clean_ber")
         assert all(float(row[ber_col]) <= 0.05 for row in aggregate[1:])
 
+    def test_loss_compare_trains_first_cell_and_keeps_grid(self, tmp_path):
+        path = write_config(
+            tmp_path,
+            f"""
+[experiment]
+name = loss_compare
+output_dir = {tmp_path / 'out'}
+seeds = 0
+
+[noise]
+pi_corr_pos = 0.8, 0.7
+pi_corr_neg = 0.3, 0.4
+
+[losses]
+names = sigmoid, logistic
+{SMALL_DATASET}
+{SMALL_TRAIN}
+""",
+        )
+        config = parse_config(path)
+        grid = list(config.noise_grid)
+        assert run_experiment(config) == 0
+        assert config.noise_grid == grid and len(grid) == 2
+        results = read_csv(tmp_path / "out" / "results.csv")
+        assert len(results) == 1 + 2
+        assert {(row[1], row[2]) for row in results[1:]} == {("0.8", "0.3")}
+
     def test_seed_override(self, tmp_path):
-        config = self.sweep_config(tmp_path)
+        config = sweep_config(tmp_path)
         assert main(["noise-sweep", "--config", str(config), "--seed", "7"]) == 0
         results = read_csv(tmp_path / "out" / "results.csv")
         assert len(results) == 1 + 2  # one seed only
@@ -351,3 +420,41 @@ class TestDefaultConfigs:
         config = parse_config(default_config_path(experiment), experiment=experiment)
         assert config.experiment == experiment
         assert config.seeds
+
+
+class TestTrainConfigReachesTrainer:
+    """Every TrainConfig field set on a parsed config arrives at the trainer."""
+
+    @staticmethod
+    def capture(monkeypatch, module, name):
+        received = []
+        original = getattr(module, name)
+
+        def recording(set_pos, set_neg, config, *args, **kwargs):
+            received.append(config)
+            return original(set_pos, set_neg, config, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, recording)
+        return received
+
+    @staticmethod
+    def with_unparsed_fields(config):
+        config.train = replace(config.train, epsilon=1e-6, moment_decay1=0.8, epochs=2)
+        return config
+
+    def test_noise_sweep(self, tmp_path, monkeypatch):
+        received = self.capture(monkeypatch, symloss.experiments, "train_ber")
+        config = self.with_unparsed_fields(parse_config(sweep_config(tmp_path)))
+        assert run_experiment(config) == 0
+        assert len(received) == 4
+        for train in received:
+            assert (train.epsilon, train.moment_decay1, train.epochs) == (1e-6, 0.8, 2)
+
+    def test_keywords(self, tmp_path, monkeypatch):
+        received = self.capture(monkeypatch, symloss.textpipe, "train_auc")
+        config = self.with_unparsed_fields(parse_config(default_config_path("keywords")))
+        config.output_dir = tmp_path / "out"
+        run_experiment(config)
+        [train] = received
+        assert (train.epsilon, train.moment_decay1, train.epochs) == (1e-6, 0.8, 2)
+        assert (train.objective, train.seed) == ("auc", config.seeds[0])

@@ -3,8 +3,9 @@
 Subcommands map one-to-one onto the experiment runners; each reads a flat
 key = value config file (a bundled default is used when --config is
 omitted) and writes CSV/JSON artifacts plus a manifest to the output
-directory.  The exit status is nonzero exactly when an acceptance
-assertion inside the experiment fails.
+directory.  The exit status is 0 on success, 1 when an acceptance
+assertion inside the experiment fails, and 2 on bad input (config,
+corpus or keyword file, or flag).
 """
 
 from __future__ import annotations
@@ -20,9 +21,12 @@ from .experiments import (
     EXPERIMENTS,
     THRESHOLD_ALIASES,
     check_loss_name,
+    check_value,
     parse_config,
     run_experiment,
 )
+from .textpipe import check_tau
+from .threshold import check_prior
 
 _SUBCOMMANDS = {name.replace("_", "-"): name for name in EXPERIMENTS}
 
@@ -72,15 +76,16 @@ def main(argv=None) -> int:
         if args.seed is not None:
             config.seeds = [args.seed]
         if args.experiment == "keywords":
+            corpus = config.sections["corpus"]
             if args.threshold_method is not None:
-                config.threshold_method = THRESHOLD_ALIASES[args.threshold_method]
+                corpus["threshold_method"] = THRESHOLD_ALIASES[args.threshold_method]
             if args.prior is not None:
-                config.known_prior = args.prior
+                corpus["prior"] = check_value("--prior", check_prior, args.prior)
             if args.loss is not None:
                 loss = check_loss_name(args.loss, "--loss")
                 config.train = dataclasses.replace(config.train, loss=loss)
             if args.tau is not None:
-                config.tau = args.tau
+                corpus["tau"] = check_value("--tau", check_tau, args.tau)
 
         status = run_experiment(config)
     except (ConfigurationError, FileNotFoundError) as exc:

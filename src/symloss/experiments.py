@@ -11,11 +11,13 @@ written, so re-running a config reproduces byte-identical outputs.
 from __future__ import annotations
 
 import configparser
+import copy
 import csv
+import difflib
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -39,8 +41,8 @@ from .risks import (
     empirical_ber_risk,
     symmetric_excess_constant,
 )
-from .textpipe import Corpus, KeywordSet, PipelineConfig, run_pipeline
-from .threshold import THRESHOLD_METHODS
+from .textpipe import Corpus, KeywordSet, PipelineConfig, check_tau, run_pipeline
+from .threshold import THRESHOLD_METHODS, check_prior
 from .training import TrainConfig, train_auc, train_ber
 
 __all__ = [
@@ -48,6 +50,7 @@ __all__ = [
     "EXPERIMENTS",
     "THRESHOLD_ALIASES",
     "check_loss_name",
+    "check_value",
     "parse_config",
     "run_experiment",
     "run_verify_identities",
@@ -77,10 +80,7 @@ THRESHOLD_ALIASES = {
 
 def check_loss_name(name: str, where: str) -> str:
     """``name`` if it is a catalog loss, else a ConfigurationError naming ``where``."""
-    try:
-        get_loss(name)
-    except ValueError as exc:
-        raise ConfigurationError(f"{where}: {exc}") from None
+    check_value(where, get_loss, name)
     return name
 
 
@@ -118,155 +118,141 @@ def write_manifest(config: "ExperimentConfig", artifacts: Sequence[Path]) -> Pat
     return path
 
 
-class _Section:
-    """Typed access to one config section with field-named errors."""
+_BOOLEANS = configparser.ConfigParser.BOOLEAN_STATES
+_LABELS = {int: "an integer", float: "a number", bool: "a boolean", str: "a string"}
 
-    def __init__(self, name: str, values: dict[str, str]):
-        self.name = name
-        self.values = values
+# section -> key -> (kind, default).  A kind is a type, a tuple of allowed
+# strings, or a one-type list for comma-separated values.  [train] keys are
+# TrainConfig field names; its epochs and batch_size defaults are the
+# config-level ones, not TrainConfig's.
+_SCHEMA: dict[str, dict[str, tuple]] = {
+    "experiment": {
+        "name": (EXPERIMENTS, None),  # None: the invoked command's experiment
+        "output_dir": (str, "out"),
+        "seeds": ([int], [0]),
+    },
+    "dataset": {
+        "dimension": (int, 2),
+        "mean_pos": ([float], None),  # None: 1.5 in every coordinate
+        "mean_neg": ([float], None),  # None: -1.5 in every coordinate
+        "covariance": ([float], None),  # None: 1.0 in every coordinate
+        "n_train_per_class": (int, 500),
+        "n_test_per_class": (int, 2000),
+    },
+    "noise": {"pi_corr_pos": ([float], []), "pi_corr_neg": ([float], [])},
+    "losses": {"names": ([str], ["sigmoid"])},  # "all": the whole catalog
+    "assertions": {"loss_order": (str, None)},  # "lossA <= lossB"
+    "train": {
+        "objective": (("ber", "auc"), "ber"),
+        "loss": (str, "sigmoid"),
+        "step_size": (float, 0.05),
+        "adaptive_moments": (bool, True),
+        "epochs": (int, 150),
+        "batch_size": (int, 128),
+        "pair_batch": (int, 256),
+        "weight_decay": (float, 0.0),
+        "model": (("linear", "mlp"), "linear"),
+        "hidden_units": (int, 8),
+    },
+    "identities": {
+        "instances": (int, 100),
+        "max_support": (int, 5),
+        "score_range": (float, 3.0),
+        "tolerance": (float, 1e-10),
+        "symmetric_tolerance": (float, 1e-12),
+    },
+    "pu": {"class_prior_unlabeled": (float, 0.4)},
+    "uu": {"pi_u": (float, 0.7), "pi_u_prime": (float, 0.3)},
+    "corpus": {
+        "corpus_path": (str, "bundled"),
+        "keywords_path": (str, "bundled"),
+        "tau": (float, 0.15),
+        "scheme": (("tf", "tf_idf"), "tf_idf"),
+        "min_doc_freq": (int, 1),
+        "threshold_method": (tuple(THRESHOLD_ALIASES) + THRESHOLD_METHODS, "breakeven"),
+        "prior": (float, None),
+    },
+}
 
-    def _raw(self, key: str, default=None, required=False) -> Optional[str]:
-        if key in self.values:
-            return self.values[key]
-        if required:
-            raise ConfigurationError(f"[{self.name}] {key}: missing required field")
-        return default
 
-    def get_str(self, key: str, default=None, required=False, choices=None) -> Optional[str]:
-        value = self._raw(key, default, required)
-        if value is not None and choices is not None and value not in choices:
-            raise ConfigurationError(
-                f"[{self.name}] {key}: {value!r} is not one of {sorted(choices)}"
-            )
-        return value
+def check_value(where: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, with a ValueError re-raised as a
+    ConfigurationError naming ``where``."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigurationError(f"{where}: {exc}") from None
 
-    def _convert(self, key: str, value: str, kind, label: str):
-        try:
-            return kind(value)
-        except ValueError:
-            raise ConfigurationError(
-                f"[{self.name}] {key}: {value!r} is not {label}"
-            ) from None
 
-    def get_int(self, key: str, default=None, required=False) -> Optional[int]:
-        value = self._raw(key, None, required)
-        if value is None:
-            return default
-        return self._convert(key, value, int, "an integer")
+def _unknown(where: str, what: str, name: str, known) -> ConfigurationError:
+    close = difflib.get_close_matches(name, known, n=1)
+    hint = f"did you mean {close[0]!r}?" if close else f"expected one of {sorted(known)}"
+    return ConfigurationError(f"{where}: unknown {what}; {hint}")
 
-    def get_float(self, key: str, default=None, required=False) -> Optional[float]:
-        value = self._raw(key, None, required)
-        if value is None:
-            return default
-        return self._convert(key, value, float, "a number")
 
-    def get_bool(self, key: str, default=None) -> Optional[bool]:
-        value = self._raw(key)
-        if value is None:
-            return default
-        lowered = value.strip().lower()
-        if lowered in ("true", "yes", "1", "on"):
-            return True
-        if lowered in ("false", "no", "0", "off"):
-            return False
-        raise ConfigurationError(f"[{self.name}] {key}: {value!r} is not a boolean")
+def _convert(where: str, text: str, kind):
+    if isinstance(kind, list):
+        items = [item.strip() for item in text.split(",")]
+        return [_convert(where, item, kind[0]) for item in items if item]
+    if isinstance(kind, tuple):
+        if text not in kind:
+            raise ConfigurationError(f"{where}: {text!r} is not one of {sorted(kind)}")
+        return text
+    try:
+        return _BOOLEANS[text.strip().lower()] if kind is bool else kind(text)
+    except (KeyError, ValueError):
+        raise ConfigurationError(f"{where}: {text!r} is not {_LABELS[kind]}") from None
 
-    def _get_list(self, key: str, default, required, kind, label: str) -> Optional[list]:
-        value = self._raw(key, None, required)
-        if value is None:
-            return default
-        items = [item.strip() for item in value.split(",") if item.strip()]
-        return [self._convert(key, item, kind, label) for item in items]
 
-    def get_float_list(self, key: str, default=None, required=False) -> Optional[list[float]]:
-        return self._get_list(key, default, required, float, "a number")
-
-    def get_int_list(self, key: str, default=None, required=False) -> Optional[list[int]]:
-        return self._get_list(key, default, required, int, "an integer")
-
-    def get_str_list(self, key: str, default=None, required=False) -> Optional[list[str]]:
-        return self._get_list(key, default, required, str, "a string")
+def _read_sections(parser: configparser.ConfigParser) -> dict[str, dict]:
+    """Every schema key of every section, converted or defaulted; any
+    section or key outside the schema is a ConfigurationError."""
+    for name in parser.sections():
+        if name not in _SCHEMA:
+            raise _unknown(f"[{name}]", "section", name, _SCHEMA)
+        for key in parser[name]:
+            if key not in _SCHEMA[name]:
+                raise _unknown(f"[{name}] {key}", "key", key, _SCHEMA[name])
+    return {
+        name: {
+            key: _convert(f"[{name}] {key}", parser[name][key], kind)
+            if parser.has_option(name, key) else copy.copy(default)
+            for key, (kind, default) in keys.items()
+        }
+        for name, keys in _SCHEMA.items()
+    }
 
 
 @dataclass
 class ExperimentConfig:
-    """Everything one experiment run needs, already validated."""
+    """Everything one experiment run needs, already validated: every schema
+    key's value (or default) in ``sections``, plus the values built from them."""
 
     experiment: str
     output_dir: Path
     seeds: list[int]
-    echo: dict[str, dict[str, str]] = field(default_factory=dict)
-
-    # synthetic dataset
-    gaussians: Optional[GaussianPairConfig] = None
-    n_train_per_class: int = 500
-    n_test_per_class: int = 2000
-
-    # noise grid and losses
-    noise_grid: list[McdParams] = field(default_factory=list)
-    losses: list[str] = field(default_factory=list)
-    loss_order: Optional[tuple[str, str]] = None
-
-    # training block
-    train: Optional[TrainConfig] = None
-
-    # identity suite
-    identity_instances: int = 100
-    identity_max_support: int = 5
-    identity_score_range: float = 3.0
-    identity_tolerance: float = 1e-10
-    identity_symmetric_tolerance: float = 1e-12
-
-    # reductions
-    pu_class_prior: float = 0.4
-    uu_pi: float = 0.7
-    uu_pi_prime: float = 0.3
-
-    # keywords pipeline
-    corpus_path: Optional[str] = None
-    keywords_file: Optional[str] = None
-    tau: float = 0.15
-    scheme: str = "tf_idf"
-    min_doc_freq: int = 1
-    threshold_method: str = "breakeven_known_prior"
-    known_prior: Optional[float] = None
+    echo: dict[str, dict[str, str]]
+    sections: dict[str, dict]
+    gaussians: GaussianPairConfig
+    noise_grid: list[McdParams]
+    losses: list[str]
+    loss_order: Optional[tuple[str, str]]
+    train: TrainConfig
 
 
-def _parse_losses(section: _Section, key: str, default: list[str]) -> list[str]:
-    names = section.get_str_list(key, default=default)
-    if names == ["all"]:
-        return list(LOSS_NAMES)
-    return [check_loss_name(name, f"[{section.name}] {key}") for name in names]
-
-
-def _parse_train(section: _Section) -> TrainConfig:
-    kwargs = dict(
-        objective=section.get_str("objective", default="ber", choices=("ber", "auc")),
-        loss=check_loss_name(section.get_str("loss", default="sigmoid"), f"[{section.name}] loss"),
-        step_size=section.get_float("step_size", default=0.05),
-        adaptive_moments=section.get_bool("adaptive_moments", default=True),
-        epochs=section.get_int("epochs", default=150),
-        batch_size=section.get_int("batch_size", default=128),
-        pair_batch=section.get_int("pair_batch", default=256),
-        weight_decay=section.get_float("weight_decay", default=0.0),
-        model=section.get_str("model", default="linear", choices=("linear", "mlp")),
-        hidden_units=section.get_int("hidden_units", default=8),
-    )
-    try:
-        return TrainConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigurationError(f"[{section.name}] {exc}") from exc
-
-
-def _parse_gaussians(section: _Section) -> GaussianPairConfig:
-    dimension = section.get_int("dimension", default=2)
-    mean_pos = section.get_float_list("mean_pos", default=[1.5] * dimension)
-    mean_neg = section.get_float_list("mean_neg", default=[-1.5] * dimension)
-    covariance = section.get_float_list("covariance", default=[1.0] * dimension)
-    try:
-        return GaussianPairConfig(mean_pos, mean_neg, covariance, dimension)
-    except ValueError as exc:
-        raise ConfigurationError(f"[{section.name}] {exc}") from exc
+def _parse_loss_order(order: Optional[str], losses: list[str]) -> Optional[tuple[str, str]]:
+    if order is None:
+        return None
+    parts = [part.strip() for part in order.split("<=")]
+    if len(parts) != 2 or not all(parts):
+        raise ConfigurationError("[assertions] loss_order: expected 'lossA <= lossB'")
+    for part in parts:
+        check_loss_name(part, "[assertions] loss_order")
+        if part not in losses:
+            raise ConfigurationError(
+                f"[assertions] loss_order: {part!r} must also be in [losses] names"
+            )
+    return parts[0], parts[1]
 
 
 def parse_config(path, experiment: Optional[str] = None) -> ExperimentConfig:
@@ -279,16 +265,9 @@ def parse_config(path, experiment: Optional[str] = None) -> ExperimentConfig:
         parser.read(path)
     except configparser.Error as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc
+    sections = _read_sections(parser)
 
-    sections = {
-        name: _Section(name, dict(parser[name])) for name in parser.sections()
-    }
-
-    def section(name: str) -> _Section:
-        return sections.get(name, _Section(name, {}))
-
-    exp_section = section("experiment")
-    name = exp_section.get_str("name", default=experiment, choices=EXPERIMENTS)
+    name = sections["experiment"]["name"] or experiment
     if name is None:
         raise ConfigurationError("[experiment] name: missing required field")
     if experiment is not None and name != experiment:
@@ -296,85 +275,63 @@ def parse_config(path, experiment: Optional[str] = None) -> ExperimentConfig:
             f"[experiment] name: config says {name!r} but the "
             f"{experiment!r} command was invoked"
         )
-
-    seeds = exp_section.get_int_list("seeds", default=[0])
+    seeds = sections["experiment"]["seeds"]
     if not seeds:
         raise ConfigurationError("[experiment] seeds: must list at least one seed")
 
-    config = ExperimentConfig(
-        experiment=name,
-        output_dir=Path(exp_section.get_str("output_dir", default="out")),
-        seeds=seeds,
-        echo={sec: dict(parser[sec]) for sec in parser.sections()},
+    dataset = sections["dataset"]
+    for key, value in (("mean_pos", 1.5), ("mean_neg", -1.5), ("covariance", 1.0)):
+        if dataset[key] is None:
+            dataset[key] = [value] * dataset["dimension"]
+    gaussians = check_value(
+        "[dataset]", GaussianPairConfig, dataset["mean_pos"], dataset["mean_neg"],
+        dataset["covariance"], dataset["dimension"],
     )
 
-    dataset = section("dataset")
-    config.gaussians = _parse_gaussians(dataset)
-    config.n_train_per_class = dataset.get_int("n_train_per_class", default=500)
-    config.n_test_per_class = dataset.get_int("n_test_per_class", default=2000)
-
-    noise = section("noise")
-    pos_list = noise.get_float_list("pi_corr_pos", default=[])
-    neg_list = noise.get_float_list("pi_corr_neg", default=[])
-    if len(pos_list) != len(neg_list):
+    noise = sections["noise"]
+    if len(noise["pi_corr_pos"]) != len(noise["pi_corr_neg"]):
         raise ConfigurationError(
             "[noise] pi_corr_pos and pi_corr_neg must have the same length"
         )
-    for a, b in zip(pos_list, neg_list):
-        try:
-            config.noise_grid.append(McdParams(a, b))
-        except ValueError as exc:
-            raise ConfigurationError(f"[noise] ({a}, {b}): {exc}") from exc
+    noise_grid = [
+        check_value(f"[noise] ({a}, {b})", McdParams, a, b)
+        for a, b in zip(noise["pi_corr_pos"], noise["pi_corr_neg"])
+    ]
 
-    config.losses = _parse_losses(section("losses"), "names", default=["sigmoid"])
+    losses = sections["losses"]["names"]
+    if losses == ["all"]:
+        losses = list(LOSS_NAMES)
+    for loss_name in losses:
+        check_loss_name(loss_name, "[losses] names")
+    loss_order = _parse_loss_order(sections["assertions"]["loss_order"], losses)
+    check_loss_name(sections["train"]["loss"], "[train] loss")
+    train = check_value("[train]", TrainConfig, **sections["train"])
 
-    order = section("assertions").get_str("loss_order")
-    if order is not None:
-        parts = [part.strip() for part in order.split("<=")]
-        if len(parts) != 2 or not all(parts):
-            raise ConfigurationError(
-                "[assertions] loss_order: expected 'lossA <= lossB'"
-            )
-        for part in parts:
-            check_loss_name(part, "[assertions] loss_order")
-            if part not in config.losses:
-                raise ConfigurationError(
-                    f"[assertions] loss_order: {part!r} must also be in [losses] names"
-                )
-        config.loss_order = (parts[0], parts[1])
+    if sections["identities"]["max_support"] < 2:
+        raise ConfigurationError("[identities] max_support: must be at least 2")
+    pu, uu = sections["pu"], sections["uu"]
+    check_value("[pu] class_prior_unlabeled", pu_params, pu["class_prior_unlabeled"])
+    check_value("[uu] pi_u, pi_u_prime", uu_params, uu["pi_u"], uu["pi_u_prime"])
 
-    config.train = _parse_train(section("train"))
+    corpus = sections["corpus"]
+    method = corpus["threshold_method"]
+    corpus["threshold_method"] = THRESHOLD_ALIASES.get(method, method)
+    check_value("[corpus] tau", check_tau, corpus["tau"])
+    if corpus["prior"] is not None:
+        check_value("[corpus] prior", check_prior, corpus["prior"])
 
-    identities = section("identities")
-    config.identity_instances = identities.get_int("instances", default=100)
-    config.identity_max_support = identities.get_int("max_support", default=5)
-    config.identity_score_range = identities.get_float("score_range", default=3.0)
-    config.identity_tolerance = identities.get_float("tolerance", default=1e-10)
-    config.identity_symmetric_tolerance = identities.get_float(
-        "symmetric_tolerance", default=1e-12
+    return ExperimentConfig(
+        experiment=name,
+        output_dir=Path(sections["experiment"]["output_dir"]),
+        seeds=seeds,
+        echo={sec: dict(parser[sec]) for sec in parser.sections()},
+        sections=sections,
+        gaussians=gaussians,
+        noise_grid=noise_grid,
+        losses=losses,
+        loss_order=loss_order,
+        train=train,
     )
-
-    pu = section("pu")
-    config.pu_class_prior = pu.get_float("class_prior_unlabeled", default=0.4)
-    uu = section("uu")
-    config.uu_pi = uu.get_float("pi_u", default=0.7)
-    config.uu_pi_prime = uu.get_float("pi_u_prime", default=0.3)
-
-    corpus = section("corpus")
-    config.corpus_path = corpus.get_str("corpus_path", default="bundled")
-    config.keywords_file = corpus.get_str("keywords_path", default="bundled")
-    config.tau = corpus.get_float("tau", default=0.15)
-    config.scheme = corpus.get_str("scheme", default="tf_idf", choices=("tf", "tf_idf"))
-    config.min_doc_freq = corpus.get_int("min_doc_freq", default=1)
-    method = corpus.get_str(
-        "threshold_method",
-        default="breakeven",
-        choices=tuple(THRESHOLD_ALIASES) + THRESHOLD_METHODS,
-    )
-    config.threshold_method = THRESHOLD_ALIASES.get(method, method)
-    config.known_prior = corpus.get_float("prior", default=None)
-
-    return config
 
 
 def _random_identity_instance(rng, max_support: int, score_range: float):
@@ -393,30 +350,28 @@ def _random_identity_instance(rng, max_support: int, score_range: float):
 def run_verify_identities(config: ExperimentConfig) -> int:
     """Residuals of both risk decompositions over randomized instances."""
     config.output_dir.mkdir(parents=True, exist_ok=True)
+    identities = config.sections["identities"]
+    tolerance = identities["tolerance"]
+    symmetric_tolerance = identities["symmetric_tolerance"]
     rng = np.random.default_rng(config.seeds[0])
     rows = []
     failures = 0
     for loss_name in config.losses:
         loss = get_loss(loss_name)
-        for instance in range(config.identity_instances):
+        for instance in range(identities["instances"]):
             dist, scores, params = _random_identity_instance(
-                rng, config.identity_max_support, config.identity_score_range
+                rng, identities["max_support"], identities["score_range"]
             )
             ber = ber_decomposition_check(loss, dist, scores, params)
             auc = auc_decomposition_check(loss, dist, scores, params)
-            ok = (
-                ber.residual <= config.identity_tolerance
-                and auc.residual <= config.identity_tolerance
-            )
+            ok = ber.residual <= tolerance and auc.residual <= tolerance
             symmetric_excess = ""
             if loss.symmetric:
                 expected = symmetric_excess_constant(loss, params)
                 symmetric_excess = expected
                 ok = ok and (
-                    abs(ber.components["excess"] - expected)
-                    <= config.identity_symmetric_tolerance
-                    and abs(auc.components["excess"] - expected)
-                    <= config.identity_symmetric_tolerance
+                    abs(ber.components["excess"] - expected) <= symmetric_tolerance
+                    and abs(auc.components["excess"] - expected) <= symmetric_tolerance
                 )
             failures += 0 if ok else 1
             rows.append(
@@ -455,14 +410,15 @@ def run_verify_identities(config: ExperimentConfig) -> int:
 
 def _train_and_evaluate(config, loss_name, params, seed):
     sampler_pos, sampler_neg = config.gaussians.samplers()
-    n = config.n_train_per_class
+    dataset = config.sections["dataset"]
+    n = dataset["n_train_per_class"]
     set_pos, set_neg = sample_mcd(sampler_pos, sampler_neg, params, n, n, seed=seed)
     trainer = train_ber if config.train.objective == "ber" else train_auc
     trace = trainer(set_pos, set_neg, replace(config.train, loss=loss_name, seed=seed))
 
     test_rng = np.random.default_rng(seed + 982_451_653)
-    test_pos = sampler_pos(test_rng, config.n_test_per_class)
-    test_neg = sampler_neg(test_rng, config.n_test_per_class)
+    test_pos = sampler_pos(test_rng, dataset["n_test_per_class"])
+    test_neg = sampler_neg(test_rng, dataset["n_test_per_class"])
     ber = empirical_ber_risk(get_loss("zero_one"), test_pos, test_neg, trace.scorer).value
     score = auc_score(trace.scorer(test_pos), trace.scorer(test_neg))
     return trace, ber, score
@@ -550,11 +506,13 @@ def _run_reduction_demo(config: ExperimentConfig, reduction: str) -> int:
     """PU/UU route vs. the generic corrupted route: traces must match."""
     config.output_dir.mkdir(parents=True, exist_ok=True)
     if reduction == "pu":
-        reduced = pu_params(config.pu_class_prior)
-        generic = McdParams(1.0, config.pu_class_prior)
+        prior = config.sections["pu"]["class_prior_unlabeled"]
+        reduced = pu_params(prior)
+        generic = McdParams(1.0, prior)
     else:
-        reduced = uu_params(config.uu_pi, config.uu_pi_prime)
-        generic = McdParams(config.uu_pi, config.uu_pi_prime)
+        uu = config.sections["uu"]
+        reduced = uu_params(uu["pi_u"], uu["pi_u_prime"])
+        generic = McdParams(uu["pi_u"], uu["pi_u_prime"])
 
     rows = []
     mismatches = 0
@@ -604,18 +562,18 @@ def run_uu_demo(config: ExperimentConfig) -> int:
     return _run_reduction_demo(config, "uu")
 
 
-def _load_corpus_assets(config: ExperimentConfig) -> tuple[Corpus, KeywordSet]:
-    if config.corpus_path in (None, "bundled"):
+def _load_corpus_assets(corpus_path: str, keywords_path: str) -> tuple[Corpus, KeywordSet]:
+    if corpus_path == "bundled":
         corpus = load_mini_corpus()
     else:
-        path = Path(config.corpus_path)
+        path = Path(corpus_path)
         if not path.is_file():
             raise FileNotFoundError(f"corpus file not found: {path}")
         corpus = Corpus.from_jsonl(path)
-    if config.keywords_file in (None, "bundled"):
+    if keywords_path == "bundled":
         keywords = load_keywords()
     else:
-        path = Path(config.keywords_file)
+        path = Path(keywords_path)
         if not path.is_file():
             raise FileNotFoundError(f"keyword file not found: {path}")
         keywords = KeywordSet.from_file(path)
@@ -625,14 +583,15 @@ def _load_corpus_assets(config: ExperimentConfig) -> tuple[Corpus, KeywordSet]:
 def run_keywords(config: ExperimentConfig) -> int:
     """The full keywords-to-classifier pipeline on a corpus."""
     config.output_dir.mkdir(parents=True, exist_ok=True)
-    corpus, keywords = _load_corpus_assets(config)
+    settings = config.sections["corpus"]
+    corpus, keywords = _load_corpus_assets(settings["corpus_path"], settings["keywords_path"])
     pipeline_config = PipelineConfig(
         train=replace(config.train, objective="auc", seed=config.seeds[0]),
-        tau=config.tau,
-        scheme=config.scheme,
-        min_doc_freq=config.min_doc_freq,
-        threshold_method=config.threshold_method,
-        known_prior=config.known_prior,
+        known_prior=settings["prior"],
+        tau=settings["tau"],
+        scheme=settings["scheme"],
+        min_doc_freq=settings["min_doc_freq"],
+        threshold_method=settings["threshold_method"],
     )
     report = run_pipeline(corpus, keywords, pipeline_config)
 

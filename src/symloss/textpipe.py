@@ -45,6 +45,7 @@ __all__ = [
     "PipelineConfig",
     "PipelineReport",
     "build_vectorizer",
+    "check_tau",
     "pseudo_label",
     "run_pipeline",
     "tokenize",
@@ -75,6 +76,32 @@ class Document:
             raise ValueError("document labels must be +1 or -1")
 
 
+def _read_document(line: str, where: str) -> Document:
+    """One JSONL corpus record; any defect is a ConfigurationError naming ``where``."""
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"{where}: invalid JSON ({exc})") from None
+    if not isinstance(record, dict):
+        raise ConfigurationError(f"{where}: expected a JSON object, got {type(record).__name__}")
+    label = record.get("label")
+    try:
+        label = None if label is None else int(label)
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"{where}: label must be +1 or -1, got {label!r}") from None
+    try:
+        return Document(
+            id=str(record["id"]),
+            text=str(record["text"]),
+            hidden_label=label,
+            split=record.get("split", "train_unlabeled"),
+        )
+    except KeyError as exc:
+        raise ConfigurationError(f"{where}: missing field {exc}") from None
+    except ValueError as exc:
+        raise ConfigurationError(f"{where}: {exc}") from None
+
+
 @dataclass
 class Corpus:
     """Documents tagged with purpose splits; test documents carry labels."""
@@ -103,26 +130,14 @@ class Corpus:
         with open(path, "r", encoding="utf-8") as fh:
             for line_number, line in enumerate(fh, start=1):
                 line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ConfigurationError(
-                        f"{path}:{line_number}: invalid JSON ({exc})"
-                    ) from exc
-                label = record.get("label")
-                documents.append(
-                    Document(
-                        id=str(record["id"]),
-                        text=str(record["text"]),
-                        hidden_label=None if label is None else int(label),
-                        split=record.get("split", "train_unlabeled"),
-                    )
-                )
+                if line:
+                    documents.append(_read_document(line, f"{path}:{line_number}"))
         if not documents:
             raise ConfigurationError(f"{path}: corpus is empty")
-        return cls(documents)
+        try:
+            return cls(documents)
+        except ValueError as exc:
+            raise ConfigurationError(f"{path}: {exc}") from None
 
     def to_jsonl(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -157,7 +172,10 @@ class KeywordSet:
             words = [line.strip() for line in fh if line.strip()]
         if not words:
             raise ConfigurationError(f"{path}: no keywords found")
-        return cls(tuple(words))
+        try:
+            return cls(tuple(words))
+        except ValueError as exc:
+            raise ConfigurationError(f"{path}: {exc}") from None
 
     def __len__(self) -> int:
         return len(self.words)
@@ -250,6 +268,13 @@ def _cosine_rows(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
     return cosines
 
 
+def check_tau(tau: float) -> float:
+    """``tau`` if it is a usable cosine cutoff, i.e. in [0, 1]."""
+    if not (0.0 <= tau <= 1.0):
+        raise ValueError(f"tau must be in [0, 1], got {tau}")
+    return tau
+
+
 def pseudo_label(
     keywords: KeywordSet,
     documents: Sequence[Document],
@@ -262,8 +287,7 @@ def pseudo_label(
     carries one.  Raises when the keywords miss the vocabulary entirely
     or when either side of the split comes out empty.
     """
-    if not (0.0 <= tau <= 1.0):
-        raise ValueError(f"tau must be in [0, 1], got {tau}")
+    check_tau(tau)
     documents = list(documents)
     if not documents:
         raise ConfigurationError("no documents to pseudo-label")

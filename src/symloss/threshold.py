@@ -25,6 +25,7 @@ import numpy as np
 
 __all__ = [
     "ThresholdResult",
+    "check_prior",
     "select_threshold",
     "heuristic_threshold",
     "default_threshold",
@@ -106,9 +107,14 @@ def _select(scores: np.ndarray, target_prior: float, method: str) -> ThresholdRe
 def select_threshold(scores_validation: Sequence[float], target_prior: float) -> ThresholdResult:
     """Cutoff matching a known positive-class prior on validation scores."""
     scores = _validated_scores(scores_validation)
-    if not (0.0 < target_prior < 1.0):
-        raise ValueError(f"target prior must be in (0, 1), got {target_prior}")
-    return _select(scores, target_prior, "breakeven_known_prior")
+    return _select(scores, check_prior(target_prior), "breakeven_known_prior")
+
+
+def check_prior(prior: float) -> float:
+    """``prior`` if it is a usable positive-class prior, i.e. in (0, 1)."""
+    if not (0.0 < prior < 1.0):
+        raise ValueError(f"target prior must be in (0, 1), got {prior}")
+    return prior
 
 
 def heuristic_threshold(

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 from dataclasses import replace
 
 import pytest
@@ -9,9 +10,11 @@ import pytest
 import symloss.experiments
 import symloss.textpipe
 from symloss.cli import main
-from symloss.datasets import default_config_path
+from symloss.datasets import default_config_path, load_mini_corpus
 from symloss.errors import ConfigurationError
-from symloss.experiments import parse_config, run_experiment
+from symloss.experiments import _SCHEMA, parse_config, run_experiment
+from symloss.textpipe import Corpus
+from symloss.training import TrainConfig
 
 SMALL_DATASET = """
 [dataset]
@@ -458,3 +461,176 @@ class TestTrainConfigReachesTrainer:
         [train] = received
         assert (train.epsilon, train.moment_decay1, train.epochs) == (1e-6, 0.8, 2)
         assert (train.objective, train.seed) == ("auc", config.seeds[0])
+
+
+class TestSchema:
+    """Every schema key reaches its use; nothing outside the schema parses."""
+
+    # one non-default value per schema key, as written in a config file
+    VALUES = {
+        "experiment": {"name": "keywords", "output_dir": "elsewhere", "seeds": "3, 4"},
+        "dataset": {
+            "dimension": "3",
+            "mean_pos": "1.0, 2.0, 3.0",
+            "mean_neg": "-1.0, -2.0, -3.0",
+            "covariance": "0.5, 0.25, 2.0",
+            "n_train_per_class": "77",
+            "n_test_per_class": "88",
+        },
+        "noise": {"pi_corr_pos": "0.9, 0.8", "pi_corr_neg": "0.1, 0.2"},
+        "losses": {"names": "hinge, ramp"},
+        "assertions": {"loss_order": "ramp <= hinge"},
+        "train": {
+            "objective": "auc",
+            "loss": "unhinged",
+            "step_size": "0.01",
+            "adaptive_moments": "false",
+            "epochs": "7",
+            "batch_size": "16",
+            "pair_batch": "32",
+            "weight_decay": "0.001",
+            "model": "mlp",
+            "hidden_units": "4",
+        },
+        "identities": {
+            "instances": "9",
+            "max_support": "6",
+            "score_range": "2.5",
+            "tolerance": "1e-9",
+            "symmetric_tolerance": "1e-11",
+        },
+        "pu": {"class_prior_unlabeled": "0.25"},
+        "uu": {"pi_u": "0.8", "pi_u_prime": "0.2"},
+        "corpus": {
+            "corpus_path": "CORPUS",
+            "keywords_path": "KEYWORDS",
+            "tau": "0.2",
+            "scheme": "tf",
+            "min_doc_freq": "2",
+            "threshold_method": "heuristic",
+            "prior": "0.35",
+        },
+    }
+
+    def full_config(self, tmp_path):
+        corpus = tmp_path / "corpus.jsonl"
+        Corpus(load_mini_corpus().documents[:50]).to_jsonl(corpus)
+        keywords = tmp_path / "keywords.txt"
+        keywords.write_text("alpha\nbeta\n")
+        text = "".join(
+            f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
+            for name, keys in self.VALUES.items()
+        )
+        text = text.replace("CORPUS", str(corpus)).replace("KEYWORDS", str(keywords))
+        return write_config(tmp_path, text)
+
+    def test_every_key_reaches_its_use(self, tmp_path, monkeypatch):
+        assert sum(len(keys) for keys in _SCHEMA.values()) == 38
+        assert {name: set(keys) for name, keys in self.VALUES.items()} == {
+            name: set(keys) for name, keys in _SCHEMA.items()
+        }
+        config = parse_config(self.full_config(tmp_path))
+        for name, keys in _SCHEMA.items():
+            for key, (_, default) in keys.items():
+                assert config.sections[name][key] != default, (name, key)
+
+        assert (config.experiment, str(config.output_dir), config.seeds) == (
+            "keywords", "elsewhere", [3, 4]
+        )
+        assert config.gaussians.dimension == 3
+        assert config.gaussians.mean_pos.tolist() == [1.0, 2.0, 3.0]
+        assert config.gaussians.mean_neg.tolist() == [-1.0, -2.0, -3.0]
+        assert config.gaussians.covariance.tolist() == [0.5, 0.25, 2.0]
+        assert config.sections["dataset"]["n_train_per_class"] == 77
+        assert config.sections["dataset"]["n_test_per_class"] == 88
+        assert [(p.pi_corr_pos, p.pi_corr_neg) for p in config.noise_grid] == [
+            (0.9, 0.1), (0.8, 0.2)
+        ]
+        assert config.losses == ["hinge", "ramp"]
+        assert config.loss_order == ("ramp", "hinge")
+        assert config.train == TrainConfig(
+            objective="auc", loss="unhinged", step_size=0.01, adaptive_moments=False,
+            epochs=7, batch_size=16, pair_batch=32, weight_decay=0.001, model="mlp",
+            hidden_units=4,
+        )
+        assert config.sections["identities"] == {
+            "instances": 9, "max_support": 6, "score_range": 2.5,
+            "tolerance": 1e-9, "symmetric_tolerance": 1e-11,
+        }
+        assert config.sections["pu"] == {"class_prior_unlabeled": 0.25}
+        assert config.sections["uu"] == {"pi_u": 0.8, "pi_u_prime": 0.2}
+
+        class Stop(Exception):
+            pass
+
+        received = []
+
+        def recording(corpus, keywords, pipeline_config):
+            received.append((corpus, keywords, pipeline_config))
+            raise Stop
+
+        monkeypatch.setattr(symloss.experiments, "run_pipeline", recording)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(Stop):
+            run_experiment(config)
+        [(corpus, keywords, pipeline)] = received
+        assert len(corpus) == 50
+        assert keywords.words == ("alpha", "beta")
+        assert pipeline.train == replace(config.train, objective="auc", seed=3)
+        assert (
+            pipeline.tau, pipeline.scheme, pipeline.min_doc_freq,
+            pipeline.threshold_method, pipeline.known_prior,
+        ) == (0.2, "tf", 2, "heuristic_pseudo_ratio", 0.35)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[trian]\nepochs = 3\n", "[trian]: unknown section; did you mean 'train'?"),
+            ("[train]\nepoch = 3\n", "[train] epoch: unknown key; did you mean 'epochs'?"),
+            ("[train]\nlosss = logistic\n", "[train] losss: unknown key; did you mean 'loss'?"),
+            ("[pu]\nzzz = 1\n", "[pu] zzz: unknown key; expected one of ['class_prior_"),
+        ],
+        ids=["section", "key", "key-losss", "key-no-match"],
+    )
+    def test_unknown_section_or_key_is_rejected(self, tmp_path, text, message):
+        path = write_config(tmp_path, "[experiment]\nname = keywords\n\n" + text)
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            parse_config(path)
+
+    def test_keywords_typo_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        path = write_config(
+            tmp_path,
+            f"[experiment]\nname = keywords\noutput_dir = {out}\n\n"
+            "[corpus]\nprior = 0.3\n\n[train]\nepoch = 3\n",
+        )
+        assert main(["keywords", "--config", str(path)]) == 2
+        assert "did you mean 'epochs'?" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "experiment, text, flags, location",
+    [
+        ("pu_demo", "[pu]\nclass_prior_unlabeled = 1.5\n", [], "[pu] class_prior_unlabeled"),
+        ("uu_demo", "[uu]\npi_u = 0.3\npi_u_prime = 0.7\n", [], "[uu] pi_u"),
+        ("keywords", "[corpus]\ntau = 2\n", [], "[corpus] tau"),
+        ("keywords", "", ["--tau", "2"], "--tau"),
+        ("keywords", "[corpus]\nprior = 1.5\n", [], "[corpus] prior"),
+        ("keywords", "", ["--prior", "1.5"], "--prior"),
+        ("verify_identities", "[identities]\nmax_support = 1\n", [], "[identities] max_support"),
+    ],
+    ids=["pu-prior", "uu-order", "tau", "tau-flag", "prior", "prior-flag", "max-support"],
+)
+def test_out_of_range_value_exits_two_before_any_output(
+    tmp_path, capsys, experiment, text, flags, location
+):
+    out = tmp_path / "out"
+    path = write_config(
+        tmp_path, f"[experiment]\nname = {experiment}\noutput_dir = {out}\n\n{text}"
+    )
+    command = experiment.replace("_", "-")
+    assert main([command, "--config", str(path), *flags]) == 2
+    err = capsys.readouterr().err
+    assert f"symloss: error: {location}" in err
+    assert not out.exists()

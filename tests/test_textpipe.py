@@ -65,6 +65,25 @@ class TestCorpus:
         assert len(again) == len(corpus)
         assert again.documents[0] == corpus.documents[0]
 
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ('{"text": "a b"}', "missing field 'id'"),
+            ('{"id": "x"}', "missing field 'text'"),
+            ('{"id": "x", "text": "a b", "label": "pos"}', "label must be"),
+            ('{"id": "x", "text": "a b", "split": "trian"}', "split must be one of"),
+            ('["x", "a b"]', "expected a JSON object"),
+        ],
+        ids=["no-id", "no-text", "label-pos", "split-trian", "not-an-object"],
+    )
+    def test_bad_record_names_path_and_line(self, tmp_path, record, message):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"id": "ok", "text": "a b"}\n' + record + "\n")
+        with pytest.raises(ConfigurationError) as info:
+            Corpus.from_jsonl(path)
+        assert str(info.value).startswith(f"{path}:2: ")
+        assert message in str(info.value)
+
 
 class TestKeywordSet:
     def test_normalization(self):
@@ -74,6 +93,13 @@ class TestKeywordSet:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             KeywordSet(("", "..."))
+
+    def test_file_empty_after_normalization_names_path(self, tmp_path):
+        path = tmp_path / "keywords.txt"
+        path.write_text("!!!\n")
+        with pytest.raises(ConfigurationError) as info:
+            KeywordSet.from_file(path)
+        assert str(info.value) == f"{path}: keyword set is empty after normalization"
 
 
 class TestBuildVectorizer:

@@ -11,24 +11,29 @@ corpus or keyword file, or flag).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
 from .datasets import default_config_path
 from .errors import ConfigurationError
-from .experiments import (
-    EXPERIMENTS,
-    THRESHOLD_ALIASES,
-    check_loss_name,
-    check_value,
-    parse_config,
-    run_experiment,
-)
-from .textpipe import check_tau
-from .threshold import check_prior
+from .experiments import EXPERIMENTS, parse_config, run_experiment
 
 _SUBCOMMANDS = {name.replace("_", "-"): name for name in EXPERIMENTS}
+
+# flag -> the (section, key) of the config it overrides, and its help.  A
+# flag's value is parsed and checked by the config schema as that key.
+_FLAGS = {
+    "--out": ("experiment", "output_dir", "override the output directory"),
+    "--seed": ("experiment", "seeds", "override the seed list, e.g. 3 or 3,4"),
+}
+_KEYWORDS_FLAGS = {
+    "--threshold-method": (
+        "corpus", "threshold_method", "threshold selection method: breakeven, heuristic or default"
+    ),
+    "--prior": ("corpus", "prior", "known positive-class prior for breakeven"),
+    "--loss": ("train", "loss", "training loss name"),
+    "--tau": ("corpus", "tau", "pseudo-labeling cosine cutoff"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -45,21 +50,10 @@ def build_parser() -> argparse.ArgumentParser:
         sub = subparsers.add_parser(command, help=f"run the {experiment} experiment")
         sub.add_argument("--config", type=Path, default=None,
                          help="experiment config file (default: bundled)")
-        sub.add_argument("--out", type=Path, default=None,
-                         help="override the output directory")
-        sub.add_argument("--seed", type=int, default=None,
-                         help="override the seed list with a single seed")
-        if experiment == "keywords":
-            sub.add_argument("--threshold-method",
-                             choices=tuple(THRESHOLD_ALIASES),
-                             default=None, help="threshold selection method")
-            sub.add_argument("--prior", type=float, default=None,
-                             help="known positive-class prior for breakeven")
-            sub.add_argument("--loss", type=str, default=None,
-                             help="training loss name")
-            sub.add_argument("--tau", type=float, default=None,
-                             help="pseudo-labeling cosine cutoff")
-        sub.set_defaults(experiment=experiment)
+        flags = {**_FLAGS, **(_KEYWORDS_FLAGS if experiment == "keywords" else {})}
+        for flag, (_, key, help_text) in flags.items():
+            sub.add_argument(flag, dest=key, help=help_text)
+        sub.set_defaults(experiment=experiment, flags=flags)
     return parser
 
 
@@ -69,24 +63,12 @@ def main(argv=None) -> int:
         config_path = args.config
         if config_path is None:
             config_path = default_config_path(args.experiment)
-        config = parse_config(config_path, experiment=args.experiment)
-
-        if args.out is not None:
-            config.output_dir = args.out
-        if args.seed is not None:
-            config.seeds = [args.seed]
-        if args.experiment == "keywords":
-            corpus = config.sections["corpus"]
-            if args.threshold_method is not None:
-                corpus["threshold_method"] = THRESHOLD_ALIASES[args.threshold_method]
-            if args.prior is not None:
-                corpus["prior"] = check_value("--prior", check_prior, args.prior)
-            if args.loss is not None:
-                loss = check_loss_name(args.loss, "--loss")
-                config.train = dataclasses.replace(config.train, loss=loss)
-            if args.tau is not None:
-                corpus["tau"] = check_value("--tau", check_tau, args.tau)
-
+        overrides = {
+            flag: (section, key, getattr(args, key))
+            for flag, (section, key, _) in args.flags.items()
+            if getattr(args, key) is not None
+        }
+        config = parse_config(config_path, args.experiment, overrides)
         status = run_experiment(config)
     except (ConfigurationError, FileNotFoundError) as exc:
         print(f"symloss: error: {exc}", file=sys.stderr)

@@ -1,11 +1,14 @@
 """Config-driven experiment runners.
 
-Each runner takes a parsed :class:`ExperimentConfig`, writes CSV/JSON
-artifacts plus a manifest into the output directory, and returns a
-process exit status: nonzero exactly when an acceptance assertion inside
-the experiment fails.  Runs are deterministic given the config, all
-floats are printed with 12 significant digits, and no timestamps are
-written, so re-running a config reproduces byte-identical outputs.
+Each runner takes a parsed :class:`ExperimentConfig` and returns its
+artifacts, ``{file name: (CSV header, rows) or text}``, with a process
+exit status: nonzero exactly when an acceptance assertion inside the
+experiment fails.  :func:`run_experiment` alone writes to disk: it
+creates the output directory only after the runner has returned, then
+writes the artifacts and a manifest, so a run that raises leaves no
+output behind.  Runs are deterministic given the config, all floats are
+printed with 12 significant digits, and no timestamps are written, so
+re-running a config reproduces byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -78,9 +81,12 @@ THRESHOLD_ALIASES = {
 }
 
 
-def check_loss_name(name: str, where: str) -> str:
-    """``name`` if it is a catalog loss, else a ConfigurationError naming ``where``."""
-    check_value(where, get_loss, name)
+def check_loss_name(name: str, where: str, trainable: bool = False) -> str:
+    """``name`` if it is a catalog loss, and one with a gradient when
+    ``trainable``; else a ConfigurationError naming ``where``."""
+    loss = check_value(where, get_loss, name)
+    if trainable and not loss.differentiable:
+        raise ConfigurationError(f"{where}: cannot train with the {name!r} loss; pick a surrogate")
     return name
 
 
@@ -204,9 +210,10 @@ def _convert(where: str, text: str, kind):
         raise ConfigurationError(f"{where}: {text!r} is not {_LABELS[kind]}") from None
 
 
-def _read_sections(parser: configparser.ConfigParser) -> dict[str, dict]:
+def _read_sections(parser: configparser.ConfigParser, at) -> dict[str, dict]:
     """Every schema key of every section, converted or defaulted; any
-    section or key outside the schema is a ConfigurationError."""
+    section or key outside the schema is a ConfigurationError.  ``at(section,
+    key)`` names a key in conversion errors."""
     for name in parser.sections():
         if name not in _SCHEMA:
             raise _unknown(f"[{name}]", "section", name, _SCHEMA)
@@ -215,7 +222,7 @@ def _read_sections(parser: configparser.ConfigParser) -> dict[str, dict]:
                 raise _unknown(f"[{name}] {key}", "key", key, _SCHEMA[name])
     return {
         name: {
-            key: _convert(f"[{name}] {key}", parser[name][key], kind)
+            key: _convert(at(name, key), parser[name][key], kind)
             if parser.has_option(name, key) else copy.copy(default)
             for key, (kind, default) in keys.items()
         }
@@ -255,17 +262,33 @@ def _parse_loss_order(order: Optional[str], losses: list[str]) -> Optional[tuple
     return parts[0], parts[1]
 
 
-def parse_config(path, experiment: Optional[str] = None) -> ExperimentConfig:
-    """Parse and validate a flat key = value experiment config file."""
+def parse_config(
+    path, experiment: Optional[str] = None, overrides: Optional[Mapping] = None
+) -> ExperimentConfig:
+    """Parse and validate a flat key = value experiment config file.
+
+    ``overrides`` maps a command-line flag to the ``(section, key, text)``
+    it sets.  Each is written over the file's value before parsing, so it
+    is converted, checked and echoed exactly as that key, and its errors
+    name the flag.  Values are literal: ``%`` is not interpolated.
+    """
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"config file not found: {path}")
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read(path)
     except configparser.Error as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc
-    sections = _read_sections(parser)
+    flags = {}
+    for flag, (section, key, text) in (overrides or {}).items():
+        parser.read_dict({section: {key: text}})
+        flags[section, key] = flag
+
+    def at(section: str, key: str) -> str:
+        return flags.get((section, key), f"[{section}] {key}")
+
+    sections = _read_sections(parser, at)
 
     name = sections["experiment"]["name"] or experiment
     if name is None:
@@ -277,7 +300,7 @@ def parse_config(path, experiment: Optional[str] = None) -> ExperimentConfig:
         )
     seeds = sections["experiment"]["seeds"]
     if not seeds:
-        raise ConfigurationError("[experiment] seeds: must list at least one seed")
+        raise ConfigurationError(f"{at('experiment', 'seeds')}: must list at least one seed")
 
     dataset = sections["dataset"]
     for key, value in (("mean_pos", 1.5), ("mean_neg", -1.5), ("covariance", 1.0)):
@@ -302,9 +325,9 @@ def parse_config(path, experiment: Optional[str] = None) -> ExperimentConfig:
     if losses == ["all"]:
         losses = list(LOSS_NAMES)
     for loss_name in losses:
-        check_loss_name(loss_name, "[losses] names")
+        check_loss_name(loss_name, "[losses] names", trainable=name != "verify_identities")
     loss_order = _parse_loss_order(sections["assertions"]["loss_order"], losses)
-    check_loss_name(sections["train"]["loss"], "[train] loss")
+    check_loss_name(sections["train"]["loss"], at("train", "loss"), trainable=True)
     train = check_value("[train]", TrainConfig, **sections["train"])
 
     if sections["identities"]["max_support"] < 2:
@@ -316,9 +339,9 @@ def parse_config(path, experiment: Optional[str] = None) -> ExperimentConfig:
     corpus = sections["corpus"]
     method = corpus["threshold_method"]
     corpus["threshold_method"] = THRESHOLD_ALIASES.get(method, method)
-    check_value("[corpus] tau", check_tau, corpus["tau"])
+    check_value(at("corpus", "tau"), check_tau, corpus["tau"])
     if corpus["prior"] is not None:
-        check_value("[corpus] prior", check_prior, corpus["prior"])
+        check_value(at("corpus", "prior"), check_prior, corpus["prior"])
 
     return ExperimentConfig(
         experiment=name,
@@ -347,9 +370,8 @@ def _random_identity_instance(rng, max_support: int, score_range: float):
     return dist, scores, McdParams(a, b)
 
 
-def run_verify_identities(config: ExperimentConfig) -> int:
+def run_verify_identities(config: ExperimentConfig) -> tuple[dict, int]:
     """Residuals of both risk decompositions over randomized instances."""
-    config.output_dir.mkdir(parents=True, exist_ok=True)
     identities = config.sections["identities"]
     tolerance = identities["tolerance"]
     symmetric_tolerance = identities["symmetric_tolerance"]
@@ -393,19 +415,13 @@ def run_verify_identities(config: ExperimentConfig) -> int:
                     "ok" if ok else "FAIL",
                 ]
             )
-    results = config.output_dir / "residuals.csv"
-    write_csv(
-        results,
-        [
-            "loss", "instance", "support_size", "pi_corr_pos", "pi_corr_neg",
-            "ber_lhs", "ber_rhs", "ber_residual", "ber_excess",
-            "auc_lhs", "auc_rhs", "auc_residual", "auc_excess",
-            "symmetric_excess", "status",
-        ],
-        rows,
-    )
-    write_manifest(config, [results])
-    return 0 if failures == 0 else 1
+    header = [
+        "loss", "instance", "support_size", "pi_corr_pos", "pi_corr_neg",
+        "ber_lhs", "ber_rhs", "ber_residual", "ber_excess",
+        "auc_lhs", "auc_rhs", "auc_residual", "auc_excess",
+        "symmetric_excess", "status",
+    ]
+    return {"residuals.csv": (header, rows)}, 0 if failures == 0 else 1
 
 
 def _train_and_evaluate(config, loss_name, params, seed):
@@ -446,32 +462,6 @@ def _sweep(config: ExperimentConfig, grid: list[McdParams]) -> tuple[list, dict]
     return rows, cell_means
 
 
-def _write_sweep_outputs(config, rows, cell_means) -> list[Path]:
-    results = config.output_dir / "results.csv"
-    write_csv(
-        results,
-        ["loss", "pi_corr_pos", "pi_corr_neg", "seed", "clean_test_ber", "clean_test_auc"],
-        rows,
-    )
-    aggregate = config.output_dir / "aggregate.csv"
-    agg_rows = [
-        [
-            params.pi_corr_pos, params.pi_corr_neg, loss_name,
-            mean_ber, se_ber, mean_auc, se_auc,
-        ]
-        for (params, loss_name), (mean_ber, se_ber, mean_auc, se_auc) in cell_means.items()
-    ]
-    write_csv(
-        aggregate,
-        [
-            "pi_corr_pos", "pi_corr_neg", "loss",
-            "mean_clean_ber", "stderr_clean_ber", "mean_clean_auc", "stderr_clean_auc",
-        ],
-        agg_rows,
-    )
-    return [results, aggregate]
-
-
 def _check_loss_order(config, cell_means, grid) -> int:
     if config.loss_order is None:
         return 0
@@ -482,29 +472,42 @@ def _check_loss_order(config, cell_means, grid) -> int:
     return 0
 
 
-def _run_sweep(config: ExperimentConfig, grid: list[McdParams]) -> int:
+def _run_sweep(config: ExperimentConfig, grid: list[McdParams]) -> tuple[dict, int]:
     if not grid:
         raise ConfigurationError("[noise] pi_corr_pos: noise grid is empty")
-    config.output_dir.mkdir(parents=True, exist_ok=True)
     rows, cell_means = _sweep(config, grid)
-    artifacts = _write_sweep_outputs(config, rows, cell_means)
-    write_manifest(config, artifacts)
-    return _check_loss_order(config, cell_means, grid)
+    aggregate = [
+        [params.pi_corr_pos, params.pi_corr_neg, loss_name, *means]
+        for (params, loss_name), means in cell_means.items()
+    ]
+    artifacts = {
+        "results.csv": (
+            ["loss", "pi_corr_pos", "pi_corr_neg", "seed", "clean_test_ber", "clean_test_auc"],
+            rows,
+        ),
+        "aggregate.csv": (
+            [
+                "pi_corr_pos", "pi_corr_neg", "loss",
+                "mean_clean_ber", "stderr_clean_ber", "mean_clean_auc", "stderr_clean_auc",
+            ],
+            aggregate,
+        ),
+    }
+    return artifacts, _check_loss_order(config, cell_means, grid)
 
 
-def run_noise_sweep(config: ExperimentConfig) -> int:
+def run_noise_sweep(config: ExperimentConfig) -> tuple[dict, int]:
     """Train per (noise cell, loss, seed); report clean-test BER/AUC."""
     return _run_sweep(config, config.noise_grid)
 
 
-def run_loss_compare(config: ExperimentConfig) -> int:
+def run_loss_compare(config: ExperimentConfig) -> tuple[dict, int]:
     """A sweep across many losses on the first noise cell only."""
     return _run_sweep(config, config.noise_grid[:1])
 
 
-def _run_reduction_demo(config: ExperimentConfig, reduction: str) -> int:
+def _run_reduction_demo(config: ExperimentConfig, reduction: str) -> tuple[dict, int]:
     """PU/UU route vs. the generic corrupted route: traces must match."""
-    config.output_dir.mkdir(parents=True, exist_ok=True)
     if reduction == "pu":
         prior = config.sections["pu"]["class_prior_unlabeled"]
         reduced = pu_params(prior)
@@ -540,51 +543,39 @@ def _run_reduction_demo(config: ExperimentConfig, reduction: str) -> int:
                 "identical" if identical else "MISMATCH",
             ]
         )
-    results = config.output_dir / "results.csv"
-    write_csv(
-        results,
-        [
-            "seed", "reduction", "pi_corr_pos", "pi_corr_neg",
-            "final_objective_reduction", "final_objective_generic",
-            "clean_test_ber", "clean_test_auc", "trace_check",
-        ],
-        rows,
-    )
-    write_manifest(config, [results])
-    return 0 if mismatches == 0 else 1
+    header = [
+        "seed", "reduction", "pi_corr_pos", "pi_corr_neg",
+        "final_objective_reduction", "final_objective_generic",
+        "clean_test_ber", "clean_test_auc", "trace_check",
+    ]
+    return {"results.csv": (header, rows)}, 0 if mismatches == 0 else 1
 
 
-def run_pu_demo(config: ExperimentConfig) -> int:
+def run_pu_demo(config: ExperimentConfig) -> tuple[dict, int]:
     return _run_reduction_demo(config, "pu")
 
 
-def run_uu_demo(config: ExperimentConfig) -> int:
+def run_uu_demo(config: ExperimentConfig) -> tuple[dict, int]:
     return _run_reduction_demo(config, "uu")
 
 
-def _load_corpus_assets(corpus_path: str, keywords_path: str) -> tuple[Corpus, KeywordSet]:
-    if corpus_path == "bundled":
-        corpus = load_mini_corpus()
-    else:
-        path = Path(corpus_path)
-        if not path.is_file():
-            raise FileNotFoundError(f"corpus file not found: {path}")
-        corpus = Corpus.from_jsonl(path)
-    if keywords_path == "bundled":
-        keywords = load_keywords()
-    else:
-        path = Path(keywords_path)
-        if not path.is_file():
-            raise FileNotFoundError(f"keyword file not found: {path}")
-        keywords = KeywordSet.from_file(path)
-    return corpus, keywords
+def _load_asset(setting: str, what: str, bundled, from_file):
+    """The bundled asset, or the one read from the file ``setting`` names."""
+    if setting == "bundled":
+        return bundled()
+    path = Path(setting)
+    if not path.is_file():
+        raise FileNotFoundError(f"{what} file not found: {path}")
+    return from_file(path)
 
 
-def run_keywords(config: ExperimentConfig) -> int:
+def run_keywords(config: ExperimentConfig) -> tuple[dict, int]:
     """The full keywords-to-classifier pipeline on a corpus."""
-    config.output_dir.mkdir(parents=True, exist_ok=True)
     settings = config.sections["corpus"]
-    corpus, keywords = _load_corpus_assets(settings["corpus_path"], settings["keywords_path"])
+    corpus = _load_asset(settings["corpus_path"], "corpus", load_mini_corpus, Corpus.from_jsonl)
+    keywords = _load_asset(
+        settings["keywords_path"], "keyword", load_keywords, KeywordSet.from_file
+    )
     pipeline_config = PipelineConfig(
         train=replace(config.train, objective="auc", seed=config.seeds[0]),
         known_prior=settings["prior"],
@@ -595,34 +586,23 @@ def run_keywords(config: ExperimentConfig) -> int:
     )
     report = run_pipeline(corpus, keywords, pipeline_config)
 
-    report_path = config.output_dir / "report.json"
-    with open(report_path, "w") as fh:
-        fh.write(report.to_json(indent=2))
-        fh.write("\n")
-
     metrics = report.test_metrics or {}
-    metrics_path = config.output_dir / "metrics.csv"
-    write_csv(
-        metrics_path,
-        [
-            "n_pseudo_pos", "n_pseudo_neg", "empirical_pi_pos", "empirical_pi_neg",
-            "threshold_beta", "threshold_method", "test_auc",
-            "cer", "ber", "precision", "recall", "f1",
-        ],
-        [
-            [
-                report.n_pseudo_pos,
-                report.n_pseudo_neg,
-                "" if report.empirical_pi_pos is None else report.empirical_pi_pos,
-                "" if report.empirical_pi_neg is None else report.empirical_pi_neg,
-                report.threshold.beta,
-                report.threshold.method,
-                "" if report.test_auc is None else report.test_auc,
-                *[metrics.get(key, "") for key in ("cer", "ber", "precision", "recall", "f1")],
-            ]
-        ],
-    )
-    write_manifest(config, [report_path, metrics_path])
+    header = [
+        "n_pseudo_pos", "n_pseudo_neg", "empirical_pi_pos", "empirical_pi_neg",
+        "threshold_beta", "threshold_method", "test_auc",
+        "cer", "ber", "precision", "recall", "f1",
+    ]
+    row = [
+        report.n_pseudo_pos,
+        report.n_pseudo_neg,
+        "" if report.empirical_pi_pos is None else report.empirical_pi_pos,
+        "" if report.empirical_pi_neg is None else report.empirical_pi_neg,
+        report.threshold.beta,
+        report.threshold.method,
+        "" if report.test_auc is None else report.test_auc,
+        *[metrics.get(key, "") for key in ("cer", "ber", "precision", "recall", "f1")],
+    ]
+    artifacts = {"report.json": report.to_json(indent=2) + "\n", "metrics.csv": (header, [row])}
 
     informative = (
         report.empirical_pi_pos is None
@@ -630,7 +610,7 @@ def run_keywords(config: ExperimentConfig) -> int:
         or report.empirical_pi_pos > report.empirical_pi_neg
     )
     above_chance = report.test_auc is None or report.test_auc > 0.5
-    return 0 if (informative and above_chance) else 1
+    return artifacts, 0 if (informative and above_chance) else 1
 
 
 _RUNNERS = {
@@ -644,4 +624,15 @@ _RUNNERS = {
 
 
 def run_experiment(config: ExperimentConfig) -> int:
-    return _RUNNERS[config.experiment](config)
+    """Run ``config``'s experiment, then write its artifacts and manifest
+    into ``config.output_dir``; the exit status is the runner's."""
+    artifacts, status = _RUNNERS[config.experiment](config)
+    config.output_dir.mkdir(parents=True, exist_ok=True)
+    paths = [config.output_dir / name for name in artifacts]
+    for path, content in zip(paths, artifacts.values()):
+        if isinstance(content, str):
+            path.write_text(content)
+        else:
+            write_csv(path, *content)
+    write_manifest(config, paths)
+    return status

@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence, Union
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .distributions import DiscreteBinaryDistribution, McdParams, SampleSet, corrupt_distribution
 from .losses import LossSpec
@@ -364,19 +363,20 @@ def auc_decomposition_check(
 def auc_score(scores_pos: Sequence[float], scores_neg: Sequence[float]) -> float:
     """Probability that a positive outranks a negative, ties counting 1/2.
 
-    Computed by mid-ranking the pooled scores (O(n log n)); with averaged
-    tie ranks the rank-sum statistic equals exhaustive pair counting
-    exactly, not just in expectation.
+    Each positive is located among the sorted negatives (O(n log n)); the
+    counts of negatives strictly below and tied with it are integers, so
+    the result equals exhaustive pair counting exactly.
     """
     scores_pos = np.asarray(scores_pos, dtype=float).reshape(-1)
-    scores_neg = np.asarray(scores_neg, dtype=float).reshape(-1)
+    scores_neg = np.sort(np.asarray(scores_neg, dtype=float).reshape(-1))
     if scores_pos.size == 0 or scores_neg.size == 0:
         raise ValueError("auc_score needs non-empty score lists")
-    n_pos, n_neg = scores_pos.size, scores_neg.size
-    ranks = rankdata(np.concatenate([scores_pos, scores_neg]), method="average")
-    rank_sum = float(ranks[:n_pos].sum())
-    u_stat = rank_sum - n_pos * (n_pos + 1) / 2.0
-    return u_stat / (n_pos * n_neg)
+    if not (np.all(np.isfinite(scores_pos)) and np.all(np.isfinite(scores_neg))):
+        raise ValueError("auc_score needs finite scores")
+    below = np.searchsorted(scores_neg, scores_pos, side="left")
+    ties = np.searchsorted(scores_neg, scores_pos, side="right") - below
+    u_stat = below.sum() + 0.5 * ties.sum()
+    return float(u_stat / (scores_pos.size * scores_neg.size))
 
 
 def classification_metrics(predicted, truth) -> dict[str, object]:

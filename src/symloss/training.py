@@ -347,7 +347,7 @@ def train_ber(set_pos, set_neg, config: TrainConfig, init_scorer: Optional[Score
 
     steps_per_epoch = max(1, math.ceil(max(n_pos, n_neg) / bs))
     objectives = _run_steps(config, scorer, rng, step_gradient, objective, steps_per_epoch)
-    return TrainTrace(objectives=objectives, scorer=scorer, seed=config.seed, config=config)
+    return TrainTrace(objectives, scorer, config.seed, replace(config, objective="ber"))
 
 
 def train_auc(set_pos, set_neg, config: TrainConfig, init_scorer: Optional[Scorer] = None) -> TrainTrace:
@@ -377,7 +377,7 @@ def train_auc(set_pos, set_neg, config: TrainConfig, init_scorer: Optional[Score
 
     steps_per_epoch = max(1, math.ceil(max(n_pos, n_neg) / config.batch_size))
     objectives = _run_steps(config, scorer, rng, step_gradient, objective, steps_per_epoch)
-    return TrainTrace(objectives=objectives, scorer=scorer, seed=config.seed, config=config)
+    return TrainTrace(objectives, scorer, config.seed, replace(config, objective="auc"))
 
 
 def brute_force_minimizer(

@@ -2,8 +2,12 @@
 
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -411,6 +415,69 @@ batch_size = 64
         assert main(["keywords", "--config", str(config), "--loss", "gamma"]) == 2
         assert "gamma" in capsys.readouterr().err
 
+    def test_manifest_echoes_the_flags(self, tmp_path):
+        out = tmp_path / "flagged"
+        config = self.keywords_config(tmp_path)
+        assert main(
+            ["keywords", "--config", str(config), "--out", str(out), "--seed", "3",
+             "--loss", "ramp", "--tau", "0.2", "--prior", "0.35",
+             "--threshold-method", "heuristic"]
+        ) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        echo = manifest["config"]
+        assert manifest["seeds"] == [3]
+        assert echo["experiment"]["output_dir"] == str(out)
+        assert echo["experiment"]["seeds"] == "3"
+        assert echo["train"]["loss"] == "ramp"
+        assert (echo["corpus"]["tau"], echo["corpus"]["prior"]) == ("0.2", "0.35")
+        assert echo["corpus"]["threshold_method"] == "heuristic"
+        report = json.loads((out / "report.json").read_text())
+        assert report["threshold"]["method"] == "heuristic_pseudo_ratio"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "corpus, flags, message",
+        [
+            ("absent.jsonl", [], "corpus file not found"),
+            ("bundled", ["--tau", "0.99"], "pseudo-positive side empty"),
+        ],
+        ids=["missing-corpus", "tau-0.99"],
+    )
+    def test_failed_run_leaves_no_output_directory(
+        self, tmp_path, capsys, corpus, flags, message
+    ):
+        if corpus != "bundled":
+            corpus = str(tmp_path / corpus)
+        config = self.keywords_config(tmp_path, corpus=corpus)
+        assert main(["keywords", "--config", str(config), *flags]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("where", ["config", "flag"])
+def test_percent_sign_is_literal(tmp_path, where):
+    out = tmp_path / "100%(done)s"
+    path = write_config(
+        tmp_path,
+        "[experiment]\nname = verify_identities\n"
+        + (f"output_dir = {out}\n" if where == "config" else "")
+        + "\n[losses]\nnames = sigmoid\n\n[identities]\ninstances = 1\n",
+    )
+    flags = ["--out", str(out)] if where == "flag" else []
+    assert main(["verify-identities", "--config", str(path), *flags]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["experiment"]["output_dir"] == str(out)
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    code = "import sys, symloss.cli; print('scipy.stats' in sys.modules)"
+    src = str(Path(symloss.experiments.__file__).parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.stdout.strip() == "False"
+
 
 class TestDefaultConfigs:
     @pytest.mark.parametrize(
@@ -619,8 +686,15 @@ class TestSchema:
         ("keywords", "[corpus]\nprior = 1.5\n", [], "[corpus] prior"),
         ("keywords", "", ["--prior", "1.5"], "--prior"),
         ("verify_identities", "[identities]\nmax_support = 1\n", [], "[identities] max_support"),
+        ("pu_demo", "[train]\nloss = zero_one\n", [], "[train] loss"),
+        ("keywords", "", ["--loss", "zero_one"], "--loss"),
+        ("noise_sweep", "[noise]\npi_corr_pos = 0.8\npi_corr_neg = 0.3\n\n"
+         "[losses]\nnames = sigmoid, zero_one\n", [], "[losses] names"),
+        ("keywords", "", ["--seed", "first"], "--seed"),
+        ("keywords", "", ["--threshold-method", "best"], "--threshold-method"),
     ],
-    ids=["pu-prior", "uu-order", "tau", "tau-flag", "prior", "prior-flag", "max-support"],
+    ids=["pu-prior", "uu-order", "tau", "tau-flag", "prior", "prior-flag", "max-support",
+         "zero-one-train", "zero-one-flag", "zero-one-names", "seed-flag", "method-flag"],
 )
 def test_out_of_range_value_exits_two_before_any_output(
     tmp_path, capsys, experiment, text, flags, location

@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symloss.distributions import (
     DiscreteBinaryDistribution,
@@ -353,6 +355,26 @@ class TestAucScore:
             lambda X: X[:, 0],
         )
         assert auc_score(pos, neg) == pytest.approx(1.0 - report.value, abs=1e-12)
+
+    # a coarse grid of values gives many ties, within and across the classes
+    GRID_SCORES = st.lists(
+        st.sampled_from([-2.0, -0.5, 0.0, 0.0, 0.25, 1.0, 3.0]) | st.floats(-5.0, 5.0),
+        min_size=1,
+        max_size=40,
+    )
+
+    @given(GRID_SCORES, GRID_SCORES)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_exhaustive_pair_count_exactly(self, pos, neg):
+        assert auc_score(pos, neg) == pair_enumeration_auc(pos, neg)
+
+    @given(GRID_SCORES, GRID_SCORES, st.sampled_from([math.nan, math.inf, -math.inf]),
+           st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_non_finite_score_rejected(self, pos, neg, bad, in_pos):
+        (pos if in_pos else neg).append(bad)
+        with pytest.raises(ValueError, match="finite"):
+            auc_score(pos, neg)
 
 
 class TestEmpiricalConvergence:

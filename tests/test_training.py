@@ -313,3 +313,14 @@ class TestTraceExport:
         payload = json.loads(json_path.read_text())
         assert payload["kind"] == "linear"
         assert len(payload["parameters"]) == 3
+
+    @pytest.mark.parametrize("trainer, ran", [(train_ber, "ber"), (train_auc, "auc")])
+    def test_trace_records_the_objective_it_ran(self, tmp_path, trainer, ran):
+        import json
+
+        pos, neg = clean_sets(40, seed=31)
+        other = "auc" if ran == "ber" else "ber"
+        trace = trainer(pos, neg, TrainConfig(objective=other, epochs=2, seed=31))
+        assert trace.config.objective == ran
+        trace.parameters_to_json(tmp_path / "params.json")
+        assert json.loads((tmp_path / "params.json").read_text())["objective"] == ran

@@ -15,9 +15,8 @@ component recorded as a hidden label for evaluation only.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -31,7 +30,6 @@ __all__ = [
     "sample_mcd",
     "pu_params",
     "uu_params",
-    "sample_sets_to_csv",
 ]
 
 SAMPLE_ORIGINS = ("corr_pos", "corr_neg", "unlabeled", "pseudo_pos", "pseudo_neg")
@@ -280,20 +278,3 @@ class GaussianPairConfig:
 
         return sampler_pos, sampler_neg
 
-
-def sample_sets_to_csv(sets: Iterable[SampleSet], path) -> None:
-    """Write sample sets to CSV with columns features..., origin, hidden_label."""
-    sets = list(sets)
-    if not sets:
-        raise ValueError("nothing to export")
-    d = sets[0].points.shape[1]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"feature_{j}" for j in range(d)] + ["origin", "hidden_label"])
-        for sample_set in sets:
-            labels = sample_set.hidden_labels
-            for i, point in enumerate(sample_set.points):
-                row = [f"{x:.12g}" for x in point]
-                row.append(sample_set.origin)
-                row.append("" if labels is None else str(int(labels[i])))
-                writer.writerow(row)

@@ -11,3 +11,7 @@ class ConfigurationError(ValueError):
 
 class DegenerateSplitError(ConfigurationError):
     """Raised when pseudo-labeling leaves one side of the split empty."""
+
+
+class TrainingDivergedError(ConfigurationError):
+    """Raised when a training run's full-data objective stops being finite."""

@@ -328,6 +328,10 @@ def parse_config(
         check_loss_name(loss_name, "[losses] names", trainable=name != "verify_identities")
     loss_order = _parse_loss_order(sections["assertions"]["loss_order"], losses)
     check_loss_name(sections["train"]["loss"], at("train", "loss"), trainable=True)
+    if name == "keywords" and parser.has_option("train", "objective") and (
+        sections["train"]["objective"] != "auc"
+    ):
+        raise ConfigurationError("[train] objective: the keywords pipeline trains only 'auc'")
     train = check_value("[train]", TrainConfig, **sections["train"])
 
     if sections["identities"]["max_support"] < 2:
@@ -602,7 +606,10 @@ def run_keywords(config: ExperimentConfig) -> tuple[dict, int]:
         "" if report.test_auc is None else report.test_auc,
         *[metrics.get(key, "") for key in ("cer", "ber", "precision", "recall", "f1")],
     ]
-    artifacts = {"report.json": report.to_json(indent=2) + "\n", "metrics.csv": (header, [row])}
+    artifacts = {
+        "report.json": json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n",
+        "metrics.csv": (header, [row]),
+    }
 
     informative = (
         report.empirical_pi_pos is None

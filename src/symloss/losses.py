@@ -51,7 +51,6 @@ class LossSpec:
     """
 
     name: str
-    kind: str
     value: Callable[[np.ndarray], np.ndarray]
     grad: Optional[Callable[[np.ndarray], np.ndarray]]
     symmetry_constant: Optional[float]
@@ -194,7 +193,6 @@ def _unhinged_grad(z):
 def _spec(name, value, grad, k, convex, auc="unknown"):
     return LossSpec(
         name=name,
-        kind=name,
         value=value,
         grad=grad,
         symmetry_constant=k,

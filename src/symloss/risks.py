@@ -24,7 +24,6 @@ algebraic identities, so the checks demand residuals at roundoff scale.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence, Union
@@ -66,9 +65,6 @@ class RiskReport:
     def to_dict(self) -> dict:
         return {"value": self.value, "components": self.components, "meta": self.meta}
 
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, **kwargs)
-
 
 @dataclass
 class DecompositionCheck:
@@ -90,9 +86,6 @@ class DecompositionCheck:
             "residual": self.residual,
             "meta": self.meta,
         }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, **kwargs)
 
 
 # a scorer is either a vectorized callable (points -> scores) or, for the

@@ -364,9 +364,6 @@ class PipelineReport:
             },
         }
 
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, **kwargs)
-
 
 def run_pipeline(corpus: Corpus, keywords: KeywordSet, config: PipelineConfig) -> PipelineReport:
     """Pseudo-label, train the ranker, pick a threshold, evaluate.

@@ -16,7 +16,6 @@ precision/recall behavior drastically.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -63,9 +62,6 @@ class ThresholdResult:
             "method": self.method,
             "degenerate": self.degenerate,
         }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, **kwargs)
 
 
 def _validated_scores(scores: Sequence[float]) -> np.ndarray:

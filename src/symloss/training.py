@@ -10,7 +10,8 @@ each step (resampled with replacement) so every step is an unbiased
 estimate of the half-and-half risk regardless of the class counts.  The
 pairwise objective draws a batch of (positive, negative) pairs uniformly
 with replacement.  The recorded per-epoch trace always evaluates the
-full-data objective.
+full-data objective, and a non-finite value ends the run with
+:class:`~symloss.errors.TrainingDivergedError`.
 
 A brute-force minimizer over enumerated scorer families and a central
 finite-difference gradient check are included as oracles for the
@@ -19,14 +20,13 @@ analytic machinery.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .errors import NonDifferentiableLossError
+from .errors import NonDifferentiableLossError, TrainingDivergedError
 from .losses import LossSpec, get_loss
 from .risks import _points_of, pairwise_mean_loss
 
@@ -95,9 +95,6 @@ class Scorer:
             hidden=hidden,
             params=np.concatenate([w, c, v, b]),
         )
-
-    def copy(self) -> "Scorer":
-        return replace(self, params=self.params.copy())
 
     def _unpack(self, params: np.ndarray):
         h, d = self.hidden, self.dimension
@@ -192,30 +189,10 @@ class TrainTrace:
 
     objectives: list[float]
     scorer: Scorer
-    seed: int
     config: TrainConfig
 
     def final_objective(self) -> float:
         return self.objectives[-1]
-
-    def objectives_to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("epoch,objective\n")
-            for epoch, value in enumerate(self.objectives):
-                fh.write(f"{epoch},{value:.12g}\n")
-
-    def parameters_to_json(self, path) -> None:
-        payload = {
-            "kind": self.scorer.kind,
-            "dimension": self.scorer.dimension,
-            "hidden": self.scorer.hidden,
-            "parameters": [float(p) for p in self.scorer.params],
-            "seed": self.seed,
-            "loss": self.config.loss,
-            "objective": self.config.objective,
-        }
-        with open(path, "w") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
 
 
 def _resolve_loss(config: TrainConfig) -> LossSpec:
@@ -225,12 +202,6 @@ def _resolve_loss(config: TrainConfig) -> LossSpec:
             f"cannot run gradient training with the {loss.name!r} loss"
         )
     return loss
-
-
-def _init_scorer(config: TrainConfig, dimension: int, rng: np.random.Generator) -> Scorer:
-    if config.model == "linear":
-        return Scorer.linear(dimension)
-    return Scorer.mlp(dimension, config.hidden_units, rng)
 
 
 def _ber_gradient(
@@ -247,6 +218,21 @@ def _ber_gradient(
     grad_pos = loss.grad(sp) @ jp / sp.shape[0]
     grad_neg = -loss.grad(-sn) @ jn / sn.shape[0]
     return 0.5 * (grad_pos + grad_neg) + 2.0 * weight_decay * theta
+
+
+def _pair_gradient(
+    loss: LossSpec,
+    scorer: Scorer,
+    theta: np.ndarray,
+    X_pos: np.ndarray,
+    X_neg: np.ndarray,
+    weight_decay: float,
+) -> np.ndarray:
+    """Parameter gradient of the pairwise risk on the pairs (X_pos[i], X_neg[i])."""
+    sp, jp = scorer.score_with_jacobian(X_pos, params=theta)
+    sn, jn = scorer.score_with_jacobian(X_neg, params=theta)
+    weights = loss.grad(sp - sn) / sp.shape[0]
+    return weights @ (jp - jn) + 2.0 * weight_decay * theta
 
 
 def make_ber_objective(
@@ -294,6 +280,9 @@ def make_auc_objective(
     return value, gradient
 
 
+# overflow is not warned about: a run that overflows ends with a non-finite
+# objective, which raises TrainingDivergedError at the end of that epoch
+@np.errstate(over="ignore", invalid="ignore")
 def _run_steps(
     config: TrainConfig,
     scorer: Scorer,
@@ -309,7 +298,7 @@ def _run_steps(
     b1, b2, eps = config.moment_decay1, config.moment_decay2, config.epsilon
     step = 0
     objectives = []
-    for _ in range(config.epochs):
+    for epoch in range(1, config.epochs + 1):
         for _ in range(steps_per_epoch):
             grad = step_gradient(rng, theta)
             step += 1
@@ -321,63 +310,67 @@ def _run_steps(
                 theta -= lr * m_hat / (np.sqrt(v_hat) + eps)
             else:
                 theta -= lr * grad
-        objectives.append(full_objective(theta))
+        value = full_objective(theta)
+        if not math.isfinite(value):
+            raise TrainingDivergedError(
+                f"training diverged: the full-data objective is {value} after epoch "
+                f"{epoch} of {config.epochs} (loss {config.loss!r}, seed {config.seed}, "
+                f"step_size {config.step_size}); try a smaller step_size"
+            )
+        objectives.append(value)
     return objectives
 
 
-def train_ber(set_pos, set_neg, config: TrainConfig, init_scorer: Optional[Scorer] = None) -> TrainTrace:
+def _train(objective: str, set_pos, set_neg, config: TrainConfig) -> TrainTrace:
+    """The step loop behind :func:`train_ber` ("ber") and :func:`train_auc` ("auc").
+
+    Each step draws k positive, then k negative indices uniformly with
+    replacement and takes the batch gradient on those points, with k =
+    ``batch_size`` for "ber" and ``pair_batch`` for "auc".  An epoch is
+    ceil(max(n_pos, n_neg) / batch_size) steps for both.
+    """
+    loss = _resolve_loss(config)
+    X_pos, X_neg = _points_of(set_pos), _points_of(set_neg)
+    rng = np.random.default_rng(config.seed)
+    if config.model == "linear":
+        scorer = Scorer.linear(X_pos.shape[1])
+    else:
+        scorer = Scorer.mlp(X_pos.shape[1], config.hidden_units, rng)
+
+    ber = objective == "ber"
+    make_objective = make_ber_objective if ber else make_auc_objective
+    batch_gradient = _ber_gradient if ber else _pair_gradient
+    k = config.batch_size if ber else config.pair_batch
+    full_objective, _ = make_objective(loss, X_pos, X_neg, scorer, config.weight_decay)
+    n_pos, n_neg = X_pos.shape[0], X_neg.shape[0]
+
+    def step_gradient(rng: np.random.Generator, theta: np.ndarray) -> np.ndarray:
+        ip = rng.integers(0, n_pos, size=k)
+        im = rng.integers(0, n_neg, size=k)
+        return batch_gradient(loss, scorer, theta, X_pos[ip], X_neg[im], config.weight_decay)
+
+    steps_per_epoch = max(1, math.ceil(max(n_pos, n_neg) / config.batch_size))
+    objectives = _run_steps(config, scorer, rng, step_gradient, full_objective, steps_per_epoch)
+    return TrainTrace(objectives, scorer, replace(config, objective=objective))
+
+
+def train_ber(set_pos, set_neg, config: TrainConfig) -> TrainTrace:
     """Minimize the balanced empirical risk by stochastic gradient steps.
 
     Deterministic given (data, config): one seeded generator drives the
     scorer initialization and all batch draws.
     """
-    loss = _resolve_loss(config)
-    X_pos, X_neg = _points_of(set_pos), _points_of(set_neg)
-    rng = np.random.default_rng(config.seed)
-    scorer = init_scorer.copy() if init_scorer is not None else _init_scorer(config, X_pos.shape[1], rng)
-
-    objective, _ = make_ber_objective(loss, X_pos, X_neg, scorer, config.weight_decay)
-    n_pos, n_neg = X_pos.shape[0], X_neg.shape[0]
-    bs = config.batch_size
-
-    def step_gradient(rng: np.random.Generator, theta: np.ndarray) -> np.ndarray:
-        ip = rng.integers(0, n_pos, size=bs)
-        im = rng.integers(0, n_neg, size=bs)
-        return _ber_gradient(loss, scorer, theta, X_pos[ip], X_neg[im], config.weight_decay)
-
-    steps_per_epoch = max(1, math.ceil(max(n_pos, n_neg) / bs))
-    objectives = _run_steps(config, scorer, rng, step_gradient, objective, steps_per_epoch)
-    return TrainTrace(objectives, scorer, config.seed, replace(config, objective="ber"))
+    return _train("ber", set_pos, set_neg, config)
 
 
-def train_auc(set_pos, set_neg, config: TrainConfig, init_scorer: Optional[Scorer] = None) -> TrainTrace:
+def train_auc(set_pos, set_neg, config: TrainConfig) -> TrainTrace:
     """Minimize the pairwise empirical risk by sampled-pair gradient steps.
 
     Each step draws ``config.pair_batch`` (positive, negative) pairs
     uniformly with replacement; the per-epoch trace evaluates the full
     pairwise objective.
     """
-    loss = _resolve_loss(config)
-    X_pos, X_neg = _points_of(set_pos), _points_of(set_neg)
-    rng = np.random.default_rng(config.seed)
-    scorer = init_scorer.copy() if init_scorer is not None else _init_scorer(config, X_pos.shape[1], rng)
-
-    objective, _ = make_auc_objective(loss, X_pos, X_neg, scorer, config.weight_decay)
-    n_pos, n_neg = X_pos.shape[0], X_neg.shape[0]
-    pairs = config.pair_batch
-    wd = config.weight_decay
-
-    def step_gradient(rng: np.random.Generator, theta: np.ndarray) -> np.ndarray:
-        ii = rng.integers(0, n_pos, size=pairs)
-        jj = rng.integers(0, n_neg, size=pairs)
-        sp, jp = scorer.score_with_jacobian(X_pos[ii], params=theta)
-        sn, jn = scorer.score_with_jacobian(X_neg[jj], params=theta)
-        weights = loss.grad(sp - sn) / pairs
-        return weights @ (jp - jn) + 2.0 * wd * theta
-
-    steps_per_epoch = max(1, math.ceil(max(n_pos, n_neg) / config.batch_size))
-    objectives = _run_steps(config, scorer, rng, step_gradient, objective, steps_per_epoch)
-    return TrainTrace(objectives, scorer, config.seed, replace(config, objective="auc"))
+    return _train("auc", set_pos, set_neg, config)
 
 
 def brute_force_minimizer(

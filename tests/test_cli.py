@@ -435,6 +435,17 @@ batch_size = 64
         assert report["threshold"]["method"] == "heuristic_pseudo_ratio"
         assert not (tmp_path / "out").exists()
 
+    def test_objective_may_be_left_out(self, tmp_path):
+        text = self.keywords_config(tmp_path).read_text()
+        keyless = write_config(tmp_path, text.replace("objective = auc\n", ""), "keyless.ini")
+        auc = write_config(tmp_path, text, "auc.ini")
+        runs = []
+        for path in (keyless, auc):
+            out = tmp_path / path.stem
+            assert main(["keywords", "--config", str(path), "--out", str(out)]) == 0
+            runs.append(json.loads((out / "manifest.json").read_text())["artifacts"])
+        assert runs[0] == runs[1]
+
     @pytest.mark.parametrize(
         "corpus, flags, message",
         [
@@ -692,9 +703,14 @@ class TestSchema:
          "[losses]\nnames = sigmoid, zero_one\n", [], "[losses] names"),
         ("keywords", "", ["--seed", "first"], "--seed"),
         ("keywords", "", ["--threshold-method", "best"], "--threshold-method"),
+        ("keywords", "[train]\nobjective = ber\n", [], "[train] objective"),
+        ("noise_sweep", "[noise]\npi_corr_pos = 0.8\npi_corr_neg = 0.3\n\n"
+         "[losses]\nnames = exponential\n\n[train]\nstep_size = 5.0\n"
+         "adaptive_moments = false\n", [], "training diverged"),
     ],
     ids=["pu-prior", "uu-order", "tau", "tau-flag", "prior", "prior-flag", "max-support",
-         "zero-one-train", "zero-one-flag", "zero-one-names", "seed-flag", "method-flag"],
+         "zero-one-train", "zero-one-flag", "zero-one-names", "seed-flag", "method-flag",
+         "keywords-objective", "divergence"],
 )
 def test_out_of_range_value_exits_two_before_any_output(
     tmp_path, capsys, experiment, text, flags, location

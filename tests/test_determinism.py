@@ -187,6 +187,8 @@ TRAINERS = {
     "ber-mlp": (train_ber, dict(batch_size=128, model="mlp", hidden_units=4)),
     "auc-linear": (train_auc, dict(objective="auc", pair_batch=128)),
     "auc-mlp": (train_auc, dict(objective="auc", model="mlp", hidden_units=4)),
+    "auc-linear-decay": (train_auc, dict(objective="auc", pair_batch=128, weight_decay=0.001)),
+    "ber-linear-plain": (train_ber, dict(batch_size=64, adaptive_moments=False)),
 }
 
 EXPECTED_TRAINED = {
@@ -194,6 +196,8 @@ EXPECTED_TRAINED = {
     "ber-mlp": "3be925a8b6a74993f76625e88d2639a3f7f72734254d097f59dd4cd2f9e63f24",
     "auc-linear": "177495ab8b5a973b98a20827ffe278888bedbe496a5c8c21d0187387d5849f6e",
     "auc-mlp": "792dcea8ac53288fba10a4a24a967dc859dca8c4021a8070f62daf84cc7fbaf1",
+    "auc-linear-decay": "f343c4afeb287708b4db5a4f456e703a09680f2a8b6667972bd2e59a9902d2b2",
+    "ber-linear-plain": "01094cf4e6c7d26c334c6bce5ae78d222663de31fda4122d97c97a3638a9c11e",
 }
 
 

@@ -11,7 +11,6 @@ from symloss.distributions import (
     corrupt_distribution,
     pu_params,
     sample_mcd,
-    sample_sets_to_csv,
     uu_params,
 )
 
@@ -150,16 +149,6 @@ class TestSampleSet:
     def test_origin_checked(self):
         with pytest.raises(ValueError, match="origin"):
             SampleSet(points=np.zeros((2, 2)), origin="mystery")
-
-    def test_csv_export(self, tmp_path, gaussian_samplers):
-        pos, neg = sample_mcd(*gaussian_samplers, McdParams(0.9, 0.1), 5, 4, seed=0)
-        out = tmp_path / "samples.csv"
-        sample_sets_to_csv([pos, neg], out)
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "feature_0,feature_1,origin,hidden_label"
-        assert len(lines) == 1 + 9
-        assert lines[1].split(",")[2] == "corr_pos"
-        assert lines[-1].split(",")[2] == "corr_neg"
 
 
 class TestGaussianPairConfig:

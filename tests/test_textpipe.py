@@ -223,7 +223,7 @@ class TestRunPipeline:
         corpus, keywords = bundled
         first = run_pipeline(corpus, keywords, pipeline_config(seed=3))
         second = run_pipeline(corpus, keywords, pipeline_config(seed=3))
-        assert first.to_json() == second.to_json()
+        assert first.to_dict() == second.to_dict()
 
     def test_nonsymmetric_loss_warns_but_runs(self, bundled):
         corpus, keywords = bundled

@@ -262,6 +262,23 @@ def _parse_loss_order(order: Optional[str], losses: list[str]) -> Optional[tuple
     return parts[0], parts[1]
 
 
+def _read_error(path: Path, exc: configparser.Error) -> str:
+    """``path:line: reason`` for a configparser error; configparser's own
+    message names the file a second time, as a repr."""
+    if isinstance(exc, configparser.DuplicateOptionError):
+        return f"{path}:{exc.lineno}: [{exc.section}] {exc.option}: set more than once"
+    if isinstance(exc, configparser.DuplicateSectionError):
+        return f"{path}:{exc.lineno}: [{exc.section}]: section appears more than once"
+    if isinstance(exc, configparser.MissingSectionHeaderError):
+        return f"{path}:{exc.lineno}: {exc.line.strip()!r} comes before any [section] header"
+    if isinstance(exc, configparser.ParsingError):
+        return "; ".join(
+            f"{path}:{lineno}: expected 'key = value' or a [section] header"
+            for lineno, _ in exc.errors
+        )
+    return f"{path}: {exc}"
+
+
 def parse_config(
     path, experiment: Optional[str] = None, overrides: Optional[Mapping] = None
 ) -> ExperimentConfig:
@@ -279,7 +296,7 @@ def parse_config(
     try:
         parser.read(path)
     except configparser.Error as exc:
-        raise ConfigurationError(f"{path}: {exc}") from exc
+        raise ConfigurationError(_read_error(path, exc)) from exc
     flags = {}
     for flag, (section, key, text) in (overrides or {}).items():
         parser.read_dict({section: {key: text}})

@@ -48,6 +48,11 @@ class LossSpec:
     ``symmetry_constant`` is the K with l(z) + l(-z) = K, present iff the
     loss is symmetric.  ``auc_consistent`` is a tri-state: "yes", "no", or
     "unknown" for losses whose status is not established here.
+
+    ``value_inplace``, when set, overwrites a float64 margin array with
+    its losses, bit for bit what ``value`` returns on it, and allocates
+    nothing.  It lets :func:`~symloss.risks.pairwise_mean_loss` reuse one
+    buffer per worker.
     """
 
     name: str
@@ -57,6 +62,7 @@ class LossSpec:
     convex: bool
     classification_calibrated: bool = True
     auc_consistent: str = "unknown"
+    value_inplace: Optional[Callable[[np.ndarray], None]] = None
 
     @property
     def symmetric(self) -> bool:
@@ -175,6 +181,11 @@ def _sigmoid(z):
     return expit(-z)
 
 
+def _sigmoid_inplace(z):
+    np.negative(z, out=z)
+    expit(z, out=z)
+
+
 def _sigmoid_grad(z):
     z = np.asarray(z, dtype=float)
     return -expit(z) * expit(-z)
@@ -190,7 +201,7 @@ def _unhinged_grad(z):
     return np.full_like(z, -1.0)
 
 
-def _spec(name, value, grad, k, convex, auc="unknown"):
+def _spec(name, value, grad, k, convex, auc="unknown", inplace=None):
     return LossSpec(
         name=name,
         value=value,
@@ -198,6 +209,7 @@ def _spec(name, value, grad, k, convex, auc="unknown"):
         symmetry_constant=k,
         convex=convex,
         auc_consistent=auc,
+        value_inplace=inplace,
     )
 
 
@@ -213,7 +225,7 @@ LOSSES: dict[str, LossSpec] = {
         _spec("savage", _savage, _savage_grad, None, False),
         _spec("tangent", _tangent, _tangent_grad, None, False),
         _spec("ramp", _ramp, _ramp_grad, 1.0, False, auc="yes"),
-        _spec("sigmoid", _sigmoid, _sigmoid_grad, 1.0, False, auc="yes"),
+        _spec("sigmoid", _sigmoid, _sigmoid_grad, 1.0, False, auc="yes", inplace=_sigmoid_inplace),
         _spec("unhinged", _unhinged, _unhinged_grad, 2.0, True),
     )
 }

@@ -24,7 +24,11 @@ algebraic identities, so the checks demand residuals at roundoff scale.
 
 from __future__ import annotations
 
+import concurrent.futures
+import contextvars
+import functools
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Callable, Sequence, Union
 
@@ -148,17 +152,72 @@ def empirical_ber_risk(loss: LossSpec, set_pos, set_neg, g: ScorerLike) -> RiskR
     )
 
 
+@functools.cache
+def _pair_pool() -> concurrent.futures.ThreadPoolExecutor:
+    # the second of at most two workers; created, and its module imported,
+    # on the first call that needs it
+    return concurrent.futures.ThreadPoolExecutor(max_workers=1)
+
+
+# a forked child inherits the pool but not its thread, so a submit there
+# would wait forever; the child builds its own pool instead
+os.register_at_fork(after_in_child=_pair_pool.cache_clear)
+
+
+def _chunk_sums(kernel, scores_pos: np.ndarray, scores_neg: np.ndarray, starts) -> list[float]:
+    """Loss sums of the pair-grid chunks that begin at ``starts``, each
+    computed in place in one reused buffer."""
+    buf = np.empty((min(_PAIR_CHUNK, scores_pos.shape[0]), scores_neg.shape[0]))
+    sums = []
+    for start in starts:
+        block = scores_pos[start : start + _PAIR_CHUNK]
+        out = buf[: block.shape[0]]
+        np.subtract(block[:, None], scores_neg[None, :], out=out)
+        kernel(out)
+        sums.append(float(out.sum()))
+    return sums
+
+
 def pairwise_mean_loss(
     loss: LossSpec, scores_pos: np.ndarray, scores_neg: np.ndarray
 ) -> float:
-    """Mean of l(s - s') over the full pos x neg score grid, chunked so
-    that large grids never materialize at once."""
+    """Mean of l(s - s') over the full pos x neg score grid.
+
+    The grid is cut into chunks of ``_PAIR_CHUNK`` = 512 positive rows, so
+    large grids never materialize at once.  Each chunk's losses are summed
+    as one array, and the chunk sums are added in chunk order.  A loss
+    with a ``value_inplace`` kernel fills one reused buffer per worker;
+    with two or more chunks, a second worker thread sums the odd-numbered
+    chunks.  Every chunk's values and summation shape are those of the
+    serial ``loss.value`` loop, so the result equals it bit for bit.
+    """
     scores_pos = np.asarray(scores_pos, dtype=float).reshape(-1)
     scores_neg = np.asarray(scores_neg, dtype=float).reshape(-1)
+    starts = range(0, scores_pos.shape[0], _PAIR_CHUNK)
+    if loss.value_inplace is None:
+        total = 0.0
+        for start in starts:
+            block = scores_pos[start : start + _PAIR_CHUNK]
+            total += float(loss.value(block[:, None] - scores_neg[None, :]).sum())
+        return total / (scores_pos.shape[0] * scores_neg.shape[0])
+
+    args = (loss.value_inplace, scores_pos, scores_neg)
+    if len(starts) <= 1:
+        sums = _chunk_sums(*args, starts)
+    else:
+        # the worker runs in a copy of this context, so numpy's errstate
+        # (a context variable) holds there as it does here
+        odd = _pair_pool().submit(contextvars.copy_context().run, _chunk_sums, *args, starts[1::2])
+        try:
+            even = _chunk_sums(*args, starts[0::2])
+        finally:
+            odd.exception()  # the worker is done with the inputs before we return
+        sums = [0.0] * len(starts)
+        sums[0::2] = even
+        sums[1::2] = odd.result()
     total = 0.0
-    for start in range(0, scores_pos.shape[0], _PAIR_CHUNK):
-        block = scores_pos[start : start + _PAIR_CHUNK]
-        total += float(loss.value(block[:, None] - scores_neg[None, :]).sum())
+    for chunk_sum in sums:
+        total += chunk_sum
     return total / (scores_pos.shape[0] * scores_neg.shape[0])
 
 

@@ -480,6 +480,33 @@ def test_percent_sign_is_literal(tmp_path, where):
     assert manifest["config"]["experiment"]["output_dir"] == str(out)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[train]\nepochs = 3\nepochs = 4\n", ":6: [train] epochs: set more than once"),
+        ("[train]\nepochs = 3\n[train]\n", ":6: [train]: section appears more than once"),
+        ("garbage\n", ":4: expected 'key = value' or a [section] header"),
+        ("[train]\nepochs = 3\ngarbage\n", ":6: expected 'key = value' or a [section] header"),
+    ],
+    ids=["key-twice", "section-twice", "no-equals", "no-equals-in-section"],
+)
+def test_unreadable_config_names_the_path_once_with_the_line(tmp_path, capsys, text, message):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, f"[experiment]\nname = noise_sweep\noutput_dir = {out}\n{text}")
+    assert main(["noise-sweep", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"symloss: error: {path}{message}\n"
+    assert err.count(str(path)) == 1
+    assert not out.exists()
+
+
+def test_config_without_a_section_header_names_the_line(tmp_path):
+    path = write_config(tmp_path, "name = noise_sweep\n[experiment]\n")
+    with pytest.raises(ConfigurationError) as raised:
+        parse_config(path)
+    assert str(raised.value) == f"{path}:1: 'name = noise_sweep' comes before any [section] header"
+
+
 def test_cli_import_leaves_scipy_stats_unloaded():
     code = "import sys, symloss.cli; print('scipy.stats' in sys.modules)"
     src = str(Path(symloss.experiments.__file__).parents[1])

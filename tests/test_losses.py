@@ -60,6 +60,18 @@ class TestCatalogMetadata:
         for name in set(LOSS_NAMES) - {"sigmoid", "ramp", "hinge"}:
             assert LOSSES[name].auc_consistent == "unknown"
 
+    def test_inplace_kernels(self):
+        assert [n for n in LOSS_NAMES if LOSSES[n].value_inplace] == ["sigmoid"]
+
+    @pytest.mark.parametrize("name", [n for n in LOSS_NAMES if LOSSES[n].value_inplace])
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=30))
+    @settings(max_examples=200, deadline=None)
+    def test_inplace_kernel_writes_the_value_bits(self, name, margins):
+        z = np.array(margins, dtype=float).reshape(-1, 1) - np.array([0.0, -0.0, 1.5])
+        expected = LOSSES[name].value(z)
+        LOSSES[name].value_inplace(z)
+        assert z.tobytes() == expected.tobytes()
+
     def test_get_loss_unknown_name(self):
         with pytest.raises(ValueError, match="unknown loss"):
             get_loss("barrier_hinge")

@@ -7,8 +7,12 @@ every loss, and the excess must collapse to K*(1-a+b)/2 for symmetric
 losses.
 """
 
+import dataclasses
 import itertools
 import math
+import multiprocessing
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +26,7 @@ from symloss.distributions import (
     corrupt_distribution,
 )
 from symloss.losses import LOSS_NAMES, LOSSES, SYMMETRIC_LOSS_NAMES, get_loss
+import symloss.risks
 from symloss.risks import (
     auc_decomposition_check,
     auc_score,
@@ -32,6 +37,7 @@ from symloss.risks import (
     exact_auc_risk,
     exact_ber_risk,
     exact_cer_risk,
+    pairwise_mean_loss,
     symmetric_excess_constant,
 )
 
@@ -375,6 +381,100 @@ class TestAucScore:
         (pos if in_pos else neg).append(bad)
         with pytest.raises(ValueError, match="finite"):
             auc_score(pos, neg)
+
+
+def serial_pairwise_mean(loss, scores_pos, scores_neg):
+    """The serial 512-row chunk loop, the oracle for pairwise_mean_loss."""
+    total = 0.0
+    for start in range(0, scores_pos.shape[0], 512):
+        block = scores_pos[start : start + 512]
+        total += float(loss.value(block[:, None] - scores_neg).sum())
+    return total / (scores_pos.shape[0] * scores_neg.shape[0])
+
+
+class TestPairwiseMeanLoss:
+    # one chunk, an exact multiple of the chunk, and odd and even chunk counts
+    ROWS = [1, 511, 512, 513, 1024, 1537]
+
+    @pytest.mark.parametrize("n_pos", ROWS)
+    @pytest.mark.parametrize("name", LOSS_NAMES)
+    @given(
+        n_neg=st.integers(1, 64),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([0.1, 3.0, 200.0]),
+        ties=st.booleans(),
+    )
+    @settings(max_examples=8, deadline=None)
+    def test_equals_the_serial_loop_exactly(self, name, n_pos, n_neg, seed, scale, ties):
+        rng = np.random.default_rng(seed)
+        scores_pos = rng.normal(scale=scale, size=n_pos)
+        scores_neg = rng.normal(scale=scale, size=n_neg)
+        if ties:
+            scores_pos, scores_neg = np.round(scores_pos), np.round(scores_neg)
+        before = scores_pos.tobytes(), scores_neg.tobytes()
+        value = pairwise_mean_loss(LOSSES[name], scores_pos, scores_neg)
+        assert value == serial_pairwise_mean(LOSSES[name], scores_pos, scores_neg)
+        assert (scores_pos.tobytes(), scores_neg.tobytes()) == before
+
+    @pytest.mark.parametrize("name", LOSS_NAMES)
+    def test_threads_only_for_an_inplace_kernel_over_two_chunks(self, name, monkeypatch):
+        loss = LOSSES[name]
+        value_calls, pool_calls = [], []
+        counted = dataclasses.replace(
+            loss, value=lambda z: value_calls.append(z.shape) or loss.value(z)
+        )
+        pool = symloss.risks._pair_pool
+        monkeypatch.setattr(symloss.risks, "_pair_pool", lambda: pool_calls.append(1) or pool())
+        rng = np.random.default_rng(0)
+        for n_pos in (512, 1024):
+            pairwise_mean_loss(counted, rng.normal(size=n_pos), rng.normal(size=5))
+        if loss.value_inplace is None:
+            assert value_calls == [(512, 5), (512, 5), (512, 5)] and pool_calls == []
+        else:
+            assert value_calls == [] and pool_calls == [1]
+
+    # +inf - +inf is NaN, which numpy flags as an invalid subtraction; the
+    # +inf row sits in a chunk the caller sums (0) or the worker sums (600)
+    @pytest.mark.parametrize("row", [0, 600])
+    def test_non_finite_scores_warn_as_the_serial_loop(self, row):
+        sigmoid = get_loss("sigmoid")
+        scores_pos = np.zeros(1100)
+        scores_pos[row] = np.inf
+        scores_neg = np.array([np.inf, 0.0, -np.inf])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for mean in (pairwise_mean_loss, serial_pairwise_mean):
+                with np.errstate(invalid="ignore", over="ignore"):
+                    assert math.isnan(mean(sigmoid, scores_pos, scores_neg))
+                with pytest.raises(RuntimeWarning, match="invalid value encountered in subtract"):
+                    mean(sigmoid, scores_pos, scores_neg)
+
+    def test_worker_exception_reaches_the_caller(self):
+        class WorkerError(Exception):
+            pass
+
+        sigmoid = get_loss("sigmoid")
+
+        def kernel(z):
+            if threading.current_thread() is not threading.main_thread():
+                raise WorkerError("raised in the worker")
+            sigmoid.value_inplace(z)
+
+        failing = dataclasses.replace(sigmoid, value_inplace=kernel)
+        scores_pos, scores_neg = np.linspace(-1.0, 1.0, 1024), np.linspace(-2.0, 2.0, 7)
+        with pytest.raises(WorkerError, match="raised in the worker"):
+            pairwise_mean_loss(failing, scores_pos, scores_neg)
+        assert pairwise_mean_loss(sigmoid, scores_pos, scores_neg) == serial_pairwise_mean(
+            sigmoid, scores_pos, scores_neg
+        )
+
+    def test_forked_child_gets_its_own_worker(self):
+        sigmoid = get_loss("sigmoid")
+        scores = np.linspace(-1.0, 1.0, 1024)
+        expected = pairwise_mean_loss(sigmoid, scores, scores)  # the worker thread now exists
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            child = pool.apply_async(pairwise_mean_loss, (sigmoid, scores, scores))
+            assert child.get(timeout=60) == expected
 
 
 class TestEmpiricalConvergence:

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symloss.distributions import (
     DiscreteBinaryDistribution,
@@ -188,6 +190,27 @@ class TestTrainAuc:
         second = train_auc(pos, neg, config)
         assert first.objectives == second.objectives
         np.testing.assert_array_equal(first.scorer.params, second.scorer.params)
+
+
+# One draw per epoch, shaped (steps, 2, k) with bounds [[n_pos], [n_neg]],
+# must give the per-step positive-then-negative draws of _train and leave the
+# generator in the same state: the groundwork for batching the draws.
+@given(
+    n_pos=st.integers(1, 3 * 2**30),
+    n_neg=st.none() | st.integers(1, 3 * 2**30),
+    k=st.integers(1, 9),
+    steps=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_one_draw_per_epoch_equals_the_per_step_draws(n_pos, n_neg, k, steps, seed):
+    n_neg = n_pos if n_neg is None else n_neg
+    per_epoch, per_step = np.random.default_rng(seed), np.random.default_rng(seed)
+    drawn = per_epoch.integers(0, np.array([[n_pos], [n_neg]]), size=(steps, 2, k))
+    for step in range(steps):
+        assert np.array_equal(drawn[step, 0], per_step.integers(0, n_pos, size=k))
+        assert np.array_equal(drawn[step, 1], per_step.integers(0, n_neg, size=k))
+    assert per_epoch.bit_generator.state == per_step.bit_generator.state
 
 
 class TestGradientChecks:

@@ -14,4 +14,9 @@ class DegenerateSplitError(ConfigurationError):
 
 
 class TrainingDivergedError(ConfigurationError):
-    """Raised when a training run's full-data objective stops being finite."""
+    """Raised when a training run's full-data objective stops being finite;
+    ``run`` is that run's position among the runs trained together."""
+
+    def __init__(self, message: str, run: int = 0):
+        super().__init__(message)
+        self.run = run

@@ -35,7 +35,7 @@ from .distributions import (
     sample_mcd,
     uu_params,
 )
-from .errors import ConfigurationError
+from .errors import ConfigurationError, TrainingDivergedError
 from .losses import LOSS_NAMES, get_loss
 from .risks import (
     auc_decomposition_check,
@@ -46,7 +46,7 @@ from .risks import (
 )
 from .textpipe import Corpus, KeywordSet, PipelineConfig, check_tau, run_pipeline
 from .threshold import THRESHOLD_METHODS, check_prior
-from .training import TrainConfig, train_auc, train_ber
+from .training import TrainConfig, train_auc, train_ber, train_many
 
 __all__ = [
     "ExperimentConfig",
@@ -178,6 +178,20 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "threshold_method": (tuple(THRESHOLD_ALIASES) + THRESHOLD_METHODS, "breakeven"),
         "prior": (float, None),
     },
+}
+
+
+# the sections each experiment reads; a config section outside its list is
+# rejected.  keywords still takes every section: the schema's every-key test
+# parses all of them through one keywords config.
+_SWEEP_SECTIONS = ("experiment", "dataset", "noise", "losses", "assertions", "train")
+_SECTIONS = {
+    "verify_identities": ("experiment", "losses", "identities"),
+    "noise_sweep": _SWEEP_SECTIONS,
+    "loss_compare": _SWEEP_SECTIONS,
+    "pu_demo": ("experiment", "dataset", "pu", "train"),
+    "uu_demo": ("experiment", "dataset", "uu", "train"),
+    "keywords": tuple(_SCHEMA),
 }
 
 
@@ -315,6 +329,12 @@ def parse_config(
             f"[experiment] name: config says {name!r} but the "
             f"{experiment!r} command was invoked"
         )
+    for section in parser.sections():
+        if section not in _SECTIONS[name]:
+            raise ConfigurationError(
+                f"[{section}]: the {name} experiment does not read this section; "
+                f"it reads {list(_SECTIONS[name])}"
+            )
     seeds = sections["experiment"]["seeds"]
     if not seeds:
         raise ConfigurationError(f"{at('experiment', 'seeds')}: must list at least one seed")
@@ -445,35 +465,66 @@ def run_verify_identities(config: ExperimentConfig) -> tuple[dict, int]:
     return {"residuals.csv": (header, rows)}, 0 if failures == 0 else 1
 
 
-def _train_and_evaluate(config, loss_name, params, seed):
+def _training_sets(config: ExperimentConfig, runs: list[tuple[McdParams, int]]) -> list:
+    """The (positive, negative) training set of each (noise cell, seed) run."""
     sampler_pos, sampler_neg = config.gaussians.samplers()
-    dataset = config.sections["dataset"]
-    n = dataset["n_train_per_class"]
-    set_pos, set_neg = sample_mcd(sampler_pos, sampler_neg, params, n, n, seed=seed)
-    trainer = train_ber if config.train.objective == "ber" else train_auc
-    trace = trainer(set_pos, set_neg, replace(config.train, loss=loss_name, seed=seed))
+    n = config.sections["dataset"]["n_train_per_class"]
+    return [sample_mcd(sampler_pos, sampler_neg, params, n, n, seed=seed) for params, seed in runs]
 
-    test_rng = np.random.default_rng(seed + 982_451_653)
-    test_pos = sampler_pos(test_rng, dataset["n_test_per_class"])
-    test_neg = sampler_neg(test_rng, dataset["n_test_per_class"])
-    ber = empirical_ber_risk(get_loss("zero_one"), test_pos, test_neg, trace.scorer).value
-    score = auc_score(trace.scorer(test_pos), trace.scorer(test_neg))
-    return trace, ber, score
+
+def _test_sets(config: ExperimentConfig) -> dict:
+    """Each seed's clean (positive, negative) test set."""
+    sampler_pos, sampler_neg = config.gaussians.samplers()
+    n_test = config.sections["dataset"]["n_test_per_class"]
+    tests = {}
+    for seed in config.seeds:
+        test_rng = np.random.default_rng(seed + 982_451_653)
+        tests[seed] = sampler_pos(test_rng, n_test), sampler_neg(test_rng, n_test)
+    return tests
+
+
+def _evaluate(traces: list, tests: dict) -> list[tuple[float, float]]:
+    """Clean-test (BER, AUC) of each trace, on its seed's test set."""
+    zero_one = get_loss("zero_one")
+    results = []
+    for trace in traces:
+        test_pos, test_neg = tests[trace.config.seed]
+        ber = empirical_ber_risk(zero_one, test_pos, test_neg, trace.scorer).value
+        results.append((ber, auc_score(trace.scorer(test_pos), trace.scorer(test_neg))))
+    return results
+
+
+def _trainer(config: ExperimentConfig):
+    return train_ber if config.train.objective == "ber" else train_auc
 
 
 def _sweep(config: ExperimentConfig, grid: list[McdParams]) -> tuple[list, dict]:
+    """Every loss's (cell, seed) runs train as one stack.  A divergence is
+    raised once all stacks have run: the one the cell-by-cell order of
+    single runs would meet first."""
+    runs = [(params, seed) for params in grid for seed in config.seeds]
+    sets, tests = _training_sets(config, runs), _test_sets(config)
+    results, diverged = {}, []
+    for position, loss_name in enumerate(config.losses):
+        configs = [replace(config.train, loss=loss_name, seed=seed) for _, seed in runs]
+        try:
+            results[loss_name] = _evaluate(train_many(_trainer(config), sets, configs), tests)
+        except TrainingDivergedError as exc:
+            cell, seed = divmod(exc.run, len(config.seeds))
+            diverged.append(((cell, position, seed), exc))
+    if diverged:
+        raise min(diverged, key=lambda item: item[0])[1]
+
     rows = []
     cell_means: dict = {}
-    for params in grid:
+    for cell, params in enumerate(grid):
         for loss_name in config.losses:
-            bers, aucs = [], []
-            for seed in config.seeds:
-                _, ber, score = _train_and_evaluate(config, loss_name, params, seed)
+            cell_results = results[loss_name][cell * len(config.seeds) :][: len(config.seeds)]
+            bers, aucs = [ber for ber, _ in cell_results], [score for _, score in cell_results]
+            for seed, (ber, score) in zip(config.seeds, cell_results):
                 rows.append(
                     [loss_name, params.pi_corr_pos, params.pi_corr_neg, seed, ber, score]
                 )
-                bers.append(ber)
-                aucs.append(score)
             cell_means[(params, loss_name)] = (
                 float(np.mean(bers)),
                 float(np.std(bers, ddof=1) / math.sqrt(len(bers))) if len(bers) > 1 else 0.0,
@@ -538,22 +589,23 @@ def _run_reduction_demo(config: ExperimentConfig, reduction: str) -> tuple[dict,
         reduced = uu_params(uu["pi_u"], uu["pi_u_prime"])
         generic = McdParams(uu["pi_u"], uu["pi_u_prime"])
 
+    # the reduced and the generic run of every seed train as one stack
+    runs = [(params, seed) for seed in config.seeds for params in (reduced, generic)]
+    configs = [replace(config.train, seed=seed) for _, seed in runs]
+    traces = train_many(_trainer(config), _training_sets(config, runs), configs)
     rows = []
     mismatches = 0
-    for seed in config.seeds:
-        trace_reduced, ber_reduced, auc_reduced = _train_and_evaluate(
-            config, config.train.loss, reduced, seed
-        )
-        trace_generic, ber_generic, auc_generic = _train_and_evaluate(
-            config, config.train.loss, generic, seed
-        )
+    reduced_traces, generic_traces = traces[::2], traces[1::2]
+    for trace_reduced, trace_generic, (ber_reduced, auc_reduced) in zip(
+        reduced_traces, generic_traces, _evaluate(reduced_traces, _test_sets(config))
+    ):
         identical = trace_reduced.objectives == trace_generic.objectives and np.array_equal(
             trace_reduced.scorer.params, trace_generic.scorer.params
         )
         mismatches += 0 if identical else 1
         rows.append(
             [
-                seed,
+                trace_reduced.config.seed,
                 reduction,
                 reduced.pi_corr_pos,
                 reduced.pi_corr_neg,

@@ -13,6 +13,16 @@ with replacement.  The recorded per-epoch trace always evaluates the
 full-data objective, and a non-finite value ends the run with
 :class:`~symloss.errors.TrainingDivergedError`.
 
+:func:`train_many` trains R runs that share every :class:`TrainConfig`
+field but ``seed``, and their point counts and dimension, as one step
+loop on an (R, P) parameter array.  Each run keeps its own generator and
+makes every matrix product a run trained alone makes, so its trace equals
+that run's bit for bit on this numpy/OpenBLAS build; the serial loop is
+the oracle in ``tests/test_training.py``.  :func:`train_ber` and
+:func:`train_auc` are batches of one, and the gradients of
+:func:`make_ber_objective` and :func:`make_auc_objective` are the same
+rules at R = 1.
+
 A brute-force minimizer over enumerated scorer families and a central
 finite-difference gradient check are included as oracles for the
 analytic machinery.
@@ -21,6 +31,7 @@ analytic machinery.
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Optional
 
@@ -28,7 +39,7 @@ import numpy as np
 
 from .errors import NonDifferentiableLossError, TrainingDivergedError
 from .losses import LossSpec, get_loss
-from .risks import _points_of, pairwise_mean_loss
+from .risks import _PAIR_CHUNK, _points_of, pairwise_mean_loss
 
 __all__ = [
     "Scorer",
@@ -36,6 +47,7 @@ __all__ = [
     "TrainTrace",
     "train_ber",
     "train_auc",
+    "train_many",
     "brute_force_minimizer",
     "finite_difference_check",
     "make_ber_objective",
@@ -96,14 +108,6 @@ class Scorer:
             params=np.concatenate([w, c, v, b]),
         )
 
-    def _unpack(self, params: np.ndarray):
-        h, d = self.hidden, self.dimension
-        w = params[: h * d].reshape(h, d)
-        c = params[h * d : h * d + h]
-        v = params[h * d + h : h * d + 2 * h]
-        b = params[-1]
-        return w, c, v, b
-
     def score(self, x: np.ndarray, params: Optional[np.ndarray] = None) -> np.ndarray:
         """Scores for one point (d,) or a batch (n, d)."""
         params = self.params if params is None else np.asarray(params, dtype=float)
@@ -112,11 +116,7 @@ class Scorer:
         X = x.reshape(1, -1) if single else x
         if X.shape[1] != self.dimension:
             raise ValueError(f"expected {self.dimension}-dimensional points, got {X.shape[1]}")
-        if self.kind == "linear":
-            scores = X @ params[:-1] + params[-1]
-        else:
-            w, c, v, b = self._unpack(params)
-            scores = np.tanh(X @ w.T + c) @ v + b
+        scores = _run_scores(self, params[None], X[None])[0]
         return float(scores[0]) if single else scores
 
     __call__ = score
@@ -127,20 +127,37 @@ class Scorer:
         """Scores (n,) and the Jacobian d score_i / d param_j, shape (n, P)."""
         params = self.params if params is None else np.asarray(params, dtype=float)
         X = np.asarray(X, dtype=float)
-        n = X.shape[0]
-        if self.kind == "linear":
-            scores = X @ params[:-1] + params[-1]
-            jac = np.concatenate([X, np.ones((n, 1))], axis=1)
-            return scores, jac
-        w, c, v, b = self._unpack(params)
-        t = np.tanh(X @ w.T + c)           # (n, h)
-        scores = t @ v + b
-        dt = (1.0 - t * t) * v             # (n, h): d score / d preactivation
-        jac_w = dt[:, :, None] * X[:, None, :]  # (n, h, d)
-        jac = np.concatenate(
-            [jac_w.reshape(n, -1), dt, t, np.ones((n, 1))], axis=1
-        )
-        return scores, jac
+        scores, jac = _run_scores(self, params[None], X[None], jacobian=True)
+        return scores[0], jac[0]
+
+
+def _run_scores(scorer: Scorer, theta: np.ndarray, X: np.ndarray, jacobian: bool = False):
+    """Scores (R, ..., n) of R runs of ``scorer``'s shape, with parameters
+    ``theta`` (R, P), each on its own points ``X`` (R, ..., n, d); with
+    ``jacobian`` also d score / d param, (R, ..., n, P).  Every matrix
+    product is one BLAS call per run and (n, d) block: the call of a run
+    scoring that block alone."""
+    p = theta.reshape(len(theta), *[1] * (X.ndim - 3), -1)   # broadcasts over X's blocks
+    b = p[..., -1:]
+    if scorer.kind == "linear":
+        scores = (X @ p[..., :-1, None])[..., 0] + b
+        if not jacobian:
+            return scores
+        return scores, np.concatenate([X, np.ones(X.shape[:-1] + (1,))], axis=-1)
+    h, d = scorer.hidden, scorer.dimension
+    w = p[..., : h * d].reshape(*p.shape[:-1], h, d)
+    c = p[..., None, h * d : h * d + h]
+    v = p[..., h * d + h : h * d + 2 * h]
+    t = np.tanh(X @ np.swapaxes(w, -1, -2) + c)   # (R, ..., n, h)
+    scores = (t @ v[..., None])[..., 0] + b
+    if not jacobian:
+        return scores
+    dt = (1.0 - t * t) * v[..., None, :]          # d score / d preactivation
+    jac_w = dt[..., None] * X[..., None, :]       # (R, ..., n, h, d)
+    jac = np.concatenate(
+        [jac_w.reshape(*X.shape[:-1], h * d), dt, t, np.ones(X.shape[:-1] + (1,))], axis=-1
+    )
+    return scores, jac
 
 
 @dataclass(frozen=True)
@@ -204,35 +221,57 @@ def _resolve_loss(config: TrainConfig) -> LossSpec:
     return loss
 
 
-def _ber_gradient(
-    loss: LossSpec,
-    scorer: Scorer,
-    theta: np.ndarray,
-    X_pos: np.ndarray,
-    X_neg: np.ndarray,
-    weight_decay: float,
-) -> np.ndarray:
-    """Parameter gradient of the balanced risk on the given points."""
-    sp, jp = scorer.score_with_jacobian(X_pos, params=theta)
-    sn, jn = scorer.score_with_jacobian(X_neg, params=theta)
-    grad_pos = loss.grad(sp) @ jp / sp.shape[0]
-    grad_neg = -loss.grad(-sn) @ jn / sn.shape[0]
+def _contract(weights: np.ndarray, jac: np.ndarray) -> np.ndarray:
+    """One run's gradient sums, its weights times its Jacobian rows: the
+    product a run trained alone makes.  Training calls it once per run and
+    step, and the benchmark's tracer counts those calls as steps."""
+    return weights @ jac
+
+
+# positives, then negatives: the balanced risk scores l(s) and l(-s)
+_CLASS_SIGNS = np.array([[1.0], [-1.0]])
+
+
+def _class_sums(loss: LossSpec, scorer: Scorer, theta, X, signs, contract=_contract):
+    """Sums (R, G, P), over each of R runs' G point blocks X (R, G, n, d),
+    of sign * l'(sign * s) * ds/dparam: the balanced risk's gradient sums,
+    with sign +1 for positives and -1 for negatives."""
+    scores, jac = _run_scores(scorer, theta, X, jacobian=True)
+    weights = signs * loss.grad(signs * scores)
+    return np.array([contract(*run) for run in zip(weights[..., None, :], jac)])[..., 0, :]
+
+
+def _pair_sums(loss: LossSpec, scorer: Scorer, theta, X, divisor, contract=_contract):
+    """Sums (R, P), over each of R runs' pairs (X[:, 0, i], X[:, 1, i]), of
+    l'(s_pos - s_neg) / divisor * d(s_pos - s_neg)/dparam."""
+    scores, jac = _run_scores(scorer, theta, X, jacobian=True)
+    weights = loss.grad(scores[:, 0] - scores[:, 1]) / divisor
+    return np.array([contract(*run) for run in zip(weights, jac[:, 0] - jac[:, 1])])
+
+
+def _ber_gradient(grad_pos, grad_neg, theta, weight_decay) -> np.ndarray:
     return 0.5 * (grad_pos + grad_neg) + 2.0 * weight_decay * theta
 
 
-def _pair_gradient(
-    loss: LossSpec,
-    scorer: Scorer,
-    theta: np.ndarray,
-    X_pos: np.ndarray,
-    X_neg: np.ndarray,
-    weight_decay: float,
-) -> np.ndarray:
-    """Parameter gradient of the pairwise risk on the pairs (X_pos[i], X_neg[i])."""
-    sp, jp = scorer.score_with_jacobian(X_pos, params=theta)
-    sn, jn = scorer.score_with_jacobian(X_neg, params=theta)
-    weights = loss.grad(sp - sn) / sp.shape[0]
-    return weights @ (jp - jn) + 2.0 * weight_decay * theta
+def _objectives(ber: bool, loss: LossSpec, scorer: Scorer, theta, X_pos, X_neg, weight_decay):
+    """Full-data balanced (``ber``) or pairwise objectives (R,) of R runs,
+    each on its own points X_pos (R, m, d) and X_neg (R, n, d)."""
+    sp, sn = _run_scores(scorer, theta, X_pos), _run_scores(scorer, theta, X_neg)
+    if ber:
+        risk = 0.5 * (np.mean(loss.value(sp), axis=1) + np.mean(loss.value(-sn), axis=1))
+    else:
+        risk = np.array([pairwise_mean_loss(loss, pos, neg) for pos, neg in zip(sp, sn)])
+    return risk + weight_decay * (theta[:, None, :] @ theta[:, :, None])[:, 0, 0]
+
+
+def _value(ber: bool, loss: LossSpec, scorer: Scorer, X_pos, X_neg, weight_decay):
+    """The full-data objective of one parameter vector."""
+
+    def value(theta: np.ndarray) -> float:
+        theta = np.asarray(theta, dtype=float)[None]
+        return float(_objectives(ber, loss, scorer, theta, X_pos[None], X_neg[None], weight_decay)[0])
+
+    return value
 
 
 def make_ber_objective(
@@ -242,18 +281,17 @@ def make_ber_objective(
     scorer: Scorer,
     weight_decay: float = 0.0,
 ) -> tuple[Callable[[np.ndarray], float], Callable[[np.ndarray], np.ndarray]]:
-    """Full-data balanced objective and its analytic parameter gradient."""
-
-    def value(theta: np.ndarray) -> float:
-        sp = scorer.score(X_pos, params=theta)
-        sn = scorer.score(X_neg, params=theta)
-        risk = 0.5 * (float(np.mean(loss.value(sp))) + float(np.mean(loss.value(-sn))))
-        return risk + weight_decay * float(theta @ theta)
+    """Full-data balanced objective and its analytic parameter gradient:
+    the rules training runs, at R = 1."""
+    X_pos, X_neg = np.asarray(X_pos, dtype=float), np.asarray(X_neg, dtype=float)
 
     def gradient(theta: np.ndarray) -> np.ndarray:
-        return _ber_gradient(loss, scorer, theta, X_pos, X_neg, weight_decay)
+        theta = np.asarray(theta, dtype=float)[None]
+        grad_pos = _class_sums(loss, scorer, theta, X_pos[None, None], 1.0)[:, 0] / len(X_pos)
+        grad_neg = _class_sums(loss, scorer, theta, X_neg[None, None], -1.0)[:, 0] / len(X_neg)
+        return _ber_gradient(grad_pos, grad_neg, theta, weight_decay)[0]
 
-    return value, gradient
+    return _value(True, loss, scorer, X_pos, X_neg, weight_decay), gradient
 
 
 def make_auc_objective(
@@ -263,44 +301,56 @@ def make_auc_objective(
     scorer: Scorer,
     weight_decay: float = 0.0,
 ) -> tuple[Callable[[np.ndarray], float], Callable[[np.ndarray], np.ndarray]]:
-    """Full pairwise objective and its analytic parameter gradient."""
-
-    def value(theta: np.ndarray) -> float:
-        sp = scorer.score(X_pos, params=theta)
-        sn = scorer.score(X_neg, params=theta)
-        return pairwise_mean_loss(loss, sp, sn) + weight_decay * float(theta @ theta)
+    """Full pairwise objective and its analytic parameter gradient: the
+    sampled-pair step's rule over all n+ x n- pairs, in chunks of 512
+    positives, with weights 1 / (n+ n-)."""
+    X_pos, X_neg = np.asarray(X_pos, dtype=float), np.asarray(X_neg, dtype=float)
+    n_pos, n_neg = len(X_pos), len(X_neg)
 
     def gradient(theta: np.ndarray) -> np.ndarray:
-        sp, jp = scorer.score_with_jacobian(X_pos, params=theta)
-        sn, jn = scorer.score_with_jacobian(X_neg, params=theta)
-        weights = loss.grad(sp[:, None] - sn[None, :]) / (sp.shape[0] * sn.shape[0])
-        grad = weights.sum(axis=1) @ jp - weights.sum(axis=0) @ jn
-        return grad + 2.0 * weight_decay * theta
+        theta = np.asarray(theta, dtype=float)[None]
+        total = 2.0 * weight_decay * theta
+        for start in range(0, n_pos, _PAIR_CHUNK):
+            chunk = np.arange(start, min(start + _PAIR_CHUNK, n_pos))
+            pos, neg = np.repeat(chunk, n_neg), np.tile(np.arange(n_neg), len(chunk))
+            pairs = np.stack([X_pos[pos], X_neg[neg]])[None]
+            total = total + _pair_sums(loss, scorer, theta, pairs, n_pos * n_neg)
+        return total[0]
 
-    return value, gradient
+    return _value(False, loss, scorer, X_pos, X_neg, weight_decay), gradient
 
 
 # overflow is not warned about: a run that overflows ends with a non-finite
-# objective, which raises TrainingDivergedError at the end of that epoch
+# objective, which raises TrainingDivergedError once every run has finished
 @np.errstate(over="ignore", invalid="ignore")
 def _run_steps(
     config: TrainConfig,
-    scorer: Scorer,
-    rng: np.random.Generator,
-    step_gradient: Callable[[np.random.Generator, np.ndarray], np.ndarray],
-    full_objective: Callable[[np.ndarray], float],
+    theta: np.ndarray,
+    draw: Callable[[int], np.ndarray],
+    batch_gradient: Callable,
+    step_gradient: Callable,
+    full_objective: Callable[[np.ndarray], np.ndarray],
     steps_per_epoch: int,
-) -> list[float]:
-    theta = scorer.params
+) -> tuple[np.ndarray, dict]:
+    """Moment-rescaled or plain steps on the stacked parameters ``theta``
+    (R, P), in place.
+
+    ``draw(steps)`` gives an epoch's batches, one per step;
+    ``batch_gradient(theta, batch, step_gradient)`` the (R, P) gradients,
+    calling ``step_gradient`` once per run; ``full_objective(theta)`` the
+    (R,) objectives after each epoch.  Returns the (epochs, R) objectives
+    and, for each run whose objective stopped being finite, its first such
+    epoch and value.
+    """
     first_moment = np.zeros_like(theta)
     second_moment = np.zeros_like(theta)
     lr = config.step_size
     b1, b2, eps = config.moment_decay1, config.moment_decay2, config.epsilon
     step = 0
-    objectives = []
+    objectives, diverged = [], {}
     for epoch in range(1, config.epochs + 1):
-        for _ in range(steps_per_epoch):
-            grad = step_gradient(rng, theta)
+        for batch in draw(steps_per_epoch):
+            grad = batch_gradient(theta, batch, step_gradient)
             step += 1
             if config.adaptive_moments:
                 first_moment = b1 * first_moment + (1.0 - b1) * grad
@@ -310,48 +360,116 @@ def _run_steps(
                 theta -= lr * m_hat / (np.sqrt(v_hat) + eps)
             else:
                 theta -= lr * grad
-        value = full_objective(theta)
-        if not math.isfinite(value):
-            raise TrainingDivergedError(
-                f"training diverged: the full-data objective is {value} after epoch "
-                f"{epoch} of {config.epochs} (loss {config.loss!r}, seed {config.seed}, "
-                f"step_size {config.step_size}); try a smaller step_size"
-            )
-        objectives.append(value)
-    return objectives
+        values = full_objective(theta)
+        for run in np.flatnonzero(~np.isfinite(values)):
+            diverged.setdefault(int(run), (epoch, float(values[run])))
+        # as floats: an array kept per epoch can pin the heap chunk a freed
+        # pair-grid buffer leaves, and the next buffer then grows the heap
+        objectives.append(values.tolist())
+    return np.array(objectives), diverged
+
+
+@dataclass
+class _Run:
+    """One run declared by :func:`train_ber` or :func:`train_auc`: its
+    points and generator, and the trace its training fills in."""
+
+    X_pos: np.ndarray
+    X_neg: np.ndarray
+    rng: np.random.Generator
+    trace: TrainTrace
+
+
+# the runs declared while train_many calls its trainer; None outside it.
+# Runs enter through train_ber/train_auc, so whatever wraps or counts those
+# calls, such as the benchmark's tracer, sees every run.
+_declared: ContextVar[Optional[list]] = ContextVar("declared", default=None)
 
 
 def _train(objective: str, set_pos, set_neg, config: TrainConfig) -> TrainTrace:
-    """The step loop behind :func:`train_ber` ("ber") and :func:`train_auc` ("auc").
+    """Set up one run of :func:`train_ber` ("ber") or :func:`train_auc`
+    ("auc"), then train it alone or, inside :func:`train_many`, declare it.
 
     Each step draws k positive, then k negative indices uniformly with
     replacement and takes the batch gradient on those points, with k =
     ``batch_size`` for "ber" and ``pair_batch`` for "auc".  An epoch is
     ceil(max(n_pos, n_neg) / batch_size) steps for both.
     """
-    loss = _resolve_loss(config)
+    _resolve_loss(config)
     X_pos, X_neg = _points_of(set_pos), _points_of(set_neg)
     rng = np.random.default_rng(config.seed)
     if config.model == "linear":
         scorer = Scorer.linear(X_pos.shape[1])
     else:
         scorer = Scorer.mlp(X_pos.shape[1], config.hidden_units, rng)
+    run = _Run(X_pos, X_neg, rng, TrainTrace([], scorer, replace(config, objective=objective)))
+    declared = _declared.get()
+    if declared is None:
+        _train_stack([run])
+    else:
+        declared.append(run)
+    return run.trace
 
-    ber = objective == "ber"
-    make_objective = make_ber_objective if ber else make_auc_objective
-    batch_gradient = _ber_gradient if ber else _pair_gradient
+
+def _train_stack(runs: list[_Run]) -> None:
+    """Train ``runs`` as one stacked step loop and fill in their traces."""
+    first = runs[0]
+    config = first.trace.config
+    for run in runs[1:]:
+        if (
+            replace(run.trace.config, seed=config.seed) != config
+            or run.X_pos.shape != first.X_pos.shape
+            or run.X_neg.shape != first.X_neg.shape
+        ):
+            raise ValueError(
+                "runs trained together must share every TrainConfig field except "
+                "seed, and their point counts and dimension"
+            )
+    loss, scorer = get_loss(config.loss), first.trace.scorer
+    n_pos, n_neg = len(first.X_pos), len(first.X_neg)
+    ber = config.objective == "ber"
     k = config.batch_size if ber else config.pair_batch
-    full_objective, _ = make_objective(loss, X_pos, X_neg, scorer, config.weight_decay)
-    n_pos, n_neg = X_pos.shape[0], X_neg.shape[0]
+    # each run's positives, then its negatives
+    points = np.array([np.concatenate([run.X_pos, run.X_neg]) for run in runs])
+    X_pos, X_neg, rows = points[:, :n_pos], points[:, n_pos:], points.reshape(-1, points.shape[2])
+    first_row = np.arange(len(runs))[:, None, None] * (n_pos + n_neg) + [[0], [n_pos]]
+    # equal bounds take numpy's faster scalar-bound path, which draws the same
+    high = n_pos if n_pos == n_neg else np.array([[n_pos], [n_neg]])
 
-    def step_gradient(rng: np.random.Generator, theta: np.ndarray) -> np.ndarray:
-        ip = rng.integers(0, n_pos, size=k)
-        im = rng.integers(0, n_neg, size=k)
-        return batch_gradient(loss, scorer, theta, X_pos[ip], X_neg[im], config.weight_decay)
+    def draw(steps: int) -> np.ndarray:
+        """Row numbers (steps, R, 2, k) in ``rows`` of an epoch's batches,
+        from one draw per run: the indices its per-step draws would give."""
+        drawn = [run.rng.integers(0, high, size=(steps, 2, k)) for run in runs]
+        return np.stack(drawn, axis=1) + first_row
 
+    def batch_gradient(theta, batch, contract):
+        gathered = np.take(rows, batch, axis=0)   # (R, 2, k, d)
+        if ber:
+            sums = _class_sums(loss, scorer, theta, gathered, _CLASS_SIGNS, contract)
+            return _ber_gradient(sums[:, 0] / k, sums[:, 1] / k, theta, config.weight_decay)
+        sums = _pair_sums(loss, scorer, theta, gathered, k, contract)
+        return sums + 2.0 * config.weight_decay * theta
+
+    def full_objective(theta):
+        return _objectives(ber, loss, scorer, theta, X_pos, X_neg, config.weight_decay)
+
+    theta = np.array([run.trace.scorer.params for run in runs])
     steps_per_epoch = max(1, math.ceil(max(n_pos, n_neg) / config.batch_size))
-    objectives = _run_steps(config, scorer, rng, step_gradient, full_objective, steps_per_epoch)
-    return TrainTrace(objectives, scorer, replace(config, objective=objective))
+    objectives, diverged = _run_steps(
+        config, theta, draw, batch_gradient, _contract, full_objective, steps_per_epoch
+    )
+    for position, run in enumerate(runs):
+        if position in diverged:
+            epoch, value = diverged[position]
+            raise TrainingDivergedError(
+                f"training diverged: the full-data objective is {value} after epoch "
+                f"{epoch} of {config.epochs} (loss {config.loss!r}, seed "
+                f"{run.trace.config.seed}, step_size {config.step_size}); try a "
+                "smaller step_size",
+                run=position,
+            )
+        run.trace.scorer.params = theta[position].copy()
+        run.trace.objectives.extend(objectives[:, position].tolist())
 
 
 def train_ber(set_pos, set_neg, config: TrainConfig) -> TrainTrace:
@@ -371,6 +489,31 @@ def train_auc(set_pos, set_neg, config: TrainConfig) -> TrainTrace:
     pairwise objective.
     """
     return _train("auc", set_pos, set_neg, config)
+
+
+def train_many(trainer, sets, configs) -> list[TrainTrace]:
+    """``trainer(set_pos, set_neg, config)`` for each ``(set_pos, set_neg)``
+    of ``sets`` with its config, trained as one stacked step loop.
+
+    ``trainer`` is :func:`train_ber` or :func:`train_auc`, or a function
+    that calls one of them once; each call declares its run, and the
+    declared runs then train together.  They must share every TrainConfig
+    field except ``seed``, and their point counts and dimension; any
+    other mix is a ValueError.  Every run trains to the end; if some
+    diverged, the TrainingDivergedError of the first of them in list
+    order is raised, with its position as ``run``.
+    """
+    token = _declared.set([])
+    try:
+        traces = [trainer(*pair, config) for pair, config in zip(sets, configs, strict=True)]
+        runs = _declared.get()
+    finally:
+        _declared.reset(token)
+    if len(runs) != len(traces):
+        raise ValueError("each trainer call must declare exactly one run")
+    if runs:
+        _train_stack(runs)
+    return traces
 
 
 def brute_force_minimizer(

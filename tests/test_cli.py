@@ -751,3 +751,67 @@ def test_out_of_range_value_exits_two_before_any_output(
     err = capsys.readouterr().err
     assert f"symloss: error: {location}" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "experiment, text, section",
+    [
+        ("noise_sweep", "[corpus]\ntau = 0.2\n", "corpus"),
+        ("loss_compare", "[pu]\nclass_prior_unlabeled = 0.4\n", "pu"),
+        ("pu_demo", "[uu]\npi_u = 0.7\n", "uu"),
+        ("uu_demo", "[noise]\npi_corr_pos = 0.8\npi_corr_neg = 0.3\n", "noise"),
+        ("verify_identities", "[train]\nepochs = 3\n", "train"),
+    ],
+    ids=["sweep-corpus", "compare-pu", "pu-uu", "uu-noise", "identities-train"],
+)
+def test_a_section_the_experiment_never_reads_exits_two(
+    tmp_path, capsys, experiment, text, section
+):
+    out = tmp_path / "out"
+    path = write_config(
+        tmp_path, f"[experiment]\nname = {experiment}\noutput_dir = {out}\n\n{text}"
+    )
+    assert main([experiment.replace("_", "-"), "--config", str(path)]) == 2
+    assert (
+        f"symloss: error: [{section}]: the {experiment} experiment does not read this section"
+        in capsys.readouterr().err
+    )
+    assert not out.exists()
+
+
+def test_sweep_divergence_reports_the_run_met_first_in_sweep_order(tmp_path, capsys):
+    # squared diverges only in the second cell (seed 3, epoch 25), exponential
+    # in both cells (epoch 2, but epoch 1 for the second cell's seed 1).  Run
+    # one by one, cell after cell, exponential's first cell, seed 0, fails
+    # first; the expected line was recorded from that one-by-one sweep.
+    out = tmp_path / "out"
+    path = write_config(
+        tmp_path,
+        f"""
+[experiment]
+name = noise_sweep
+output_dir = {out}
+seeds = 0, 1, 3
+
+[noise]
+pi_corr_pos = 0.6, 0.7
+pi_corr_neg = 0.45, 0.4
+
+[losses]
+names = squared, exponential
+{SMALL_DATASET}
+[train]
+objective = ber
+step_size = 100.0
+epochs = 25
+batch_size = 64
+adaptive_moments = false
+model = linear
+""",
+    )
+    assert main(["noise-sweep", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "symloss: error: training diverged: the full-data objective is nan after epoch 2 "
+        "of 25 (loss 'exponential', seed 0, step_size 100.0); try a smaller step_size\n"
+    )
+    assert not out.exists()

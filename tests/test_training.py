@@ -1,6 +1,8 @@
 """Trainers, scorers, brute-force minimizer, and gradient-check oracles."""
 
 import itertools
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +20,13 @@ from symloss.distributions import (
 )
 from symloss.errors import NonDifferentiableLossError, TrainingDivergedError
 from symloss.losses import LOSS_NAMES, LOSSES, get_loss
-from symloss.risks import auc_score, empirical_ber_risk, exact_auc_risk, exact_ber_risk
+from symloss.risks import (
+    auc_score,
+    empirical_ber_risk,
+    exact_auc_risk,
+    exact_ber_risk,
+    pairwise_mean_loss,
+)
 from symloss.training import (
     Scorer,
     TrainConfig,
@@ -29,6 +37,7 @@ from symloss.training import (
     make_ber_objective,
     train_auc,
     train_ber,
+    train_many,
 )
 
 DIFFERENTIABLE = [n for n in LOSS_NAMES if LOSSES[n].differentiable]
@@ -213,6 +222,194 @@ def test_one_draw_per_epoch_equals_the_per_step_draws(n_pos, n_neg, k, steps, se
     assert per_epoch.bit_generator.state == per_step.bit_generator.state
 
 
+# Equal bounds: the scalar-bound draw that train_many makes when n_pos ==
+# n_neg must give the two-row-bound draw above, and the same generator state.
+@given(
+    n=st.integers(1, 3 * 2**30),
+    k=st.integers(1, 9),
+    steps=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_a_scalar_bound_draws_as_two_equal_bounds(n, k, steps, seed):
+    scalar, rows = np.random.default_rng(seed), np.random.default_rng(seed)
+    drawn = scalar.integers(0, n, size=(steps, 2, k))
+    assert np.array_equal(drawn, rows.integers(0, np.array([[n], [n]]), size=(steps, 2, k)))
+    assert scalar.bit_generator.state == rows.bit_generator.state
+
+
+def serial_scores(scorer, X, theta):
+    """Scores and Jacobian of one run, as Scorer.score_with_jacobian
+    computed them before runs were stacked."""
+    n = X.shape[0]
+    if scorer.kind == "linear":
+        return X @ theta[:-1] + theta[-1], np.concatenate([X, np.ones((n, 1))], axis=1)
+    h, d = scorer.hidden, scorer.dimension
+    w, c = theta[: h * d].reshape(h, d), theta[h * d : h * d + h]
+    v, b = theta[h * d + h : h * d + 2 * h], theta[-1]
+    t = np.tanh(X @ w.T + c)
+    dt = (1.0 - t * t) * v
+    jac_w = dt[:, :, None] * X[:, None, :]
+    return t @ v + b, np.concatenate([jac_w.reshape(n, -1), dt, t, np.ones((n, 1))], axis=1)
+
+
+def serial_train(objective, X_pos, X_neg, config):
+    """The one-run-at-a-time trainer that train_many replaced: per-step
+    draws and a per-step Jacobian.  Returns (params, objectives)."""
+    loss = get_loss(config.loss)
+    rng = np.random.default_rng(config.seed)
+    d = X_pos.shape[1]
+    if config.model == "linear":
+        scorer = Scorer.linear(d)
+    else:
+        scorer = Scorer.mlp(d, config.hidden_units, rng)
+    theta = scorer.params
+    ber = objective == "ber"
+    k = config.batch_size if ber else config.pair_batch
+    wd = config.weight_decay
+
+    def full_objective():
+        sp, sn = serial_scores(scorer, X_pos, theta)[0], serial_scores(scorer, X_neg, theta)[0]
+        if ber:
+            risk = 0.5 * (float(np.mean(loss.value(sp))) + float(np.mean(loss.value(-sn))))
+        else:
+            risk = pairwise_mean_loss(loss, sp, sn)
+        return risk + wd * float(theta @ theta)
+
+    def step_gradient():
+        ip = rng.integers(0, X_pos.shape[0], size=k)
+        im = rng.integers(0, X_neg.shape[0], size=k)
+        sp, jp = serial_scores(scorer, X_pos[ip], theta)
+        sn, jn = serial_scores(scorer, X_neg[im], theta)
+        if ber:
+            grad_pos = loss.grad(sp) @ jp / sp.shape[0]
+            grad_neg = -loss.grad(-sn) @ jn / sn.shape[0]
+            return 0.5 * (grad_pos + grad_neg) + 2.0 * wd * theta
+        weights = loss.grad(sp - sn) / sp.shape[0]
+        return weights @ (jp - jn) + 2.0 * wd * theta
+
+    first_moment, second_moment = np.zeros_like(theta), np.zeros_like(theta)
+    lr, b1, b2, eps = config.step_size, config.moment_decay1, config.moment_decay2, config.epsilon
+    steps_per_epoch = max(1, math.ceil(max(X_pos.shape[0], X_neg.shape[0]) / config.batch_size))
+    step, objectives = 0, []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, config.epochs + 1):
+            for _ in range(steps_per_epoch):
+                grad = step_gradient()
+                step += 1
+                if config.adaptive_moments:
+                    first_moment = b1 * first_moment + (1.0 - b1) * grad
+                    second_moment = b2 * second_moment + (1.0 - b2) * grad * grad
+                    m_hat = first_moment / (1.0 - b1**step)
+                    v_hat = second_moment / (1.0 - b2**step)
+                    theta -= lr * m_hat / (np.sqrt(v_hat) + eps)
+                else:
+                    theta -= lr * grad
+            value = full_objective()
+            if not math.isfinite(value):
+                raise TrainingDivergedError(
+                    f"training diverged: the full-data objective is {value} after epoch "
+                    f"{epoch} of {config.epochs} (loss {config.loss!r}, seed {config.seed}, "
+                    f"step_size {config.step_size}); try a smaller step_size"
+                )
+            objectives.append(value)
+    return theta, objectives
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_train_many_equals_serial_runs(data):
+    objective = data.draw(st.sampled_from(["ber", "auc"]), label="objective")
+    runs = data.draw(st.integers(1, 6), label="runs")
+    n_pos = data.draw(st.integers(1, 30), label="n_pos")
+    n_neg = data.draw(st.just(n_pos) | st.integers(1, 30), label="n_neg")
+    dimension = data.draw(st.integers(1, 3), label="dimension")
+    config = TrainConfig(
+        objective=objective,
+        loss=data.draw(st.sampled_from(DIFFERENTIABLE), label="loss"),
+        step_size=data.draw(st.sampled_from([0.01, 0.1, 2.0]), label="step_size"),
+        adaptive_moments=data.draw(st.booleans(), label="adaptive_moments"),
+        epochs=data.draw(st.integers(1, 3), label="epochs"),
+        batch_size=data.draw(st.integers(1, 24), label="batch_size"),
+        pair_batch=data.draw(st.integers(1, 24), label="pair_batch"),
+        weight_decay=data.draw(st.sampled_from([0.0, 0.003]), label="weight_decay"),
+        model=data.draw(st.sampled_from(["linear", "mlp"]), label="model"),
+        hidden_units=data.draw(st.integers(1, 4), label="hidden_units"),
+    )
+    seeds = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=runs, max_size=runs))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="data_seed"))
+    sets = [
+        (rng.normal(0.5, 1.0, size=(n_pos, dimension)), rng.normal(-0.5, 1.0, size=(n_neg, dimension)))
+        for _ in seeds
+    ]
+    configs = [replace(config, seed=seed) for seed in seeds]
+
+    expected, first_error = [], None
+    for (X_pos, X_neg), run_config in zip(sets, configs):
+        try:
+            expected.append(serial_train(objective, X_pos.copy(), X_neg.copy(), run_config))
+        except TrainingDivergedError as exc:
+            first_error = first_error or exc
+    trainer = train_ber if objective == "ber" else train_auc
+    if first_error is not None:
+        with pytest.raises(TrainingDivergedError) as caught:
+            train_many(trainer, sets, configs)
+        assert str(caught.value) == str(first_error)
+        return
+    traces = train_many(trainer, sets, configs)
+    for trace, (params, objectives) in zip(traces, expected):
+        assert trace.scorer.params.tobytes() == params.tobytes()
+        assert trace.objectives == objectives
+
+
+class TestTrainMany:
+    def test_a_batch_of_one_is_train_ber(self):
+        pos, neg = gaussian_sets(McdParams(0.8, 0.3), 60, seed=40)
+        config = TrainConfig(objective="ber", epochs=4, batch_size=16, seed=40)
+        [trace] = train_many(train_ber, [(pos, neg)], [config])
+        alone = train_ber(pos, neg, config)
+        assert trace.objectives == alone.objectives
+        assert trace.scorer.params.tobytes() == alone.scorer.params.tobytes()
+        assert trace.config == alone.config
+
+    @pytest.mark.parametrize(
+        "change, n_neg",
+        [(dict(loss="logistic"), 30), (dict(step_size=0.1), 30), (dict(model="mlp"), 30),
+         ({}, 31)],
+        ids=["loss", "step_size", "model", "point-count"],
+    )
+    def test_runs_must_share_all_but_the_seed(self, change, n_neg):
+        rng = np.random.default_rng(41)
+        config = TrainConfig(epochs=1, seed=1)
+        sets = [(rng.normal(size=(30, 2)), rng.normal(size=(30, 2))),
+                (rng.normal(size=(30, 2)), rng.normal(size=(n_neg, 2)))]
+        with pytest.raises(ValueError, match="except seed"):
+            train_many(train_ber, sets, [config, replace(config, seed=2, **change)])
+
+    def test_empty_batch(self):
+        assert train_many(train_ber, [], []) == []
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_divergence_names_the_first_diverged_run_in_list_order(self):
+        # seed 0 diverges at epoch 2 and seed 1 at epoch 1: the whole batch
+        # trains, and the error is the first run's, as run alone in order
+        sets = [gaussian_sets(McdParams(0.7, 0.4), 120, seed=seed) for seed in (0, 1)]
+        config = TrainConfig(
+            loss="exponential", adaptive_moments=False, step_size=100.0, epochs=25,
+            batch_size=64,
+        )
+        configs = [replace(config, seed=seed) for seed in (0, 1)]
+        for order in ([0, 1], [1, 0]):
+            with pytest.raises(TrainingDivergedError) as caught:
+                train_many(train_ber, [sets[i] for i in order], [configs[i] for i in order])
+            with pytest.raises(TrainingDivergedError) as alone:
+                train_ber(*sets[order[0]], configs[order[0]])
+            assert str(caught.value) == str(alone.value)
+            assert caught.value.run == 0
+            if order == [0, 1]:
+                assert "after epoch 2 of 25" in str(caught.value)
+
+
 class TestGradientChecks:
     @pytest.mark.parametrize("name", DIFFERENTIABLE)
     @pytest.mark.parametrize("objective", ["ber", "auc"])
@@ -237,6 +434,19 @@ class TestGradientChecks:
         value, gradient = make(get_loss(name), X_pos, X_neg, scorer, weight_decay=0.01)
         err = finite_difference_check(value, gradient, scorer.params, probes=6, seed=2)
         assert err <= 1e-4, f"{name}/{objective}: {err}"
+
+    @pytest.mark.parametrize("model", ["linear", "mlp"])
+    def test_auc_gradient_across_a_pair_chunk_boundary(self, model):
+        # 600 positives span two 512-row chunks of the full pairwise gradient
+        rng = np.random.default_rng(23)
+        X_pos = rng.normal(0.5, 1.0, size=(600, 2))
+        X_neg = rng.normal(-0.5, 1.0, size=(50, 2))
+        scorer = Scorer.linear(2) if model == "linear" else Scorer.mlp(2, 3, rng)
+        value, gradient = make_auc_objective(
+            get_loss("sigmoid"), X_pos, X_neg, scorer, weight_decay=0.01
+        )
+        err = finite_difference_check(value, gradient, scorer.params, probes=3, seed=4)
+        assert err <= (1e-5 if model == "linear" else 1e-4)
 
     def test_unhinged_linear_is_machine_precise(self):
         # the objective is quadratic in the parameters (affine scores plus

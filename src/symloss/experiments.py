@@ -1,14 +1,18 @@
 """Config-driven experiment runners.
 
-Each runner takes a parsed :class:`ExperimentConfig` and returns its
-artifacts, ``{file name: (CSV header, rows) or text}``, with a process
-exit status: nonzero exactly when an acceptance assertion inside the
-experiment fails.  :func:`run_experiment` alone writes to disk: it
-creates the output directory only after the runner has returned, then
-writes the artifacts and a manifest, so a run that raises leaves no
-output behind.  Runs are deterministic given the config, all floats are
-printed with 12 significant digits, and no timestamps are written, so
-re-running a config reproduces byte-identical outputs.
+``_EXPERIMENTS`` declares each experiment once: its runner, the config
+sections it reads, and whether it runs a single seed.  :func:`parse_config`
+rejects a section the experiment does not read and, for a single-seed
+experiment, a seed list longer than one.  Each runner takes a parsed
+:class:`ExperimentConfig` and returns its artifacts, ``{file name: (CSV
+header, rows) or text}``, with a process exit status: nonzero exactly
+when an acceptance assertion inside the experiment fails.
+:func:`run_experiment` alone writes to disk: it creates the output
+directory only after the runner has returned, then writes the artifacts
+and a manifest, so a run that raises leaves no output behind.  Runs are
+deterministic given the config, all floats are printed with 12
+significant digits, and no timestamps are written, so re-running a
+config reproduces byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
@@ -57,21 +62,8 @@ __all__ = [
     "parse_config",
     "run_experiment",
     "run_verify_identities",
-    "run_noise_sweep",
-    "run_loss_compare",
-    "run_pu_demo",
-    "run_uu_demo",
     "run_keywords",
 ]
-
-EXPERIMENTS = (
-    "verify_identities",
-    "noise_sweep",
-    "loss_compare",
-    "pu_demo",
-    "uu_demo",
-    "keywords",
-)
 
 # user-facing names for the threshold methods
 THRESHOLD_ALIASES = {
@@ -126,74 +118,6 @@ def write_manifest(config: "ExperimentConfig", artifacts: Sequence[Path]) -> Pat
 
 _BOOLEANS = configparser.ConfigParser.BOOLEAN_STATES
 _LABELS = {int: "an integer", float: "a number", bool: "a boolean", str: "a string"}
-
-# section -> key -> (kind, default).  A kind is a type, a tuple of allowed
-# strings, or a one-type list for comma-separated values.  [train] keys are
-# TrainConfig field names; its epochs and batch_size defaults are the
-# config-level ones, not TrainConfig's.
-_SCHEMA: dict[str, dict[str, tuple]] = {
-    "experiment": {
-        "name": (EXPERIMENTS, None),  # None: the invoked command's experiment
-        "output_dir": (str, "out"),
-        "seeds": ([int], [0]),
-    },
-    "dataset": {
-        "dimension": (int, 2),
-        "mean_pos": ([float], None),  # None: 1.5 in every coordinate
-        "mean_neg": ([float], None),  # None: -1.5 in every coordinate
-        "covariance": ([float], None),  # None: 1.0 in every coordinate
-        "n_train_per_class": (int, 500),
-        "n_test_per_class": (int, 2000),
-    },
-    "noise": {"pi_corr_pos": ([float], []), "pi_corr_neg": ([float], [])},
-    "losses": {"names": ([str], ["sigmoid"])},  # "all": the whole catalog
-    "assertions": {"loss_order": (str, None)},  # "lossA <= lossB"
-    "train": {
-        "objective": (("ber", "auc"), "ber"),
-        "loss": (str, "sigmoid"),
-        "step_size": (float, 0.05),
-        "adaptive_moments": (bool, True),
-        "epochs": (int, 150),
-        "batch_size": (int, 128),
-        "pair_batch": (int, 256),
-        "weight_decay": (float, 0.0),
-        "model": (("linear", "mlp"), "linear"),
-        "hidden_units": (int, 8),
-    },
-    "identities": {
-        "instances": (int, 100),
-        "max_support": (int, 5),
-        "score_range": (float, 3.0),
-        "tolerance": (float, 1e-10),
-        "symmetric_tolerance": (float, 1e-12),
-    },
-    "pu": {"class_prior_unlabeled": (float, 0.4)},
-    "uu": {"pi_u": (float, 0.7), "pi_u_prime": (float, 0.3)},
-    "corpus": {
-        "corpus_path": (str, "bundled"),
-        "keywords_path": (str, "bundled"),
-        "tau": (float, 0.15),
-        "scheme": (("tf", "tf_idf"), "tf_idf"),
-        "min_doc_freq": (int, 1),
-        "threshold_method": (tuple(THRESHOLD_ALIASES) + THRESHOLD_METHODS, "breakeven"),
-        "prior": (float, None),
-    },
-}
-
-
-# the sections each experiment reads; a config section outside its list is
-# rejected.  keywords still takes every section: the schema's every-key test
-# parses all of them through one keywords config.
-_SWEEP_SECTIONS = ("experiment", "dataset", "noise", "losses", "assertions", "train")
-_SECTIONS = {
-    "verify_identities": ("experiment", "losses", "identities"),
-    "noise_sweep": _SWEEP_SECTIONS,
-    "loss_compare": _SWEEP_SECTIONS,
-    "pu_demo": ("experiment", "dataset", "pu", "train"),
-    "uu_demo": ("experiment", "dataset", "uu", "train"),
-    "keywords": tuple(_SCHEMA),
-}
-
 
 def check_value(where: str, build, *args, **kwargs):
     """``build(*args, **kwargs)``, with a ValueError re-raised as a
@@ -329,15 +253,20 @@ def parse_config(
             f"[experiment] name: config says {name!r} but the "
             f"{experiment!r} command was invoked"
         )
+    _, reads, one_seed = _EXPERIMENTS[name]
     for section in parser.sections():
-        if section not in _SECTIONS[name]:
+        if section not in reads:
             raise ConfigurationError(
                 f"[{section}]: the {name} experiment does not read this section; "
-                f"it reads {list(_SECTIONS[name])}"
+                f"it reads {list(reads)}"
             )
     seeds = sections["experiment"]["seeds"]
     if not seeds:
         raise ConfigurationError(f"{at('experiment', 'seeds')}: must list at least one seed")
+    if one_seed and len(seeds) > 1:
+        raise ConfigurationError(
+            f"{at('experiment', 'seeds')}: the {name} experiment runs one seed, got {seeds}"
+        )
 
     dataset = sections["dataset"]
     for key, value in (("mean_pos", 1.5), ("mean_neg", -1.5), ("covariance", 1.0)):
@@ -362,7 +291,7 @@ def parse_config(
     if losses == ["all"]:
         losses = list(LOSS_NAMES)
     for loss_name in losses:
-        check_loss_name(loss_name, "[losses] names", trainable=name != "verify_identities")
+        check_loss_name(loss_name, "[losses] names", trainable="train" in reads)
     loss_order = _parse_loss_order(sections["assertions"]["loss_order"], losses)
     check_loss_name(sections["train"]["loss"], at("train", "loss"), trainable=True)
     if name == "keywords" and parser.has_option("train", "objective") and (
@@ -544,7 +473,10 @@ def _check_loss_order(config, cell_means, grid) -> int:
     return 0
 
 
-def _run_sweep(config: ExperimentConfig, grid: list[McdParams]) -> tuple[dict, int]:
+def _run_sweep(config: ExperimentConfig, cells: Optional[int]) -> tuple[dict, int]:
+    """Train per (noise cell, loss, seed) on the first ``cells`` cells of
+    the noise grid (all of them when None); report clean-test BER/AUC."""
+    grid = config.noise_grid[:cells]
     if not grid:
         raise ConfigurationError("[noise] pi_corr_pos: noise grid is empty")
     rows, cell_means = _sweep(config, grid)
@@ -566,16 +498,6 @@ def _run_sweep(config: ExperimentConfig, grid: list[McdParams]) -> tuple[dict, i
         ),
     }
     return artifacts, _check_loss_order(config, cell_means, grid)
-
-
-def run_noise_sweep(config: ExperimentConfig) -> tuple[dict, int]:
-    """Train per (noise cell, loss, seed); report clean-test BER/AUC."""
-    return _run_sweep(config, config.noise_grid)
-
-
-def run_loss_compare(config: ExperimentConfig) -> tuple[dict, int]:
-    """A sweep across many losses on the first noise cell only."""
-    return _run_sweep(config, config.noise_grid[:1])
 
 
 def _run_reduction_demo(config: ExperimentConfig, reduction: str) -> tuple[dict, int]:
@@ -622,14 +544,6 @@ def _run_reduction_demo(config: ExperimentConfig, reduction: str) -> tuple[dict,
         "clean_test_ber", "clean_test_auc", "trace_check",
     ]
     return {"results.csv": (header, rows)}, 0 if mismatches == 0 else 1
-
-
-def run_pu_demo(config: ExperimentConfig) -> tuple[dict, int]:
-    return _run_reduction_demo(config, "pu")
-
-
-def run_uu_demo(config: ExperimentConfig) -> tuple[dict, int]:
-    return _run_reduction_demo(config, "uu")
 
 
 def _load_asset(setting: str, what: str, bundled, from_file):
@@ -689,20 +603,77 @@ def run_keywords(config: ExperimentConfig) -> tuple[dict, int]:
     return artifacts, 0 if (informative and above_chance) else 1
 
 
-_RUNNERS = {
-    "verify_identities": run_verify_identities,
-    "noise_sweep": run_noise_sweep,
-    "loss_compare": run_loss_compare,
-    "pu_demo": run_pu_demo,
-    "uu_demo": run_uu_demo,
-    "keywords": run_keywords,
+# name -> (runner, the config sections it reads, whether it runs one seed)
+_SWEEP_SECTIONS = ("experiment", "dataset", "noise", "losses", "assertions", "train")
+_DEMO_SECTIONS = ("experiment", "dataset", "train")
+_EXPERIMENTS = {
+    "verify_identities": (run_verify_identities, ("experiment", "losses", "identities"), True),
+    "noise_sweep": (partial(_run_sweep, cells=None), _SWEEP_SECTIONS, False),
+    "loss_compare": (partial(_run_sweep, cells=1), _SWEEP_SECTIONS, False),
+    "pu_demo": (partial(_run_reduction_demo, reduction="pu"), _DEMO_SECTIONS + ("pu",), False),
+    "uu_demo": (partial(_run_reduction_demo, reduction="uu"), _DEMO_SECTIONS + ("uu",), False),
+    "keywords": (run_keywords, ("experiment", "corpus", "train"), True),
+}
+EXPERIMENTS = tuple(_EXPERIMENTS)
+
+# section -> key -> (kind, default).  A kind is a type, a tuple of allowed
+# strings, or a one-type list for comma-separated values.  [train] keys are
+# TrainConfig field names; its epochs and batch_size defaults are the
+# config-level ones, not TrainConfig's.
+_SCHEMA: dict[str, dict[str, tuple]] = {
+    "experiment": {
+        "name": (EXPERIMENTS, None),  # None: the invoked command's experiment
+        "output_dir": (str, "out"),
+        "seeds": ([int], [0]),
+    },
+    "dataset": {
+        "dimension": (int, 2),
+        "mean_pos": ([float], None),  # None: 1.5 in every coordinate
+        "mean_neg": ([float], None),  # None: -1.5 in every coordinate
+        "covariance": ([float], None),  # None: 1.0 in every coordinate
+        "n_train_per_class": (int, 500),
+        "n_test_per_class": (int, 2000),
+    },
+    "noise": {"pi_corr_pos": ([float], []), "pi_corr_neg": ([float], [])},
+    "losses": {"names": ([str], ["sigmoid"])},  # "all": the whole catalog
+    "assertions": {"loss_order": (str, None)},  # "lossA <= lossB"
+    "train": {
+        "objective": (("ber", "auc"), "ber"),
+        "loss": (str, "sigmoid"),
+        "step_size": (float, 0.05),
+        "adaptive_moments": (bool, True),
+        "epochs": (int, 150),
+        "batch_size": (int, 128),
+        "pair_batch": (int, 256),
+        "weight_decay": (float, 0.0),
+        "model": (("linear", "mlp"), "linear"),
+        "hidden_units": (int, 8),
+    },
+    "identities": {
+        "instances": (int, 100),
+        "max_support": (int, 5),
+        "score_range": (float, 3.0),
+        "tolerance": (float, 1e-10),
+        "symmetric_tolerance": (float, 1e-12),
+    },
+    "pu": {"class_prior_unlabeled": (float, 0.4)},
+    "uu": {"pi_u": (float, 0.7), "pi_u_prime": (float, 0.3)},
+    "corpus": {
+        "corpus_path": (str, "bundled"),
+        "keywords_path": (str, "bundled"),
+        "tau": (float, 0.15),
+        "scheme": (("tf", "tf_idf"), "tf_idf"),
+        "min_doc_freq": (int, 1),
+        "threshold_method": (tuple(THRESHOLD_ALIASES) + THRESHOLD_METHODS, "breakeven"),
+        "prior": (float, None),
+    },
 }
 
 
 def run_experiment(config: ExperimentConfig) -> int:
     """Run ``config``'s experiment, then write its artifacts and manifest
     into ``config.output_dir``; the exit status is the runner's."""
-    artifacts, status = _RUNNERS[config.experiment](config)
+    artifacts, status = _EXPERIMENTS[config.experiment][0](config)
     config.output_dir.mkdir(parents=True, exist_ok=True)
     paths = [config.output_dir / name for name in artifacts]
     for path, content in zip(paths, artifacts.values()):

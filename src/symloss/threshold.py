@@ -41,7 +41,9 @@ class ThresholdResult:
     """A chosen cutoff plus the positive fraction it actually achieves.
 
     ``degenerate`` flags tie pathologies: the scores straddling the
-    cutoff are equal, so the achieved fraction cannot equal k/n.
+    cutoff are equal, so the achieved fraction cannot equal k/n.  It is
+    also set when k = n and the lowest score is the most negative float,
+    since no finite cutoff lies below it.
     """
 
     beta: float
@@ -77,6 +79,16 @@ def _positive_fraction(scores: np.ndarray, beta: float) -> float:
     return float(np.mean(scores > beta))
 
 
+def _below(low: float) -> float:
+    """A finite cutoff under ``low``: ``low - 1.0``, or the next float down
+    where subtracting 1.0 does not move ``low``; ``low`` itself when it is
+    the most negative float."""
+    if low - 1.0 < low:
+        return low - 1.0
+    beta = math.nextafter(low, -math.inf)
+    return beta if math.isfinite(beta) else low
+
+
 def _select(scores: np.ndarray, target_prior: float, method: str) -> ThresholdResult:
     n = scores.size
     # round half up, so the approximate prior-matching equation picks a
@@ -87,15 +99,20 @@ def _select(scores: np.ndarray, target_prior: float, method: str) -> ThresholdRe
     if np.all(ordered == ordered[0]) and 0 < k < n:
         # all scores equal: no cutoff separates anything, so classify
         # everything positive and flag the degeneracy instead of failing
-        beta = float(ordered[0]) - 1.0
+        beta = _below(float(ordered[0]))
         return ThresholdResult(beta, _positive_fraction(scores, beta), method, degenerate=True)
 
     if k == 0:
         beta = float(ordered[0]) + 1.0
     elif k == n:
-        beta = float(ordered[-1]) - 1.0
+        beta = _below(float(ordered[-1]))
     else:
-        beta = float(ordered[k - 1] + ordered[k]) / 2.0
+        above, below = float(ordered[k - 1]), float(ordered[k])
+        beta = (above + below) / 2.0
+        if not below <= beta < above:
+            # the midpoint overflowed or rounded onto a score; the lower
+            # score itself still separates the two (or they are tied)
+            beta = below
     fraction = _positive_fraction(scores, beta)
     return ThresholdResult(beta, fraction, method, degenerate=(fraction != k / n))
 

@@ -571,9 +571,10 @@ class TestTrainConfigReachesTrainer:
 class TestSchema:
     """Every schema key reaches its use; nothing outside the schema parses."""
 
-    # one non-default value per schema key, as written in a config file
+    # one non-default value per schema key, as written in a config file;
+    # [experiment] name is set by the route that reads the config
     VALUES = {
-        "experiment": {"name": "keywords", "output_dir": "elsewhere", "seeds": "3, 4"},
+        "experiment": {"name": None, "output_dir": "elsewhere", "seeds": "3, 4"},
         "dataset": {
             "dimension": "3",
             "mean_pos": "1.0, 2.0, 3.0",
@@ -617,54 +618,140 @@ class TestSchema:
         },
     }
 
-    def full_config(self, tmp_path):
+    # experiment -> the sections it is given besides [experiment]; each
+    # section is read through an experiment that uses it
+    ROUTES = {
+        "noise_sweep": ("dataset", "noise", "losses", "assertions", "train"),
+        "verify_identities": ("losses", "identities"),
+        "pu_demo": ("dataset", "pu", "train"),
+        "uu_demo": ("dataset", "uu", "train"),
+        "keywords": ("corpus", "train"),
+    }
+    ONE_SEED = ("verify_identities", "keywords")
+
+    TRAIN = TrainConfig(
+        objective="auc", loss="unhinged", step_size=0.01, adaptive_moments=False,
+        epochs=7, batch_size=16, pair_batch=32, weight_decay=0.001, model="mlp",
+        hidden_units=4,
+    )
+
+    def full_config(self, tmp_path, experiment):
         corpus = tmp_path / "corpus.jsonl"
         Corpus(load_mini_corpus().documents[:50]).to_jsonl(corpus)
         keywords = tmp_path / "keywords.txt"
         keywords.write_text("alpha\nbeta\n")
+        values = dict(self.VALUES)
+        values["experiment"] = {**values["experiment"], "name": experiment}
+        if experiment in self.ONE_SEED:
+            values["experiment"]["seeds"] = "3"
         text = "".join(
-            f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
-            for name, keys in self.VALUES.items()
+            f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in values[name].items())
+            for name in ("experiment", *self.ROUTES[experiment])
         )
         text = text.replace("CORPUS", str(corpus)).replace("KEYWORDS", str(keywords))
-        return write_config(tmp_path, text)
+        return write_config(tmp_path, text, f"{experiment}.ini")
+
+    @staticmethod
+    def record(monkeypatch, name):
+        """The (args, result) of each call of ``symloss.experiments.<name>``."""
+        calls = []
+        original = getattr(symloss.experiments, name)
+
+        def recording(*args):
+            calls.append((args, original(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(symloss.experiments, name, recording)
+        return calls
 
     def test_every_key_reaches_its_use(self, tmp_path, monkeypatch):
         assert sum(len(keys) for keys in _SCHEMA.values()) == 38
         assert {name: set(keys) for name, keys in self.VALUES.items()} == {
             name: set(keys) for name, keys in _SCHEMA.items()
         }
-        config = parse_config(self.full_config(tmp_path))
-        for name, keys in _SCHEMA.items():
-            for key, (_, default) in keys.items():
-                assert config.sections[name][key] != default, (name, key)
+        assert {"experiment", *(s for route in self.ROUTES.values() for s in route)} == set(_SCHEMA)
+        configs = {name: parse_config(self.full_config(tmp_path, name)) for name in self.ROUTES}
+        for experiment, config in configs.items():
+            assert config.experiment == experiment
+            for name in ("experiment", *self.ROUTES[experiment]):
+                for key, (_, default) in _SCHEMA[name].items():
+                    assert config.sections[name][key] != default, (experiment, name, key)
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "elsewhere"
 
-        assert (config.experiment, str(config.output_dir), config.seeds) == (
-            "keywords", "elsewhere", [3, 4]
-        )
-        assert config.gaussians.dimension == 3
-        assert config.gaussians.mean_pos.tolist() == [1.0, 2.0, 3.0]
-        assert config.gaussians.mean_neg.tolist() == [-1.0, -2.0, -3.0]
-        assert config.gaussians.covariance.tolist() == [0.5, 0.25, 2.0]
-        assert config.sections["dataset"]["n_train_per_class"] == 77
-        assert config.sections["dataset"]["n_test_per_class"] == 88
-        assert [(p.pi_corr_pos, p.pi_corr_neg) for p in config.noise_grid] == [
+        # [experiment], [dataset], [noise], [losses], [assertions], [train]
+        sweep = configs["noise_sweep"]
+        assert (str(sweep.output_dir), sweep.seeds) == ("elsewhere", [3, 4])
+        assert sweep.gaussians.dimension == 3
+        assert sweep.gaussians.mean_pos.tolist() == [1.0, 2.0, 3.0]
+        assert sweep.gaussians.mean_neg.tolist() == [-1.0, -2.0, -3.0]
+        assert sweep.gaussians.covariance.tolist() == [0.5, 0.25, 2.0]
+        assert [(p.pi_corr_pos, p.pi_corr_neg) for p in sweep.noise_grid] == [
             (0.9, 0.1), (0.8, 0.2)
         ]
-        assert config.losses == ["hinge", "ramp"]
-        assert config.loss_order == ("ramp", "hinge")
-        assert config.train == TrainConfig(
-            objective="auc", loss="unhinged", step_size=0.01, adaptive_moments=False,
-            epochs=7, batch_size=16, pair_batch=32, weight_decay=0.001, model="mlp",
-            hidden_units=4,
-        )
-        assert config.sections["identities"] == {
+        assert sweep.losses == ["hinge", "ramp"]
+        assert sweep.loss_order == ("ramp", "hinge")
+        assert sweep.train == self.TRAIN
+        stacks = self.record(monkeypatch, "train_many")
+        tests = self.record(monkeypatch, "_test_sets")
+        status = run_experiment(sweep)
+        assert [configs for (_, _, configs), _ in stacks] == [
+            [replace(self.TRAIN, loss=loss, seed=seed) for _ in range(2) for seed in (3, 4)]
+            for loss in ("hinge", "ramp")
+        ]
+        assert all(trainer is symloss.experiments.train_auc for (trainer, _, _), _ in stacks)
+        for (_, sets, _), _ in stacks:
+            assert {side.points.shape for pair in sets for side in pair} == {(77, 3)}
+        [(_, test_sets)] = tests
+        assert {x.shape for pair in test_sets.values() for x in pair} == {(88, 3)}
+        cells = [("0.9", "0.1"), ("0.8", "0.2")]
+        results = read_csv(out / "results.csv")[1:]
+        assert {(row[1], row[2]) for row in results} == set(cells)
+        assert {row[3] for row in results} == {"3", "4"}
+        aggregate = read_csv(out / "aggregate.csv")[1:]
+        mean_ber = {((row[0], row[1]), row[2]): float(row[3]) for row in aggregate}
+        ramp_above = any(mean_ber[cell, "ramp"] > mean_ber[cell, "hinge"] for cell in cells)
+        assert status == (1 if ramp_above else 0)
+
+        # [losses], [identities]: residuals shifted to lie between each
+        # tolerance's default and its configured value
+        identities = configs["verify_identities"]
+        assert identities.sections["identities"] == {
             "instances": 9, "max_support": 6, "score_range": 2.5,
             "tolerance": 1e-9, "symmetric_tolerance": 1e-11,
         }
-        assert config.sections["pu"] == {"class_prior_unlabeled": 0.25}
-        assert config.sections["uu"] == {"pi_u": 0.8, "pi_u_prime": 0.2}
+        instances = self.record(monkeypatch, "_random_identity_instance")
+        check = symloss.experiments.ber_decomposition_check
+        constant = symloss.experiments.symmetric_excess_constant
+        monkeypatch.setattr(
+            symloss.experiments, "ber_decomposition_check",
+            lambda *args: replace(check(*args), rhs=check(*args).rhs + 5e-10),
+        )
+        monkeypatch.setattr(
+            symloss.experiments, "symmetric_excess_constant", lambda *args: constant(*args) + 5e-12
+        )
+        assert run_experiment(identities) == 0
+        assert [args[1:] for args, _ in instances] == [(6, 2.5)] * 18
+        rows = read_csv(out / "residuals.csv")[1:]
+        assert [row[0] for row in rows] == ["hinge"] * 9 + ["ramp"] * 9
+        assert all(1e-10 < float(row[7]) <= 1e-9 for row in rows)
+        assert {row[-1] for row in rows} == {"ok"}
 
+        # [pu] and [uu]: the reduced mixture proportions of each demo
+        for experiment, params in (
+            ("pu_demo", symloss.experiments.pu_params(0.25)),
+            ("uu_demo", symloss.experiments.uu_params(0.8, 0.2)),
+        ):
+            stacks = self.record(monkeypatch, "train_many")
+            assert run_experiment(configs[experiment]) == 0
+            [((_, _, train_configs), _)] = stacks
+            assert train_configs == [replace(self.TRAIN, seed=seed) for seed in (3, 3, 4, 4)]
+            rows = read_csv(out / "results.csv")[1:]
+            assert [(float(row[2]), float(row[3])) for row in rows] == [
+                (params.pi_corr_pos, params.pi_corr_neg)
+            ] * 2
+
+        # [corpus], with one seed
         class Stop(Exception):
             pass
 
@@ -674,14 +761,14 @@ class TestSchema:
             received.append((corpus, keywords, pipeline_config))
             raise Stop
 
+        keywords_config = configs["keywords"]
         monkeypatch.setattr(symloss.experiments, "run_pipeline", recording)
-        monkeypatch.chdir(tmp_path)
         with pytest.raises(Stop):
-            run_experiment(config)
+            run_experiment(keywords_config)
         [(corpus, keywords, pipeline)] = received
         assert len(corpus) == 50
         assert keywords.words == ("alpha", "beta")
-        assert pipeline.train == replace(config.train, objective="auc", seed=3)
+        assert pipeline.train == replace(self.TRAIN, seed=3)
         assert (
             pipeline.tau, pipeline.scheme, pipeline.min_doc_freq,
             pipeline.threshold_method, pipeline.known_prior,
@@ -761,8 +848,11 @@ def test_out_of_range_value_exits_two_before_any_output(
         ("pu_demo", "[uu]\npi_u = 0.7\n", "uu"),
         ("uu_demo", "[noise]\npi_corr_pos = 0.8\npi_corr_neg = 0.3\n", "noise"),
         ("verify_identities", "[train]\nepochs = 3\n", "train"),
+        ("keywords", "[dataset]\ndimension = 3\n", "dataset"),
+        ("keywords", "[pu]\nclass_prior_unlabeled = 0.4\n", "pu"),
     ],
-    ids=["sweep-corpus", "compare-pu", "pu-uu", "uu-noise", "identities-train"],
+    ids=["sweep-corpus", "compare-pu", "pu-uu", "uu-noise", "identities-train",
+         "keywords-dataset", "keywords-pu"],
 )
 def test_a_section_the_experiment_never_reads_exits_two(
     tmp_path, capsys, experiment, text, section
@@ -778,6 +868,26 @@ def test_a_section_the_experiment_never_reads_exits_two(
     )
     assert not out.exists()
 
+
+@pytest.mark.parametrize("experiment", ["keywords", "verify_identities"])
+@pytest.mark.parametrize(
+    "seeds, flags, location",
+    [("0, 5", [], "[experiment] seeds"), ("0", ["--seed", "3,4"], "--seed")],
+    ids=["config", "flag"],
+)
+def test_a_one_seed_experiment_rejects_a_seed_list(
+    tmp_path, capsys, experiment, seeds, flags, location
+):
+    out = tmp_path / "out"
+    path = write_config(
+        tmp_path, f"[experiment]\nname = {experiment}\noutput_dir = {out}\nseeds = {seeds}\n"
+    )
+    assert main([experiment.replace("_", "-"), "--config", str(path), *flags]) == 2
+    assert (
+        f"symloss: error: {location}: the {experiment} experiment runs one seed"
+        in capsys.readouterr().err
+    )
+    assert not out.exists()
 
 def test_sweep_divergence_reports_the_run_met_first_in_sweep_order(tmp_path, capsys):
     # squared diverges only in the second cell (seed 3, epoch 25), exponential

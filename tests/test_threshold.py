@@ -1,5 +1,8 @@
 """Threshold selection, tie handling, and the breakeven property."""
 
+import math
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -75,6 +78,61 @@ class TestSelectThreshold:
         frac_low = select_threshold(scores, low).achieved_positive_fraction
         frac_high = select_threshold(scores, high).achieved_positive_fraction
         assert frac_low <= frac_high
+
+    @pytest.mark.parametrize(
+        "scores, prior, fraction, degenerate",
+        [
+            ([1e17, 2e17], 0.99, 1.0, False),  # min - 1.0 does not move
+            ([3e17] * 3, 0.5, 1.0, True),  # all equal: everything positive
+            ([1.0000000000000004, 1.0000000000000002], 0.5, 0.5, False),  # midpoint rounds up
+            ([1.5e308, 1e308, -1e308], 0.34, 1 / 3, False),  # midpoint overflows
+            ([-sys.float_info.max] * 2, 0.99, 0.0, True),  # no finite cutoff lies below
+        ],
+        ids=["k-n-large", "all-equal-large", "adjacent", "overflow", "lowest-float"],
+    )
+    def test_cutoff_separates_where_offsets_and_midpoints_fail(
+        self, scores, prior, fraction, degenerate
+    ):
+        result = select_threshold(scores, prior)
+        assert math.isfinite(result.beta)
+        assert result.achieved_positive_fraction == fraction
+        assert result.degenerate == degenerate
+
+    @given(
+        st.lists(
+            st.floats(allow_nan=False, allow_infinity=False)
+            | st.sampled_from([1e308, -1e308, 1.5e308, -1.5e308, 3e17, 1.0]),
+            min_size=1, max_size=12,
+        ),
+        st.lists(st.integers(-2, 2), max_size=12),
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_achieved_fraction_invariants(self, base, steps, prior):
+        # each base score is joined by its float neighbour ``step`` places
+        # away, so adjacent and tied scores are common
+        scores = list(base)
+        for x, step in zip(base, steps):
+            for _ in range(abs(step)):
+                x = math.nextafter(x, math.copysign(math.inf, step))
+            if math.isfinite(x):
+                scores.append(x)
+        result = select_threshold(scores, prior)
+        values = np.array(scores)
+        n = len(scores)
+        k = math.floor(prior * n + 0.5)
+        ordered = np.sort(values)[::-1]
+
+        assert math.isfinite(result.beta)
+        assert result.achieved_positive_fraction == np.mean(values > result.beta)
+        if not result.degenerate:
+            assert result.achieved_positive_fraction == k / n
+        if 0 < k < n:
+            assert result.degenerate == (ordered[k - 1] == ordered[k])
+        elif k == n:
+            assert result.degenerate == (ordered[-1] == -sys.float_info.max)
+        else:
+            assert not result.degenerate
 
 
 class TestHeuristicAndDefault:

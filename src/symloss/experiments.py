@@ -143,9 +143,21 @@ def _convert(where: str, text: str, kind):
             raise ConfigurationError(f"{where}: {text!r} is not one of {sorted(kind)}")
         return text
     try:
-        return _BOOLEANS[text.strip().lower()] if kind is bool else kind(text)
+        value = _BOOLEANS[text.strip().lower()] if kind is bool else kind(text)
     except (KeyError, ValueError):
         raise ConfigurationError(f"{where}: {text!r} is not {_LABELS[kind]}") from None
+    if kind is float and not math.isfinite(value):
+        raise ConfigurationError(f"{where}: {text!r} is not a finite number")
+    return value
+
+
+# (section, key) -> the least value an integer key may take
+_AT_LEAST = {
+    ("dataset", "n_train_per_class"): 1,
+    ("dataset", "n_test_per_class"): 1,
+    ("identities", "instances"): 1,
+    ("identities", "max_support"): 2,
+}
 
 
 def _read_sections(parser: configparser.ConfigParser, at) -> dict[str, dict]:
@@ -267,6 +279,13 @@ def parse_config(
         raise ConfigurationError(
             f"{at('experiment', 'seeds')}: the {name} experiment runs one seed, got {seeds}"
         )
+    if min(seeds) < 0:
+        raise ConfigurationError(
+            f"{at('experiment', 'seeds')}: seeds must be non-negative, got {seeds}"
+        )
+    for (section, key), least in _AT_LEAST.items():
+        if sections[section][key] < least:
+            raise ConfigurationError(f"[{section}] {key}: must be at least {least}")
 
     dataset = sections["dataset"]
     for key, value in (("mean_pos", 1.5), ("mean_neg", -1.5), ("covariance", 1.0)):
@@ -288,20 +307,31 @@ def parse_config(
     ]
 
     losses = sections["losses"]["names"]
+    if not losses:
+        raise ConfigurationError("[losses] names: must list at least one loss")
     if losses == ["all"]:
         losses = list(LOSS_NAMES)
     for loss_name in losses:
         check_loss_name(loss_name, "[losses] names", trainable="train" in reads)
     loss_order = _parse_loss_order(sections["assertions"]["loss_order"], losses)
     check_loss_name(sections["train"]["loss"], at("train", "loss"), trainable=True)
+    if "losses" in reads and parser.has_option("train", "loss"):
+        raise ConfigurationError(
+            f"{at('train', 'loss')}: the {name} experiment trains each of [losses] names; "
+            "list the losses there"
+        )
     if name == "keywords" and parser.has_option("train", "objective") and (
         sections["train"]["objective"] != "auc"
     ):
         raise ConfigurationError("[train] objective: the keywords pipeline trains only 'auc'")
     train = check_value("[train]", TrainConfig, **sections["train"])
 
-    if sections["identities"]["max_support"] < 2:
-        raise ConfigurationError("[identities] max_support: must be at least 2")
+    score_range = sections["identities"]["score_range"]
+    if not (score_range > 0 and math.isfinite(2 * score_range)):
+        raise ConfigurationError(
+            f"[identities] score_range: must be positive with 2 * score_range finite, "
+            f"got {score_range}"
+        )
     pu, uu = sections["pu"], sections["uu"]
     check_value("[pu] class_prior_unlabeled", pu_params, pu["class_prior_unlabeled"])
     check_value("[uu] pi_u, pi_u_prime", uu_params, uu["pi_u"], uu["pi_u_prime"])

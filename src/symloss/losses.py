@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -87,97 +88,79 @@ class SymmetryReport:
 
 
 def _zero_one(z):
-    z = np.asarray(z, dtype=float)
     # sign(0) = 0, so a zero score costs 1/2: the scorer is random-guessing
     return -0.5 * np.sign(z) + 0.5
 
 
 def _squared(z):
-    z = np.asarray(z, dtype=float)
     return (1.0 - z) ** 2
 
 
 def _squared_grad(z):
-    z = np.asarray(z, dtype=float)
     return -2.0 * (1.0 - z)
 
 
 def _hinge(z):
-    z = np.asarray(z, dtype=float)
     return np.maximum(0.0, 1.0 - z)
 
 
 def _hinge_grad(z):
     # right-hand derivative at the kink z = 1
-    z = np.asarray(z, dtype=float)
     return np.where(z < 1.0, -1.0, 0.0)
 
 
 def _squared_hinge(z):
-    z = np.asarray(z, dtype=float)
     return np.maximum(0.0, 1.0 - z) ** 2
 
 
 def _squared_hinge_grad(z):
-    z = np.asarray(z, dtype=float)
     return np.where(z < 1.0, -2.0 * (1.0 - z), 0.0)
 
 
 def _exponential(z):
-    z = np.asarray(z, dtype=float)
     return np.exp(np.clip(-z, -_EXP_CLAMP, _EXP_CLAMP))
 
 
 def _exponential_grad(z):
-    z = np.asarray(z, dtype=float)
     return -np.exp(np.clip(-z, -_EXP_CLAMP, _EXP_CLAMP))
 
 
 def _logistic(z):
     # stable evaluation of log(1 + exp(-z)): max(-z, 0) + log1p(exp(-|z|))
-    z = np.asarray(z, dtype=float)
     return np.logaddexp(0.0, -z)
 
 
 def _logistic_grad(z):
-    z = np.asarray(z, dtype=float)
     return -expit(-z)
 
 
 def _savage(z):
     # (1 + exp(2z))^-2 evaluated through the logistic sigmoid for stability
-    z = np.asarray(z, dtype=float)
     return expit(-2.0 * z) ** 2
 
 
 def _savage_grad(z):
-    z = np.asarray(z, dtype=float)
     return -4.0 * expit(2.0 * z) * expit(-2.0 * z) ** 2
 
 
 def _tangent(z):
-    z = np.asarray(z, dtype=float)
     return (2.0 * np.arctan(z) - 1.0) ** 2
 
 
 def _tangent_grad(z):
-    z = np.asarray(z, dtype=float)
     return 4.0 * (2.0 * np.arctan(z) - 1.0) / (1.0 + z * z)
 
 
 def _ramp(z):
-    z = np.asarray(z, dtype=float)
     return np.clip((1.0 - z) / 2.0, 0.0, 1.0)
 
 
 def _ramp_grad(z):
     # right-hand derivative at the kinks z = -1 and z = 1
-    z = np.asarray(z, dtype=float)
     return np.where((z >= -1.0) & (z < 1.0), -0.5, 0.0)
 
 
 def _sigmoid(z):
-    z = np.asarray(z, dtype=float)
     return expit(-z)
 
 
@@ -187,25 +170,28 @@ def _sigmoid_inplace(z):
 
 
 def _sigmoid_grad(z):
-    z = np.asarray(z, dtype=float)
     return -expit(z) * expit(-z)
 
 
 def _unhinged(z):
-    z = np.asarray(z, dtype=float)
     return 1.0 - z
 
 
 def _unhinged_grad(z):
-    z = np.asarray(z, dtype=float)
     return np.full_like(z, -1.0)
 
 
+def _on_floats(fn, z):
+    return fn(np.asarray(z, dtype=float))
+
+
 def _spec(name, value, grad, k, convex, auc="unknown", inplace=None):
+    # each evaluator sees a float64 array, whatever the caller passed; a
+    # partial of module-level functions keeps the spec picklable
     return LossSpec(
         name=name,
-        value=value,
-        grad=grad,
+        value=partial(_on_floats, value),
+        grad=None if grad is None else partial(_on_floats, grad),
         symmetry_constant=k,
         convex=convex,
         auc_consistent=auc,

@@ -164,16 +164,22 @@ def _pair_pool() -> concurrent.futures.ThreadPoolExecutor:
 os.register_at_fork(after_in_child=_pair_pool.cache_clear)
 
 
-def _chunk_sums(kernel, scores_pos: np.ndarray, scores_neg: np.ndarray, starts) -> list[float]:
-    """Loss sums of the pair-grid chunks that begin at ``starts``, each
-    computed in place in one reused buffer."""
+def _chunk_sums(
+    loss: LossSpec, scores_pos: np.ndarray, scores_neg: np.ndarray, starts
+) -> list[float]:
+    """Loss sums of the pair-grid chunks that begin at ``starts``; each
+    chunk's margins are formed in one reused buffer, which the loss's
+    ``value_inplace`` kernel, when it has one, overwrites with the losses."""
     buf = np.empty((min(_PAIR_CHUNK, scores_pos.shape[0]), scores_neg.shape[0]))
     sums = []
     for start in starts:
         block = scores_pos[start : start + _PAIR_CHUNK]
         out = buf[: block.shape[0]]
         np.subtract(block[:, None], scores_neg[None, :], out=out)
-        kernel(out)
+        if loss.value_inplace is None:
+            out = loss.value(out)
+        else:
+            loss.value_inplace(out)
         sums.append(float(out.sum()))
     return sums
 
@@ -185,23 +191,15 @@ def pairwise_mean_loss(
 
     The grid is cut into chunks of ``_PAIR_CHUNK`` = 512 positive rows, so
     large grids never materialize at once.  Each chunk's losses are summed
-    as one array, and the chunk sums are added in chunk order.  A loss
-    with a ``value_inplace`` kernel fills one reused buffer per worker;
-    with two or more chunks, a second worker thread sums the odd-numbered
-    chunks.  Every chunk's values and summation shape are those of the
-    serial ``loss.value`` loop, so the result equals it bit for bit.
+    as one array, and the chunk sums are added in chunk order.  With two
+    or more chunks, a second worker thread sums the odd-numbered chunks.
+    Every chunk's values and summation shape are those of the serial
+    ``loss.value`` loop, so the result equals it bit for bit.
     """
     scores_pos = np.asarray(scores_pos, dtype=float).reshape(-1)
     scores_neg = np.asarray(scores_neg, dtype=float).reshape(-1)
     starts = range(0, scores_pos.shape[0], _PAIR_CHUNK)
-    if loss.value_inplace is None:
-        total = 0.0
-        for start in starts:
-            block = scores_pos[start : start + _PAIR_CHUNK]
-            total += float(loss.value(block[:, None] - scores_neg[None, :]).sum())
-        return total / (scores_pos.shape[0] * scores_neg.shape[0])
-
-    args = (loss.value_inplace, scores_pos, scores_neg)
+    args = (loss, scores_pos, scores_neg)
     if len(starts) <= 1:
         sums = _chunk_sums(*args, starts)
     else:
@@ -267,13 +265,16 @@ def empirical_auc_risk(
     )
 
 
+def _class_terms(loss: LossSpec, s: np.ndarray, w_pos, w_neg) -> tuple[float, float]:
+    """The weighted class terms sum w_pos * l(s) and sum w_neg * l(-s)."""
+    return float(w_pos @ loss.value(s)), float(w_neg @ loss.value(-s))
+
+
 def exact_ber_risk(
     loss: LossSpec, dist: DiscreteBinaryDistribution, g: ScorerLike
 ) -> RiskReport:
     """Exact balanced risk over a finite support."""
-    s = _scores_for(g, dist.support)
-    pos_term = float(dist.p_pos @ loss.value(s))
-    neg_term = float(dist.p_neg @ loss.value(-s))
+    pos_term, neg_term = _class_terms(loss, _scores_for(g, dist.support), dist.p_pos, dist.p_neg)
     return RiskReport(
         value=0.5 * (pos_term + neg_term),
         components={"pos_term": pos_term, "neg_term": neg_term},
@@ -285,10 +286,8 @@ def exact_cer_risk(
     loss: LossSpec, dist: DiscreteBinaryDistribution, g: ScorerLike
 ) -> RiskReport:
     """Exact misclassification-style risk, prior-weighted per class."""
-    s = _scores_for(g, dist.support)
+    pos_term, neg_term = _class_terms(loss, _scores_for(g, dist.support), dist.p_pos, dist.p_neg)
     prior = dist.class_prior
-    pos_term = float(dist.p_pos @ loss.value(s))
-    neg_term = float(dist.p_neg @ loss.value(-s))
     return RiskReport(
         value=prior * pos_term + (1.0 - prior) * neg_term,
         components={"pos_term": pos_term, "neg_term": neg_term, "class_prior": prior},
@@ -314,6 +313,28 @@ def exact_auc_risk(
     )
 
 
+def _decomposition(
+    risk: str, loss: LossSpec, params: McdParams, lhs: float, clean: float, excess: float, **terms
+) -> DecompositionCheck:
+    """The check record of ``lhs`` against ``separation * clean + excess``;
+    ``terms`` are the excess's named parts."""
+    components = {"clean_risk": clean, "excess": excess, **terms, "slope": params.separation}
+    if loss.symmetric:
+        components["symmetric_excess"] = symmetric_excess_constant(loss, params)
+    return DecompositionCheck(
+        lhs=lhs,
+        rhs=params.separation * clean + excess,
+        components=components,
+        meta={
+            "risk": risk,
+            "loss": loss.name,
+            "pi_corr_pos": params.pi_corr_pos,
+            "pi_corr_neg": params.pi_corr_neg,
+            "expectation": "exact",
+        },
+    )
+
+
 def ber_decomposition_check(
     loss: LossSpec,
     dist: DiscreteBinaryDistribution,
@@ -330,29 +351,11 @@ def ber_decomposition_check(
     s = _scores_for(g, dist.support)
     corr_pos, corr_neg = corrupt_distribution(dist, params)
     a, b = params.pi_corr_pos, params.pi_corr_neg
-
-    lhs = 0.5 * (float(corr_pos @ loss.value(s)) + float(corr_neg @ loss.value(-s)))
-
-    clean = exact_ber_risk(loss, dist, s).value
+    pos_term, neg_term = _class_terms(loss, s, corr_pos, corr_neg)
     gap = loss.value(s) + loss.value(-s)
     excess = 0.5 * (b * float(dist.p_pos @ gap) + (1.0 - a) * float(dist.p_neg @ gap))
-    rhs = params.separation * clean + excess
-
-    components = {"clean_risk": clean, "excess": excess, "slope": params.separation}
-    if loss.symmetric:
-        components["symmetric_excess"] = symmetric_excess_constant(loss, params)
-    return DecompositionCheck(
-        lhs=lhs,
-        rhs=rhs,
-        components=components,
-        meta={
-            "risk": "ber",
-            "loss": loss.name,
-            "pi_corr_pos": a,
-            "pi_corr_neg": b,
-            "expectation": "exact",
-        },
-    )
+    clean = exact_ber_risk(loss, dist, s).value
+    return _decomposition("ber", loss, params, 0.5 * (pos_term + neg_term), clean, excess)
 
 
 def auc_decomposition_check(
@@ -371,44 +374,17 @@ def auc_decomposition_check(
     s = _scores_for(g, dist.support)
     corr_pos, corr_neg = corrupt_distribution(dist, params)
     a, b = params.pi_corr_pos, params.pi_corr_neg
-
     pair_losses = _pair_loss_matrix(loss, s)
     pair_gap = pair_losses + pair_losses.T
-
-    lhs = float(corr_pos @ pair_losses @ corr_neg)
-
-    clean = float(dist.p_pos @ pair_losses @ dist.p_neg)
-    cross = float(dist.p_pos @ pair_gap @ dist.p_neg)
-    pos_pos = float(dist.p_pos @ pair_gap @ dist.p_pos)
-    neg_neg = float(dist.p_neg @ pair_gap @ dist.p_neg)
-    excess = (
-        (1.0 - a) * b * cross
-        + 0.5 * a * b * pos_pos
-        + 0.5 * (1.0 - a) * (1.0 - b) * neg_neg
-    )
-    rhs = params.separation * clean + excess
-
-    components = {
-        "clean_risk": clean,
-        "excess": excess,
-        "excess_cross": (1.0 - a) * b * cross,
-        "excess_pos_pos": 0.5 * a * b * pos_pos,
-        "excess_neg_neg": 0.5 * (1.0 - a) * (1.0 - b) * neg_neg,
-        "slope": params.separation,
-    }
-    if loss.symmetric:
-        components["symmetric_excess"] = symmetric_excess_constant(loss, params)
-    return DecompositionCheck(
-        lhs=lhs,
-        rhs=rhs,
-        components=components,
-        meta={
-            "risk": "auc",
-            "loss": loss.name,
-            "pi_corr_pos": a,
-            "pi_corr_neg": b,
-            "expectation": "exact",
-        },
+    cross = (1.0 - a) * b * float(dist.p_pos @ pair_gap @ dist.p_neg)
+    pos_pos = 0.5 * a * b * float(dist.p_pos @ pair_gap @ dist.p_pos)
+    neg_neg = 0.5 * (1.0 - a) * (1.0 - b) * float(dist.p_neg @ pair_gap @ dist.p_neg)
+    return _decomposition(
+        "auc", loss, params,
+        lhs=float(corr_pos @ pair_losses @ corr_neg),
+        clean=float(dist.p_pos @ pair_losses @ dist.p_neg),
+        excess=cross + pos_pos + neg_neg,
+        excess_cross=cross, excess_pos_pos=pos_pos, excess_neg_neg=neg_neg,
     )
 
 

@@ -85,10 +85,11 @@ def _read_document(line: str, where: str) -> Document:
     if not isinstance(record, dict):
         raise ConfigurationError(f"{where}: expected a JSON object, got {type(record).__name__}")
     label = record.get("label")
-    try:
-        label = None if label is None else int(label)
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"{where}: label must be +1 or -1, got {label!r}") from None
+    if label is not None:
+        # a bool or a fraction is not a label, though int() would make one of it
+        if isinstance(label, bool) or label not in (-1, 1):
+            raise ConfigurationError(f"{where}: label must be +1 or -1, got {label!r}")
+        label = int(label)
     try:
         return Document(
             id=str(record["id"]),

@@ -619,7 +619,8 @@ class TestSchema:
     }
 
     # experiment -> the sections it is given besides [experiment]; each
-    # section is read through an experiment that uses it
+    # section is read through an experiment that uses it.  The sweep trains
+    # each of [losses] names, so it is given every [train] key but loss.
     ROUTES = {
         "noise_sweep": ("dataset", "noise", "losses", "assertions", "train"),
         "verify_identities": ("losses", "identities"),
@@ -642,6 +643,8 @@ class TestSchema:
         keywords.write_text("alpha\nbeta\n")
         values = dict(self.VALUES)
         values["experiment"] = {**values["experiment"], "name": experiment}
+        if experiment == "noise_sweep":
+            values["train"] = {k: v for k, v in values["train"].items() if k != "loss"}
         if experiment in self.ONE_SEED:
             values["experiment"]["seeds"] = "3"
         text = "".join(
@@ -671,15 +674,20 @@ class TestSchema:
         }
         assert {"experiment", *(s for route in self.ROUTES.values() for s in route)} == set(_SCHEMA)
         configs = {name: parse_config(self.full_config(tmp_path, name)) for name in self.ROUTES}
+        given = set()
         for experiment, config in configs.items():
             assert config.experiment == experiment
             for name in ("experiment", *self.ROUTES[experiment]):
-                for key, (_, default) in _SCHEMA[name].items():
+                for key in config.echo[name]:
+                    default = _SCHEMA[name][key][1]
                     assert config.sections[name][key] != default, (experiment, name, key)
+                    given.add((name, key))
+        assert given == {(name, key) for name, keys in _SCHEMA.items() for key in keys}
         monkeypatch.chdir(tmp_path)
         out = tmp_path / "elsewhere"
 
         # [experiment], [dataset], [noise], [losses], [assertions], [train]
+        # but its loss
         sweep = configs["noise_sweep"]
         assert (str(sweep.output_dir), sweep.seeds) == ("elsewhere", [3, 4])
         assert sweep.gaussians.dimension == 3
@@ -691,7 +699,7 @@ class TestSchema:
         ]
         assert sweep.losses == ["hinge", "ramp"]
         assert sweep.loss_order == ("ramp", "hinge")
-        assert sweep.train == self.TRAIN
+        assert sweep.train == replace(self.TRAIN, loss=_SCHEMA["train"]["loss"][1])
         stacks = self.record(monkeypatch, "train_many")
         tests = self.record(monkeypatch, "_test_sets")
         status = run_experiment(sweep)
@@ -737,7 +745,8 @@ class TestSchema:
         assert all(1e-10 < float(row[7]) <= 1e-9 for row in rows)
         assert {row[-1] for row in rows} == {"ok"}
 
-        # [pu] and [uu]: the reduced mixture proportions of each demo
+        # [pu] and [uu]: the reduced mixture proportions of each demo; and
+        # [train] loss, which the sweep does not take, reaches the demo runs
         for experiment, params in (
             ("pu_demo", symloss.experiments.pu_params(0.25)),
             ("uu_demo", symloss.experiments.uu_params(0.8, 0.2)),
@@ -821,10 +830,30 @@ class TestSchema:
         ("noise_sweep", "[noise]\npi_corr_pos = 0.8\npi_corr_neg = 0.3\n\n"
          "[losses]\nnames = exponential\n\n[train]\nstep_size = 5.0\n"
          "adaptive_moments = false\n", [], "training diverged"),
+        ("keywords", "", ["--seed", "-1"], "--seed: seeds must be non-negative"),
+        ("uu_demo", "", ["--seed", "2,-1"], "--seed: seeds must be non-negative"),
+        ("pu_demo", "[dataset]\nn_train_per_class = 0\n", [], "[dataset] n_train_per_class"),
+        ("uu_demo", "[dataset]\nn_test_per_class = 0\n", [], "[dataset] n_test_per_class"),
+        ("verify_identities", "[identities]\nscore_range = -1\n", [], "[identities] score_range"),
+        ("verify_identities", "[identities]\nscore_range = inf\n", [], "[identities] score_range"),
+        ("verify_identities", "[identities]\nscore_range = 1e308\n", [],
+         "[identities] score_range"),
+        ("verify_identities", "[identities]\ninstances = 0\n", [], "[identities] instances"),
+        ("verify_identities", "[losses]\nnames =\n", [], "[losses] names"),
+        ("pu_demo", "[train]\nstep_size = nan\n", [], "[train] step_size"),
+        ("pu_demo", "[dataset]\ncovariance = nan, 1.0\n", [], "[dataset] covariance"),
+        ("uu_demo", "[dataset]\nmean_pos = inf, 1.5\n", [], "[dataset] mean_pos"),
+        ("noise_sweep", "[noise]\npi_corr_pos = 0.8\npi_corr_neg = 0.3\n\n[train]\nloss = hinge\n",
+         [], "[train] loss: the noise_sweep experiment trains each of [losses] names"),
+        ("loss_compare", "[noise]\npi_corr_pos = 0.8\npi_corr_neg = 0.3\n\n[train]\nloss = hinge\n",
+         [], "[train] loss: the loss_compare experiment trains each of [losses] names"),
     ],
     ids=["pu-prior", "uu-order", "tau", "tau-flag", "prior", "prior-flag", "max-support",
          "zero-one-train", "zero-one-flag", "zero-one-names", "seed-flag", "method-flag",
-         "keywords-objective", "divergence"],
+         "keywords-objective", "divergence", "seed-negative", "seed-list-negative",
+         "n-train-zero", "n-test-zero", "score-range-negative", "score-range-inf",
+         "score-range-overflow", "instances-zero", "names-empty", "step-size-nan",
+         "covariance-nan", "mean-inf", "sweep-train-loss", "compare-train-loss"],
 )
 def test_out_of_range_value_exits_two_before_any_output(
     tmp_path, capsys, experiment, text, flags, location

@@ -1,6 +1,7 @@
 """Loss catalog: values, gradients, symmetry, convexity, metadata."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -71,6 +72,32 @@ class TestCatalogMetadata:
         expected = LOSSES[name].value(z)
         LOSSES[name].value_inplace(z)
         assert z.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("name", LOSS_NAMES)
+    def test_spec_survives_a_pickle_round_trip(self, name):
+        spec = LOSSES[name]
+        again = pickle.loads(pickle.dumps(spec))
+        margins = np.linspace(-3.0, 3.0, 13)
+        for field in ("name", "symmetry_constant", "convex", "auc_consistent", "differentiable"):
+            assert getattr(again, field) == getattr(spec, field)
+        assert again.value(margins).tobytes() == spec.value(margins).tobytes()
+        if spec.differentiable:
+            assert again.grad(margins).tobytes() == spec.grad(margins).tobytes()
+
+    @pytest.mark.parametrize("name", LOSS_NAMES)
+    def test_evaluators_see_float64_margins(self, name):
+        spec = LOSSES[name]
+        evaluators = [spec.value] + ([spec.grad] if spec.differentiable else [])
+        margins = [-3, -1, 0, 1, 2]
+        for evaluate in evaluators:
+            expected = evaluate(np.array(margins, dtype=np.float64))
+            assert expected.dtype == np.float64
+            for given_as in (margins, np.array(margins, dtype=np.int64)):
+                result = evaluate(given_as)
+                assert (result.dtype, result.tobytes()) == (np.float64, expected.tobytes())
+            for scalar in (2.0, 2):
+                result = np.asarray(evaluate(scalar))
+                assert (result.dtype, result.tobytes()) == (np.float64, expected[-1:].tobytes())
 
     def test_get_loss_unknown_name(self):
         with pytest.raises(ValueError, match="unknown loss"):

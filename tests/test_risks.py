@@ -417,37 +417,50 @@ class TestPairwiseMeanLoss:
         assert (scores_pos.tobytes(), scores_neg.tobytes()) == before
 
     @pytest.mark.parametrize("name", LOSS_NAMES)
-    def test_threads_only_for_an_inplace_kernel_over_two_chunks(self, name, monkeypatch):
+    def test_every_loss_uses_the_worker_for_two_chunks(self, name, monkeypatch):
         loss = LOSSES[name]
-        value_calls, pool_calls = [], []
-        counted = dataclasses.replace(
-            loss, value=lambda z: value_calls.append(z.shape) or loss.value(z)
-        )
+        calls, pool_calls = [], []
+
+        def counted(kind, evaluate):
+            def evaluate_counted(z):
+                calls.append((kind, z.shape, threading.current_thread() is threading.main_thread()))
+                return evaluate(z)
+
+            return evaluate_counted
+
+        changes = {"value": counted("value", loss.value)}
+        if loss.value_inplace is not None:
+            changes["value_inplace"] = counted("inplace", loss.value_inplace)
+        spy = dataclasses.replace(loss, **changes)
         pool = symloss.risks._pair_pool
         monkeypatch.setattr(symloss.risks, "_pair_pool", lambda: pool_calls.append(1) or pool())
         rng = np.random.default_rng(0)
-        for n_pos in (512, 1024):
-            pairwise_mean_loss(counted, rng.normal(size=n_pos), rng.normal(size=5))
-        if loss.value_inplace is None:
-            assert value_calls == [(512, 5), (512, 5), (512, 5)] and pool_calls == []
-        else:
-            assert value_calls == [] and pool_calls == [1]
+        pairwise_mean_loss(spy, rng.normal(size=512), rng.normal(size=5))
+        assert pool_calls == []
+        pairwise_mean_loss(spy, rng.normal(size=1024), rng.normal(size=5))
+        assert pool_calls == [1]
+        # one evaluation per chunk: the kernel where there is one, else value;
+        # the odd-numbered chunk of the second call runs off the main thread
+        kind = "value" if loss.value_inplace is None else "inplace"
+        assert sorted(calls) == [(kind, (512, 5), False)] + [(kind, (512, 5), True)] * 2
 
     # +inf - +inf is NaN, which numpy flags as an invalid subtraction; the
     # +inf row sits in a chunk the caller sums (0) or the worker sums (600)
+    # (sigmoid has an in-place kernel, hinge has none)
     @pytest.mark.parametrize("row", [0, 600])
     def test_non_finite_scores_warn_as_the_serial_loop(self, row):
-        sigmoid = get_loss("sigmoid")
         scores_pos = np.zeros(1100)
         scores_pos[row] = np.inf
         scores_neg = np.array([np.inf, 0.0, -np.inf])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for mean in (pairwise_mean_loss, serial_pairwise_mean):
+            for loss, mean in itertools.product(
+                map(get_loss, ("sigmoid", "hinge")), (pairwise_mean_loss, serial_pairwise_mean)
+            ):
                 with np.errstate(invalid="ignore", over="ignore"):
-                    assert math.isnan(mean(sigmoid, scores_pos, scores_neg))
+                    assert math.isnan(mean(loss, scores_pos, scores_neg))
                 with pytest.raises(RuntimeWarning, match="invalid value encountered in subtract"):
-                    mean(sigmoid, scores_pos, scores_neg)
+                    mean(loss, scores_pos, scores_neg)
 
     def test_worker_exception_reaches_the_caller(self):
         class WorkerError(Exception):

@@ -71,10 +71,14 @@ class TestCorpus:
             ('{"text": "a b"}', "missing field 'id'"),
             ('{"id": "x"}', "missing field 'text'"),
             ('{"id": "x", "text": "a b", "label": "pos"}', "label must be"),
+            ('{"id": "x", "text": "a b", "label": 1.9}', "label must be +1 or -1, got 1.9"),
+            ('{"id": "x", "text": "a b", "label": -1.2}', "label must be +1 or -1, got -1.2"),
+            ('{"id": "x", "text": "a b", "label": true}', "label must be +1 or -1, got True"),
             ('{"id": "x", "text": "a b", "split": "trian"}', "split must be one of"),
             ('["x", "a b"]', "expected a JSON object"),
         ],
-        ids=["no-id", "no-text", "label-pos", "split-trian", "not-an-object"],
+        ids=["no-id", "no-text", "label-pos", "label-fraction", "label-negative-fraction",
+             "label-true", "split-trian", "not-an-object"],
     )
     def test_bad_record_names_path_and_line(self, tmp_path, record, message):
         path = tmp_path / "corpus.jsonl"

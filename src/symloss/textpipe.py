@@ -19,7 +19,9 @@ from __future__ import annotations
 import json
 import re
 import warnings
+from array import array
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -55,10 +57,24 @@ __all__ = [
 SPLITS = ("train_unlabeled", "validation_unlabeled", "test_labeled")
 
 _TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
+# an ASCII byte's lowercase if that is in [0-9a-z], else a space
+_ASCII_TOKEN_BYTES = bytes(
+    ord(char.lower()) if char.lower() in "0123456789abcdefghijklmnopqrstuvwxyz" else 0x20
+    for char in map(chr, range(256))
+)
+# documents counted per bincount in Vectorizer.transform; bounds its scratch memory
+_ROW_BLOCK = 512
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase and split on runs of non-alphanumeric characters."""
+    """Lowercase and split on runs of characters outside [0-9a-z].
+
+    ASCII text is lowered and cut in one byte translate (every byte outside
+    [0-9a-zA-Z] becomes a space) and a whitespace split.  Any other text is
+    lowered and split by the ``[^0-9a-z]+`` regex, the same rule.
+    """
+    if text.isascii():
+        return text.encode("ascii").translate(_ASCII_TOKEN_BYTES).decode("ascii").split()
     return [token for token in _TOKEN_SPLIT.split(text.lower()) if token]
 
 
@@ -91,14 +107,23 @@ def _read_document(line: str, where: str) -> Document:
             raise ConfigurationError(f"{where}: label must be +1 or -1, got {label!r}")
         label = int(label)
     try:
+        doc_id, text = record["id"], record["text"]
+    except KeyError as exc:
+        raise ConfigurationError(f"{where}: missing field {exc}") from None
+    # str() would turn null into "None" and a list into its repr
+    if isinstance(doc_id, bool) or not isinstance(doc_id, (str, int)):
+        raise ConfigurationError(
+            f"{where}: id must be a string or an integer, got {type(doc_id).__name__}"
+        )
+    if not isinstance(text, str):
+        raise ConfigurationError(f"{where}: text must be a string, got {type(text).__name__}")
+    try:
         return Document(
-            id=str(record["id"]),
-            text=str(record["text"]),
+            id=str(doc_id),
+            text=text,
             hidden_label=label,
             split=record.get("split", "train_unlabeled"),
         )
-    except KeyError as exc:
-        raise ConfigurationError(f"{where}: missing field {exc}") from None
     except ValueError as exc:
         raise ConfigurationError(f"{where}: {exc}") from None
 
@@ -206,14 +231,33 @@ class Vectorizer:
         return np.log((1.0 + self.n_documents) / (1.0 + self.document_frequency)) + 1.0
 
     def transform(self, docs: Iterable) -> np.ndarray:
-        """Row-per-document term matrix under the configured scheme."""
+        """Row-per-document term matrix under the configured scheme.
+
+        Documents are counted in blocks of 512 rows (``_ROW_BLOCK``): each
+        block's (row, column) cells go through one ``np.bincount``, with
+        unknown tokens sent to a spare column that is dropped.  The counts
+        are exact integers, so the matrix equals a per-token loop's; the
+        block bounds the scratch memory to one block's counts.  The idf is
+        applied to the whole matrix afterwards.
+        """
         texts = [doc.text if isinstance(doc, Document) else str(doc) for doc in docs]
-        matrix = np.zeros((len(texts), self.size))
-        for row, text in enumerate(texts):
-            for token in tokenize(text):
-                column = self.vocabulary.get(token)
-                if column is not None:
-                    matrix[row, column] += 1.0
+        size = self.size
+        width = size + 1
+        matrix = np.empty((len(texts), size))
+        column_of = self.vocabulary.get
+        for start in range(0, len(texts), _ROW_BLOCK):
+            block = texts[start:start + _ROW_BLOCK]
+            rows = len(block)
+            columns = array("q")
+            lengths = []
+            for text in block:
+                tokens = tokenize(text)
+                columns.extend(map(column_of, tokens, repeat(size)))
+                lengths.append(len(tokens))
+            cells = np.repeat(np.arange(rows) * width, lengths)
+            cells += np.frombuffer(columns, dtype=np.int64)
+            counts = np.bincount(cells, minlength=rows * width).reshape(rows, width)
+            matrix[start:start + rows] = counts[:, :size]
         if self.scheme == "tf_idf":
             matrix *= self._idf()
         return matrix

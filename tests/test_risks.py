@@ -287,6 +287,44 @@ class TestAucDecomposition:
             assert abs(check.components["excess"] - expected) <= 1e-12
 
 
+@st.composite
+def mixture_instances(draw):
+    """A finite support with random class densities and scores (ties
+    included), plus mixture proportions with pi_corr_pos > pi_corr_neg."""
+    m = draw(st.integers(2, 8))
+    support = draw(st.lists(st.floats(-100.0, 100.0), min_size=m, max_size=m, unique=True))
+    weights = st.lists(
+        st.floats(0.0, 1.0, allow_subnormal=False), min_size=m, max_size=m
+    ).filter(lambda w: sum(w) > 0.0)
+    p_pos, p_neg = np.array(draw(weights)), np.array(draw(weights))
+    dist = DiscreteBinaryDistribution(
+        np.array(support), p_pos / p_pos.sum(), p_neg / p_neg.sum(),
+        class_prior=draw(st.floats(0.05, 0.95)),
+    )
+    scores = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=m, max_size=m)))
+    a = draw(st.floats(0.0, 1.0, exclude_min=True))
+    b = draw(st.floats(0.0, a, exclude_max=True))
+    return dist, scores, McdParams(a, b)
+
+
+class TestDecompositionProperties:
+    """Both identities at roundoff for every catalog loss, and the excess
+    equal to K * (1 - a + b) / 2 for the symmetric ones."""
+
+    @pytest.mark.parametrize("check", [ber_decomposition_check, auc_decomposition_check])
+    @pytest.mark.parametrize("name", LOSS_NAMES)
+    @given(instance=mixture_instances())
+    @settings(max_examples=25, deadline=None)
+    def test_identity_residual_and_symmetric_excess(self, check, name, instance):
+        dist, scores, params = instance
+        loss = get_loss(name)
+        result = check(loss, dist, scores, params)
+        assert result.residual <= 1e-10
+        if loss.symmetric:
+            expected = symmetric_excess_constant(loss, params)
+            assert abs(result.components["excess"] - expected) <= 1e-12
+
+
 class TestAffineLinkAndMinimizers:
     """Corrupted risk = separation * clean risk + constant, per scorer."""
 

@@ -1,7 +1,13 @@
 """Vectorization, pseudo-labeling, and the end-to-end keyword pipeline."""
 
+import re
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
 from symloss.datasets import (
@@ -13,6 +19,7 @@ from symloss.datasets import (
 from symloss.errors import ConfigurationError, DegenerateSplitError
 from symloss.losses import get_loss
 from symloss.risks import pairwise_mean_loss
+import symloss.textpipe
 from symloss.textpipe import (
     Corpus,
     Document,
@@ -39,12 +46,47 @@ def bundled():
     return load_mini_corpus(), load_keywords()
 
 
+def regex_tokenize(text):
+    """Oracle: the tokenizer's rule as one regex split."""
+    return [token for token in re.split(r"[^0-9a-z]+", text.lower()) if token]
+
+
+def loop_transform(vectorizer, docs):
+    """Oracle: the per-token counting loop that ``Vectorizer.transform`` replaced."""
+    texts = [doc.text if isinstance(doc, Document) else str(doc) for doc in docs]
+    matrix = np.zeros((len(texts), vectorizer.size))
+    for row, text in enumerate(texts):
+        for token in regex_tokenize(text):
+            column = vectorizer.vocabulary.get(token)
+            if column is not None:
+                matrix[row, column] += 1.0
+    if vectorizer.scheme == "tf_idf":
+        matrix *= vectorizer._idf()
+    return matrix
+
+
 class TestTokenize:
     def test_lowercase_and_split(self):
         assert tokenize("Hello, World! x2") == ["hello", "world", "x2"]
 
     def test_empty(self):
         assert tokenize("...!?") == []
+
+    @given(st.text() | st.text(st.characters(max_codepoint=127)))
+    @example("\u212a")  # Kelvin sign: lowercases to an ASCII k
+    @example("\u212aelvin \u0130stanbul")  # dotted capital I: lowercases to i + U+0307
+    @example("\uff11\uff12 3\u00b2")  # full-width and superscript digits are not [0-9]
+    @example("a\u00a0b\u2003c")  # no-break and em spaces
+    @example("tab\tsplit\x0bvertical\x1cfile")
+    @example("")
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_regex_oracle(self, text):
+        assert tokenize(text) == regex_tokenize(text)
+
+    def test_non_ascii_splits_by_the_same_rule(self):
+        assert tokenize("\u212aelvin \u0130stanbul caf\u00e9 \uff11") == [
+            "kelvin", "i", "stanbul", "caf"
+        ]
 
 
 class TestCorpus:
@@ -76,9 +118,17 @@ class TestCorpus:
             ('{"id": "x", "text": "a b", "label": true}', "label must be +1 or -1, got True"),
             ('{"id": "x", "text": "a b", "split": "trian"}', "split must be one of"),
             ('["x", "a b"]', "expected a JSON object"),
+            ('{"id": "x", "text": null}', "text must be a string, got NoneType"),
+            ('{"id": "x", "text": ["a", "b"]}', "text must be a string, got list"),
+            ('{"id": "x", "text": 7}', "text must be a string, got int"),
+            ('{"id": null, "text": "a b"}', "id must be a string or an integer, got NoneType"),
+            ('{"id": ["x"], "text": "a b"}', "id must be a string or an integer, got list"),
+            ('{"id": 1.5, "text": "a b"}', "id must be a string or an integer, got float"),
+            ('{"id": true, "text": "a b"}', "id must be a string or an integer, got bool"),
         ],
         ids=["no-id", "no-text", "label-pos", "label-fraction", "label-negative-fraction",
-             "label-true", "split-trian", "not-an-object"],
+             "label-true", "split-trian", "not-an-object", "text-null", "text-list",
+             "text-number", "id-null", "id-list", "id-fraction", "id-true"],
     )
     def test_bad_record_names_path_and_line(self, tmp_path, record, message):
         path = tmp_path / "corpus.jsonl"
@@ -87,6 +137,11 @@ class TestCorpus:
             Corpus.from_jsonl(path)
         assert str(info.value).startswith(f"{path}:2: ")
         assert message in str(info.value)
+
+    def test_integer_id_is_read_as_its_string(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"id": 7, "text": "a b"}\n')
+        assert Corpus.from_jsonl(path).documents[0].id == "7"
 
 
 class TestKeywordSet:
@@ -130,6 +185,62 @@ class TestBuildVectorizer:
         first = build_vectorizer(make_docs(texts), scheme="tf")
         second = build_vectorizer(make_docs(texts), scheme="tf")
         assert first.vocabulary == second.vocabulary
+
+
+_WORDS = ("alpha", "Beta", "gamma", "delta", "x2", "42", "\u212a", "zeta", "caf\u00e9", "...")
+
+
+# documents of vocabulary words and strangers, or arbitrary text
+_TEXTS = st.lists(st.sampled_from(_WORDS), max_size=12).map(" ".join) | st.text(max_size=20)
+
+
+class TestTransform:
+    FIT = ["alpha beta gamma", "beta delta 42", "gamma K x2 beta", "alpha alpha zeta"]
+
+    @given(
+        st.lists(_TEXTS, max_size=40),
+        st.sampled_from(["tf", "tf_idf"]),
+        st.booleans(),
+        st.sampled_from([1, 3, 512]),
+    )
+    @example([], "tf", True, 512)
+    @example(["omega !!", "", "\u0130"], "tf_idf", False, 512)
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_per_token_loop(self, texts, scheme, as_documents, block):
+        vectorizer = build_vectorizer(make_docs(self.FIT), scheme=scheme)
+        docs = make_docs(texts) if as_documents else texts
+        with mock.patch.object(symloss.textpipe, "_ROW_BLOCK", block):
+            matrix = vectorizer.transform(docs)
+        expected = loop_transform(vectorizer, docs)
+        assert matrix.shape == (len(texts), vectorizer.size)
+        assert matrix.dtype == expected.dtype
+        assert matrix.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("scheme", ["tf", "tf_idf"])
+    def test_crosses_row_blocks_at_the_real_block_size(self, scheme):
+        rng = np.random.default_rng(5)
+        texts = [" ".join(rng.choice(_WORDS, size=int(rng.integers(0, 9)))) for _ in range(1100)]
+        vectorizer = build_vectorizer(make_docs(self.FIT), scheme=scheme)
+        assert len(texts) > 2 * symloss.textpipe._ROW_BLOCK
+        assert vectorizer.transform(texts).tobytes() == loop_transform(vectorizer, texts).tobytes()
+
+    def test_scratch_memory_is_bounded_by_the_block(self):
+        # 5,000 short documents over a 120-token vocabulary: counting every row
+        # in one bincount would need 5,000 * 121 int64 counts (4.8 MB) of scratch
+        rng = np.random.default_rng(9)
+        words = np.array([f"w{i}" for i in range(160)])
+        vectorizer = build_vectorizer(
+            [" ".join(words[i:i + 4]) for i in range(0, 120, 4)], scheme="tf_idf"
+        )
+        assert vectorizer.size == 120
+        texts = [" ".join(rng.choice(words, size=8)) for _ in range(5000)]
+        tracemalloc.start()
+        try:
+            matrix = vectorizer.transform(texts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - matrix.nbytes < 2_000_000
 
 
 class TestPseudoLabel:

@@ -17,7 +17,6 @@ proportions instead of assuming them.
 from __future__ import annotations
 
 import json
-import re
 import warnings
 from array import array
 from dataclasses import dataclass, field
@@ -56,7 +55,6 @@ __all__ = [
 
 SPLITS = ("train_unlabeled", "validation_unlabeled", "test_labeled")
 
-_TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
 # an ASCII byte's lowercase if that is in [0-9a-z], else a space
 _ASCII_TOKEN_BYTES = bytes(
     ord(char.lower()) if char.lower() in "0123456789abcdefghijklmnopqrstuvwxyz" else 0x20
@@ -69,13 +67,12 @@ _ROW_BLOCK = 512
 def tokenize(text: str) -> list[str]:
     """Lowercase and split on runs of characters outside [0-9a-z].
 
-    ASCII text is lowered and cut in one byte translate (every byte outside
-    [0-9a-zA-Z] becomes a space) and a whitespace split.  Any other text is
-    lowered and split by the ``[^0-9a-z]+`` regex, the same rule.
+    The lowered text is encoded to ASCII with every other code point as
+    ``?``; one byte translate then turns each byte outside [0-9a-z] into a
+    space, and a whitespace split cuts the tokens.
     """
-    if text.isascii():
-        return text.encode("ascii").translate(_ASCII_TOKEN_BYTES).decode("ascii").split()
-    return [token for token in _TOKEN_SPLIT.split(text.lower()) if token]
+    ascii_bytes = text.lower().encode("ascii", "replace")
+    return ascii_bytes.translate(_ASCII_TOKEN_BYTES).decode("ascii").split()
 
 
 @dataclass(frozen=True)

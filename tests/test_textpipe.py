@@ -78,6 +78,7 @@ class TestTokenize:
     @example("\uff11\uff12 3\u00b2")  # full-width and superscript digits are not [0-9]
     @example("a\u00a0b\u2003c")  # no-break and em spaces
     @example("tab\tsplit\x0bvertical\x1cfile")
+    @example("ab\ud800cd?ef")  # a lone surrogate and a literal ?: both separators
     @example("")
     @settings(max_examples=300, deadline=None)
     def test_equals_the_regex_oracle(self, text):

@@ -3,7 +3,7 @@
 Three families of computation live here:
 
 * empirical risks over sample sets (balanced per-class means for BER,
-  the full pairwise mean for AUC);
+  and, always exact, the mean over every pos x neg pair for AUC);
 * exact risks over finite-support distributions, where expectations are
   plain weighted sums; and
 * decomposition checks that recompute a corrupted risk two ways -- once
@@ -53,8 +53,6 @@ __all__ = [
     "symmetric_excess_constant",
 ]
 
-# above this many pairs the empirical AUC risk switches to subsampling
-EXACT_PAIR_LIMIT = 10_000_000
 _PAIR_CHUNK = 512
 
 
@@ -219,38 +217,17 @@ def pairwise_mean_loss(
     return total / (scores_pos.shape[0] * scores_neg.shape[0])
 
 
-def empirical_auc_risk(
-    loss: LossSpec,
-    set_pos,
-    set_neg,
-    g: ScorerLike,
-    max_pairs: int = EXACT_PAIR_LIMIT,
-    seed: int = 0,
-) -> RiskReport:
+def empirical_auc_risk(loss: LossSpec, set_pos, set_neg, g: ScorerLike) -> RiskReport:
     """Empirical pairwise ranking risk of treating set_pos above set_neg.
 
-    Exact (every pair visited) up to ``max_pairs`` pairs; beyond that the
-    pair grid is subsampled uniformly with replacement and the pair count
-    used is reported in the metadata.
+    Always exact: every pos x neg pair is visited, by
+    :func:`pairwise_mean_loss`, whose chunks bound the memory at any size.
     """
     _require_callable(g)
-    pos = _points_of(set_pos)
-    neg = _points_of(set_neg)
-    scores_pos = _scores_for(g, pos)
-    scores_neg = _scores_for(g, neg)
+    scores_pos = _scores_for(g, _points_of(set_pos))
+    scores_neg = _scores_for(g, _points_of(set_neg))
+    value = pairwise_mean_loss(loss, scores_pos, scores_neg)
     n_pos, n_neg = scores_pos.shape[0], scores_neg.shape[0]
-    n_pairs = n_pos * n_neg
-    if n_pairs <= max_pairs:
-        value = pairwise_mean_loss(loss, scores_pos, scores_neg)
-        exact = True
-        pairs_used = n_pairs
-    else:
-        rng = np.random.default_rng(seed)
-        ii = rng.integers(0, n_pos, size=max_pairs)
-        jj = rng.integers(0, n_neg, size=max_pairs)
-        value = float(np.mean(loss.value(scores_pos[ii] - scores_neg[jj])))
-        exact = False
-        pairs_used = max_pairs
     return RiskReport(
         value=value,
         components={"pair_mean": value},
@@ -259,8 +236,7 @@ def empirical_auc_risk(
             "loss": loss.name,
             "n_pos": n_pos,
             "n_neg": n_neg,
-            "pairs": pairs_used,
-            "exact_pairs": exact,
+            "pairs": n_pos * n_neg,
         },
     )
 

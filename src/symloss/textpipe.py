@@ -77,16 +77,38 @@ def tokenize(text: str) -> list[str]:
 
 @dataclass(frozen=True)
 class Document:
+    """One corpus record.  Its rules, checked at construction:
+
+    * ``id`` is a string, or an integer, which is stored as its string;
+    * ``text`` is a string;
+    * ``hidden_label`` is None or +1/-1, not a bool, and is stored as an int;
+    * ``split`` is one of ``SPLITS``, and a ``test_labeled`` document has
+      a label.
+    """
+
     id: str
     text: str
     hidden_label: Optional[int] = None
     split: str = "train_unlabeled"
 
     def __post_init__(self) -> None:
+        # str() would turn None into "None" and a list into its repr
+        if isinstance(self.id, int) and not isinstance(self.id, bool):
+            object.__setattr__(self, "id", str(self.id))
+        elif not isinstance(self.id, str):
+            raise ValueError(f"id must be a string or an integer, got {type(self.id).__name__}")
+        if not isinstance(self.text, str):
+            raise ValueError(f"text must be a string, got {type(self.text).__name__}")
+        label = self.hidden_label
+        if label is not None:
+            # a bool or a fraction is not a label, though int() would make one of it
+            if isinstance(label, bool) or label not in (-1, 1):
+                raise ValueError(f"label must be +1 or -1, got {label!r}")
+            object.__setattr__(self, "hidden_label", int(label))
         if self.split not in SPLITS:
             raise ValueError(f"split must be one of {SPLITS}, got {self.split!r}")
-        if self.hidden_label is not None and self.hidden_label not in (-1, 1):
-            raise ValueError("document labels must be +1 or -1")
+        if self.split == "test_labeled" and label is None:
+            raise ValueError(f"test document {self.id!r} is missing its label")
 
 
 def _read_document(line: str, where: str) -> Document:
@@ -97,30 +119,12 @@ def _read_document(line: str, where: str) -> Document:
         raise ConfigurationError(f"{where}: invalid JSON ({exc})") from None
     if not isinstance(record, dict):
         raise ConfigurationError(f"{where}: expected a JSON object, got {type(record).__name__}")
-    label = record.get("label")
-    if label is not None:
-        # a bool or a fraction is not a label, though int() would make one of it
-        if isinstance(label, bool) or label not in (-1, 1):
-            raise ConfigurationError(f"{where}: label must be +1 or -1, got {label!r}")
-        label = int(label)
     try:
         doc_id, text = record["id"], record["text"]
     except KeyError as exc:
         raise ConfigurationError(f"{where}: missing field {exc}") from None
-    # str() would turn null into "None" and a list into its repr
-    if isinstance(doc_id, bool) or not isinstance(doc_id, (str, int)):
-        raise ConfigurationError(
-            f"{where}: id must be a string or an integer, got {type(doc_id).__name__}"
-        )
-    if not isinstance(text, str):
-        raise ConfigurationError(f"{where}: text must be a string, got {type(text).__name__}")
     try:
-        return Document(
-            id=str(doc_id),
-            text=text,
-            hidden_label=label,
-            split=record.get("split", "train_unlabeled"),
-        )
+        return Document(doc_id, text, record.get("label"), record.get("split", "train_unlabeled"))
     except ValueError as exc:
         raise ConfigurationError(f"{where}: {exc}") from None
 
@@ -135,9 +139,6 @@ class Corpus:
         ids = [doc.id for doc in self.documents]
         if len(set(ids)) != len(ids):
             raise ValueError("document ids must be unique")
-        for doc in self.documents:
-            if doc.split == "test_labeled" and doc.hidden_label is None:
-                raise ValueError(f"test document {doc.id!r} is missing its label")
 
     def split(self, tag: str) -> list[Document]:
         if tag not in SPLITS:
@@ -149,18 +150,27 @@ class Corpus:
 
     @classmethod
     def from_jsonl(cls, path) -> "Corpus":
+        """Read one record per non-blank line; a bad record, or an id seen
+        on an earlier line (the integer 7 and the string "7" are one id),
+        is a ConfigurationError naming ``path:line``."""
         documents = []
+        first_line: dict[str, int] = {}
         with open(path, "r", encoding="utf-8") as fh:
             for line_number, line in enumerate(fh, start=1):
                 line = line.strip()
-                if line:
-                    documents.append(_read_document(line, f"{path}:{line_number}"))
+                if not line:
+                    continue
+                doc = _read_document(line, f"{path}:{line_number}")
+                if doc.id in first_line:
+                    raise ConfigurationError(
+                        f"{path}:{line_number}: duplicate document id {doc.id!r}, "
+                        f"first at {path}:{first_line[doc.id]}"
+                    )
+                first_line[doc.id] = line_number
+                documents.append(doc)
         if not documents:
             raise ConfigurationError(f"{path}: corpus is empty")
-        try:
-            return cls(documents)
-        except ValueError as exc:
-            raise ConfigurationError(f"{path}: {exc}") from None
+        return cls(documents)
 
     def to_jsonl(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -210,14 +220,14 @@ class Vectorizer:
 
     Vocabulary order is (document frequency descending, token ascending),
     restricted to tokens appearing in at least ``min_doc_freq`` fit
-    documents.  The idf is log((1 + N) / (1 + df)) + 1, which keeps all
-    weights positive so cosines of non-negative vectors stay in [0, 1].
+    documents, the threshold :func:`build_vectorizer` takes.  The idf is
+    log((1 + N) / (1 + df)) + 1, which keeps all weights positive so
+    cosines of non-negative vectors stay in [0, 1].
     """
 
     vocabulary: dict[str, int]
     document_frequency: np.ndarray
     scheme: str
-    min_doc_freq: int
     n_documents: int
 
     @property
@@ -297,7 +307,6 @@ def build_vectorizer(corpus, scheme: str = "tf_idf", min_doc_freq: int = 1) -> V
         vocabulary=vocabulary,
         document_frequency=frequencies,
         scheme=scheme,
-        min_doc_freq=min_doc_freq,
         n_documents=len(docs),
     )
 

@@ -54,6 +54,12 @@ __all__ = [
     "make_auc_objective",
 ]
 
+# decay rates of the first and second moment estimates, and the floor added
+# to the second moment's root, for the moment-rescaled steps
+MOMENT_DECAY1 = 0.9
+MOMENT_DECAY2 = 0.999
+EPSILON = 1e-8
+
 
 @dataclass
 class Scorer:
@@ -165,7 +171,8 @@ class TrainConfig:
     """Settings for one training run.
 
     ``adaptive_moments`` selects moment-rescaled gradient steps with the
-    standard decay constants; switching it off gives plain gradient
+    fixed module constants ``MOMENT_DECAY1`` = 0.9, ``MOMENT_DECAY2`` =
+    0.999 and ``EPSILON`` = 1e-8; switching it off gives plain gradient
     descent at the same step size.  ``batch_size`` is the per-class batch
     for the balanced objective; ``pair_batch`` is the number of sampled
     pairs per step for the pairwise objective.
@@ -175,9 +182,6 @@ class TrainConfig:
     loss: str = "sigmoid"
     step_size: float = 0.05
     adaptive_moments: bool = True
-    moment_decay1: float = 0.9
-    moment_decay2: float = 0.999
-    epsilon: float = 1e-8
     epochs: int = 100
     batch_size: int = 64
     pair_batch: int = 256
@@ -345,7 +349,7 @@ def _run_steps(
     first_moment = np.zeros_like(theta)
     second_moment = np.zeros_like(theta)
     lr = config.step_size
-    b1, b2, eps = config.moment_decay1, config.moment_decay2, config.epsilon
+    b1, b2, eps = MOMENT_DECAY1, MOMENT_DECAY2, EPSILON
     step = 0
     objectives, diverged = [], {}
     for epoch in range(1, config.epochs + 1):

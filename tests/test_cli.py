@@ -547,7 +547,7 @@ class TestTrainConfigReachesTrainer:
 
     @staticmethod
     def with_unparsed_fields(config):
-        config.train = replace(config.train, epsilon=1e-6, moment_decay1=0.8, epochs=2)
+        config.train = replace(config.train, step_size=0.01, epochs=2)
         return config
 
     def test_noise_sweep(self, tmp_path, monkeypatch):
@@ -556,7 +556,7 @@ class TestTrainConfigReachesTrainer:
         assert run_experiment(config) == 0
         assert len(received) == 4
         for train in received:
-            assert (train.epsilon, train.moment_decay1, train.epochs) == (1e-6, 0.8, 2)
+            assert (train.step_size, train.epochs) == (0.01, 2)
 
     def test_keywords(self, tmp_path, monkeypatch):
         received = self.capture(monkeypatch, symloss.textpipe, "train_auc")
@@ -564,7 +564,7 @@ class TestTrainConfigReachesTrainer:
         config.output_dir = tmp_path / "out"
         run_experiment(config)
         [train] = received
-        assert (train.epsilon, train.moment_decay1, train.epochs) == (1e-6, 0.8, 2)
+        assert (train.step_size, train.epochs) == (0.01, 2)
         assert (train.objective, train.seed) == ("auc", config.seeds[0])
 
 

@@ -126,7 +126,7 @@ class TestEmpiricalAuc:
         report = empirical_auc_risk(get_loss("zero_one"), pos, neg, g)
         # 3 wins, 1 tie at half: (0 + 0 + 0.5 + 0) / 4
         assert report.value == pytest.approx(0.125, abs=1e-15)
-        assert report.meta["exact_pairs"] is True
+        assert report.meta["pairs"] == 4
 
     @pytest.mark.parametrize("name", SYMMETRIC_LOSS_NAMES)
     def test_constant_scorer_gives_half_k(self, name):
@@ -144,18 +144,16 @@ class TestEmpiricalAuc:
         report = empirical_auc_risk(get_loss("sigmoid"), pos, neg, g)
         assert report.value == pytest.approx(0.2689414213699951, abs=1e-12)
 
-    def test_subsampled_path_close_and_reported(self):
+    def test_large_grid_is_exact(self):
+        # 3,163 x 3,163 = 10,004,569 pairs, just past any 10^7-pair cutoff
         rng = np.random.default_rng(5)
-        pos = SampleSet(rng.normal(1.0, 1.0, size=(300, 1)), "corr_pos")
-        neg = SampleSet(rng.normal(-1.0, 1.0, size=(300, 1)), "corr_neg")
+        pos = SampleSet(rng.normal(1.0, 1.0, size=(3163, 1)), "corr_pos")
+        neg = SampleSet(rng.normal(-1.0, 1.0, size=(3163, 1)), "corr_neg")
         g = lambda X: X[:, 0]
-        exact = empirical_auc_risk(get_loss("sigmoid"), pos, neg, g)
-        sub = empirical_auc_risk(
-            get_loss("sigmoid"), pos, neg, g, max_pairs=20_000, seed=1
-        )
-        assert sub.meta["exact_pairs"] is False
-        assert sub.meta["pairs"] == 20_000
-        assert abs(sub.value - exact.value) <= 0.02
+        loss = get_loss("sigmoid")
+        report = empirical_auc_risk(loss, pos, neg, g)
+        assert report.value == pairwise_mean_loss(loss, g(pos.points), g(neg.points))
+        assert report.meta["pairs"] == 3163 * 3163
 
 
 class TestExactRisks:

@@ -126,10 +126,12 @@ class TestCorpus:
             ('{"id": ["x"], "text": "a b"}', "id must be a string or an integer, got list"),
             ('{"id": 1.5, "text": "a b"}', "id must be a string or an integer, got float"),
             ('{"id": true, "text": "a b"}', "id must be a string or an integer, got bool"),
+            ('{"id": "x", "text": "a b", "split": "test_labeled"}',
+             "test document 'x' is missing its label"),
         ],
         ids=["no-id", "no-text", "label-pos", "label-fraction", "label-negative-fraction",
              "label-true", "split-trian", "not-an-object", "text-null", "text-list",
-             "text-number", "id-null", "id-list", "id-fraction", "id-true"],
+             "text-number", "id-null", "id-list", "id-fraction", "id-true", "test-unlabeled"],
     )
     def test_bad_record_names_path_and_line(self, tmp_path, record, message):
         path = tmp_path / "corpus.jsonl"
@@ -143,6 +145,47 @@ class TestCorpus:
         path = tmp_path / "corpus.jsonl"
         path.write_text('{"id": 7, "text": "a b"}\n')
         assert Corpus.from_jsonl(path).documents[0].id == "7"
+
+    @pytest.mark.parametrize(
+        "first, again, doc_id",
+        [('"a"', '"a"', "a"), ("7", '"7"', "7")],
+        ids=["repeated-string", "integer-and-its-string"],
+    )
+    def test_duplicate_id_names_both_lines(self, tmp_path, first, again, doc_id):
+        # 7 and "7" are one id: both load as "7"
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(
+            f'{{"id": {first}, "text": "a"}}\n{{"id": "b", "text": "b"}}\n\n'
+            f'{{"id": {again}, "text": "c"}}\n'
+        )
+        with pytest.raises(ConfigurationError) as info:
+            Corpus.from_jsonl(path)
+        assert str(info.value) == (
+            f"{path}:4: duplicate document id {doc_id!r}, first at {path}:1"
+        )
+
+
+class TestDocument:
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (("a", "x y", True, "test_labeled"), "label must be \\+1 or -1, got True"),
+            (("a", None), "text must be a string, got NoneType"),
+            ((None, "x"), "id must be a string or an integer, got NoneType"),
+        ],
+        ids=["label-true", "text-none", "id-none"],
+    )
+    def test_bad_field_rejected_at_construction(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            Document(*fields)
+
+    def test_integer_id_and_label_stored_as_str_and_int_and_read_back(self, tmp_path):
+        doc = Document(7, "x y", np.int64(-1), "test_labeled")
+        assert (doc.id, doc.hidden_label, type(doc.hidden_label)) == ("7", -1, int)
+        corpus = Corpus([doc, Document("b", "z", 1.0)])
+        path = tmp_path / "corpus.jsonl"
+        corpus.to_jsonl(path)
+        assert Corpus.from_jsonl(path) == corpus
 
 
 class TestKeywordSet:

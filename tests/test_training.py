@@ -28,6 +28,9 @@ from symloss.risks import (
     pairwise_mean_loss,
 )
 from symloss.training import (
+    EPSILON,
+    MOMENT_DECAY1,
+    MOMENT_DECAY2,
     Scorer,
     TrainConfig,
     TrainTrace,
@@ -289,7 +292,7 @@ def serial_train(objective, X_pos, X_neg, config):
         return weights @ (jp - jn) + 2.0 * wd * theta
 
     first_moment, second_moment = np.zeros_like(theta), np.zeros_like(theta)
-    lr, b1, b2, eps = config.step_size, config.moment_decay1, config.moment_decay2, config.epsilon
+    lr, b1, b2, eps = config.step_size, MOMENT_DECAY1, MOMENT_DECAY2, EPSILON
     steps_per_epoch = max(1, math.ceil(max(X_pos.shape[0], X_neg.shape[0]) / config.batch_size))
     step, objectives = 0, []
     with np.errstate(over="ignore", invalid="ignore"):

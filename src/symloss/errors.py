@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the error for a file that
+is not UTF-8."""
 
 
 class NonDifferentiableLossError(ValueError):
@@ -20,3 +21,16 @@ class TrainingDivergedError(ConfigurationError):
     def __init__(self, message: str, run: int = 0):
         super().__init__(message)
         self.run = run
+
+
+def not_utf8(path) -> ConfigurationError:
+    """The error for a text file whose bytes are not UTF-8, naming the first
+    line (counted as a text-mode read counts lines) that does not decode;
+    the path alone if every line decodes on this second read."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for line_number, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8", "surrogateescape").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return ConfigurationError(f"{path}:{line_number}: invalid UTF-8 ({exc})")
+    return ConfigurationError(f"{path}: invalid UTF-8")

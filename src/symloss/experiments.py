@@ -40,7 +40,7 @@ from .distributions import (
     sample_mcd,
     uu_params,
 )
-from .errors import ConfigurationError, TrainingDivergedError
+from .errors import ConfigurationError, TrainingDivergedError, not_utf8
 from .losses import LOSS_NAMES, get_loss
 from .risks import (
     auc_decomposition_check,
@@ -244,9 +244,11 @@ def parse_config(
         raise FileNotFoundError(f"config file not found: {path}")
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        parser.read(path)
+        parser.read(path, encoding="utf-8")
     except configparser.Error as exc:
         raise ConfigurationError(_read_error(path, exc)) from exc
+    except UnicodeDecodeError:
+        raise not_utf8(path) from None
     flags = {}
     for flag, (section, key, text) in (overrides or {}).items():
         parser.read_dict({section: {key: text}})

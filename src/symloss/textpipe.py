@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import warnings
-from array import array
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Iterable, Optional, Sequence
@@ -26,7 +25,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .distributions import SampleSet
-from .errors import ConfigurationError, DegenerateSplitError
+from .errors import ConfigurationError, DegenerateSplitError, not_utf8
 from .losses import get_loss
 from .risks import auc_score, classification_metrics
 from .threshold import (
@@ -62,6 +61,8 @@ _ASCII_TOKEN_BYTES = bytes(
 )
 # documents counted per bincount in Vectorizer.transform; bounds its scratch memory
 _ROW_BLOCK = 512
+# json.loads without its leading-BOM and trailing-data checks
+_raw_decode = json.JSONDecoder().raw_decode
 
 
 def tokenize(text: str) -> list[str]:
@@ -71,8 +72,19 @@ def tokenize(text: str) -> list[str]:
     ``?``; one byte translate then turns each byte outside [0-9a-z] into a
     space, and a whitespace split cuts the tokens.
     """
-    ascii_bytes = text.lower().encode("ascii", "replace")
-    return ascii_bytes.translate(_ASCII_TOKEN_BYTES).decode("ascii").split()
+    return _joined_tokens([text])
+
+
+def _joined_tokens(texts: Sequence[str]) -> list[str]:
+    """The tokens of each text in turn, with a ``|`` token between two texts.
+
+    Each text is lowered, encoded and translated alone; the translate maps
+    ``|`` to a space, so only a separator yields that token.  The texts are
+    joined with ``b" | "``, then decoded and split once.
+    """
+    return b" | ".join([
+        text.lower().encode("ascii", "replace").translate(_ASCII_TOKEN_BYTES) for text in texts
+    ]).decode("ascii").split()
 
 
 @dataclass(frozen=True)
@@ -104,29 +116,32 @@ class Document:
             # a bool or a fraction is not a label, though int() would make one of it
             if isinstance(label, bool) or label not in (-1, 1):
                 raise ValueError(f"label must be +1 or -1, got {label!r}")
-            object.__setattr__(self, "hidden_label", int(label))
+            if type(label) is not int:
+                object.__setattr__(self, "hidden_label", int(label))
         if self.split not in SPLITS:
             raise ValueError(f"split must be one of {SPLITS}, got {self.split!r}")
         if self.split == "test_labeled" and label is None:
             raise ValueError(f"test document {self.id!r} is missing its label")
 
 
-def _read_document(line: str, where: str) -> Document:
-    """One JSONL corpus record; any defect is a ConfigurationError naming ``where``."""
+def _stripped_lines(path):
+    """(line number, stripped line) for each non-blank line of a UTF-8 file."""
     try:
-        record = json.loads(line)
-    except json.JSONDecodeError as exc:
+        with open(path, "r", encoding="utf-8") as fh:
+            for line_number, line in enumerate(fh, start=1):
+                line = line.strip()
+                if line:
+                    yield line_number, line
+    except UnicodeDecodeError:
+        raise not_utf8(path) from None
+
+
+def _loads(line: str, where: str):
+    """``json.loads(line)``; its complaint is a ConfigurationError naming ``where``."""
+    try:
+        return json.loads(line)
+    except (ValueError, RecursionError) as exc:
         raise ConfigurationError(f"{where}: invalid JSON ({exc})") from None
-    if not isinstance(record, dict):
-        raise ConfigurationError(f"{where}: expected a JSON object, got {type(record).__name__}")
-    try:
-        doc_id, text = record["id"], record["text"]
-    except KeyError as exc:
-        raise ConfigurationError(f"{where}: missing field {exc}") from None
-    try:
-        return Document(doc_id, text, record.get("label"), record.get("split", "train_unlabeled"))
-    except ValueError as exc:
-        raise ConfigurationError(f"{where}: {exc}") from None
 
 
 @dataclass
@@ -152,22 +167,47 @@ class Corpus:
     def from_jsonl(cls, path) -> "Corpus":
         """Read one record per non-blank line; a bad record, or an id seen
         on an earlier line (the integer 7 and the string "7" are one id),
-        is a ConfigurationError naming ``path:line``."""
+        is a ConfigurationError naming ``path:line``.
+
+        Each stripped line is decoded by one ``raw_decode`` that must
+        consume the whole line, so a line is accepted exactly when
+        ``json.loads`` accepts it alone, and an object split across two
+        lines is rejected at its first.  A line ``raw_decode`` rejects goes
+        to ``json.loads`` for the message (it alone names a leading BOM).
+        An integer past Python's digit limit and nesting past its recursion
+        limit are invalid JSON too, and bytes that are not UTF-8 name the
+        first line that does not decode.  The ``path:line`` text is
+        formatted only for a rejected line.
+        """
         documents = []
         first_line: dict[str, int] = {}
-        with open(path, "r", encoding="utf-8") as fh:
-            for line_number, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                doc = _read_document(line, f"{path}:{line_number}")
-                if doc.id in first_line:
-                    raise ConfigurationError(
-                        f"{path}:{line_number}: duplicate document id {doc.id!r}, "
-                        f"first at {path}:{first_line[doc.id]}"
-                    )
-                first_line[doc.id] = line_number
-                documents.append(doc)
+        for line_number, line in _stripped_lines(path):
+            try:
+                record, end = _raw_decode(line)
+            except (ValueError, RecursionError):
+                end = None
+            if end != len(line):
+                record = _loads(line, f"{path}:{line_number}")
+            if not isinstance(record, dict):
+                raise ConfigurationError(
+                    f"{path}:{line_number}: expected a JSON object, got {type(record).__name__}"
+                )
+            try:
+                doc = Document(
+                    record["id"], record["text"], record.get("label"),
+                    record.get("split", "train_unlabeled"),
+                )
+            except KeyError as exc:
+                raise ConfigurationError(f"{path}:{line_number}: missing field {exc}") from None
+            except ValueError as exc:
+                raise ConfigurationError(f"{path}:{line_number}: {exc}") from None
+            if doc.id in first_line:
+                raise ConfigurationError(
+                    f"{path}:{line_number}: duplicate document id {doc.id!r}, "
+                    f"first at {path}:{first_line[doc.id]}"
+                )
+            first_line[doc.id] = line_number
+            documents.append(doc)
         if not documents:
             raise ConfigurationError(f"{path}: corpus is empty")
         return cls(documents)
@@ -201,8 +241,7 @@ class KeywordSet:
 
     @classmethod
     def from_file(cls, path) -> "KeywordSet":
-        with open(path, "r", encoding="utf-8") as fh:
-            words = [line.strip() for line in fh if line.strip()]
+        words = [line for _, line in _stripped_lines(path)]
         if not words:
             raise ConfigurationError(f"{path}: no keywords found")
         try:
@@ -240,29 +279,32 @@ class Vectorizer:
     def transform(self, docs: Iterable) -> np.ndarray:
         """Row-per-document term matrix under the configured scheme.
 
-        Documents are counted in blocks of 512 rows (``_ROW_BLOCK``): each
-        block's (row, column) cells go through one ``np.bincount``, with
-        unknown tokens sent to a spare column that is dropped.  The counts
-        are exact integers, so the matrix equals a per-token loop's; the
-        block bounds the scratch memory to one block's counts.  The idf is
-        applied to the whole matrix afterwards.
+        Documents are counted in blocks of 512 rows (``_ROW_BLOCK``).  Each
+        block is tokenized by one split of its documents joined with a
+        ``|`` token between them (:func:`_joined_tokens`), and its tokens
+        are mapped to columns once: unknown tokens go to spare column
+        ``size`` and separators to spare column ``size + 1``.  A token's
+        row is the count of separators up to it, taken by one ``cumsum``,
+        and the block's (row, column) cells go through one ``np.bincount``;
+        the spare columns are dropped.  The counts are exact integers, so the
+        matrix equals a per-token loop's; the block bounds the scratch
+        memory to one block's tokens and counts.  The idf is applied to the
+        whole matrix afterwards.
         """
         texts = [doc.text if isinstance(doc, Document) else str(doc) for doc in docs]
         size = self.size
-        width = size + 1
+        separator = size + 1
+        width = size + 2
         matrix = np.empty((len(texts), size))
-        column_of = self.vocabulary.get
+        column_of = {**self.vocabulary, "|": separator}.get
         for start in range(0, len(texts), _ROW_BLOCK):
             block = texts[start:start + _ROW_BLOCK]
             rows = len(block)
-            columns = array("q")
-            lengths = []
-            for text in block:
-                tokens = tokenize(text)
-                columns.extend(map(column_of, tokens, repeat(size)))
-                lengths.append(len(tokens))
-            cells = np.repeat(np.arange(rows) * width, lengths)
-            cells += np.frombuffer(columns, dtype=np.int64)
+            tokens = _joined_tokens(block)
+            columns = np.fromiter(
+                map(column_of, tokens, repeat(size)), dtype=np.int64, count=len(tokens)
+            )
+            cells = np.cumsum(columns == separator) * width + columns
             counts = np.bincount(cells, minlength=rows * width).reshape(rows, width)
             matrix[start:start + rows] = counts[:, :size]
         if self.scheme == "tf_idf":

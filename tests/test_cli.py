@@ -464,6 +464,35 @@ batch_size = 64
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "kind, data, line, position",
+        [
+            ("corpus", b'{"id": "a", "text": "x"}\n{"id": "b", "text": "caf\xff"}\n', 2, 24),
+            ("keywords", b"orbit\n\nst\xffar\n", 3, 2),
+            ("config", b"# caf\xff\n", None, 5),  # a line after the config's own
+        ],
+        ids=["corpus", "keywords", "config"],
+    )
+    def test_a_file_that_is_not_utf8_exits_two_naming_its_line(
+        self, tmp_path, capsys, kind, data, line, position
+    ):
+        path = tmp_path / f"{kind}.bad"
+        files = {"corpus": "bundled", "keywords": "bundled"}
+        if kind in files:
+            files[kind] = str(path)
+            path.write_bytes(data)
+        config = self.keywords_config(tmp_path, **files)
+        if kind == "config":
+            path = config
+            line = config.read_bytes().count(b"\n") + 1
+            path.write_bytes(config.read_bytes() + data)
+        assert main(["keywords", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            f"symloss: error: {path}:{line}: invalid UTF-8 ('utf-8' codec can't decode "
+            f"byte 0xff in position {position}: invalid start byte)\n"
+        )
+        assert not (tmp_path / "out").exists()
+
 
 @pytest.mark.parametrize("where", ["config", "flag"])
 def test_percent_sign_is_literal(tmp_path, where):

@@ -1,5 +1,6 @@
 """Vectorization, pseudo-labeling, and the end-to-end keyword pipeline."""
 
+import json
 import re
 import tracemalloc
 from unittest import mock
@@ -21,6 +22,7 @@ from symloss.losses import get_loss
 from symloss.risks import pairwise_mean_loss
 import symloss.textpipe
 from symloss.textpipe import (
+    SPLITS,
     Corpus,
     Document,
     KeywordSet,
@@ -63,6 +65,94 @@ def loop_transform(vectorizer, docs):
     if vectorizer.scheme == "tf_idf":
         matrix *= vectorizer._idf()
     return matrix
+
+
+def _read_document(line, where):
+    """Oracle: one JSONL record by ``json.loads``, as the reader did before
+    ``Corpus.from_jsonl`` moved to one ``raw_decode`` per line."""
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"{where}: invalid JSON ({exc})") from None
+    if not isinstance(record, dict):
+        raise ConfigurationError(f"{where}: expected a JSON object, got {type(record).__name__}")
+    try:
+        doc_id, text = record["id"], record["text"]
+    except KeyError as exc:
+        raise ConfigurationError(f"{where}: missing field {exc}") from None
+    try:
+        return Document(doc_id, text, record.get("label"), record.get("split", "train_unlabeled"))
+    except ValueError as exc:
+        raise ConfigurationError(f"{where}: {exc}") from None
+
+
+def loop_read(path):
+    """Oracle: the per-line ``json.loads`` loop that ``Corpus.from_jsonl`` replaced."""
+    documents = []
+    first_line = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_number, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            doc = _read_document(line, f"{path}:{line_number}")
+            if doc.id in first_line:
+                raise ConfigurationError(
+                    f"{path}:{line_number}: duplicate document id {doc.id!r}, "
+                    f"first at {path}:{first_line[doc.id]}"
+                )
+            first_line[doc.id] = line_number
+            documents.append(doc)
+    if not documents:
+        raise ConfigurationError(f"{path}: corpus is empty")
+    return Corpus(documents)
+
+
+def read_outcome(reader, path):
+    """The corpus a reader returns, or the text of the ConfigurationError it raises."""
+    try:
+        return reader(path)
+    except ConfigurationError as exc:
+        return str(exc)
+
+
+_CHARS = st.characters(blacklist_categories=("Cs",))
+_GOOD_RECORDS = st.fixed_dictionaries(
+    {
+        "id": st.text("ab7", min_size=1, max_size=3) | st.integers(0, 99),
+        "text": st.text(_CHARS, max_size=8),
+    },
+    optional={"label": st.sampled_from([1, -1]), "split": st.sampled_from(SPLITS[:2])},
+)
+# every field present or not, each with good and bad values
+_ANY_RECORDS = st.fixed_dictionaries({}, optional={
+    "id": st.sampled_from(["a", "7", 7, 1.5, True, None, ["a"]]),
+    "text": st.sampled_from(["x y", "", 7, None, ["x"]]),
+    "label": st.sampled_from([1, -1, 1.0, 2, 0.5, True, None, "pos"]),
+    "split": st.sampled_from([*SPLITS, "trian", None]),
+})
+_PADDING = st.sampled_from(["", " ", "\t", "\u00a0", "\u2003", "\r", "\x0c"])
+_GOOD_LINES = st.builds(json.dumps, _GOOD_RECORDS, ensure_ascii=st.booleans())
+_CLEAN_LINES = st.tuples(_PADDING, _GOOD_LINES, _PADDING).map("".join) | _PADDING
+_DEFECT_LINES = st.one_of(
+    st.builds(json.dumps, _ANY_RECORDS, ensure_ascii=st.booleans()),
+    st.tuples(_GOOD_LINES, st.integers(0, 40)).map(lambda cut: cut[0][:cut[1]]),
+    st.tuples(_GOOD_LINES, st.sampled_from([" ", ", ", ""]), _GOOD_LINES).map("".join),
+    st.builds(json.dumps, st.lists(st.integers(), max_size=2) | st.text(_CHARS, max_size=3)
+              | st.none() | st.integers() | st.floats(allow_nan=False)),
+    st.sampled_from(["\ufeff", "{", "}", "nul", "[1] [2]"]),
+    _GOOD_LINES.map("\ufeff".__add__),
+)
+
+
+def _insert(lines, at, line):
+    return lines if line is None else [*lines[:at], line, *lines[at:]]
+
+
+# clean corpora, and clean corpora with one defect line
+_JSONL = st.builds(
+    _insert, st.lists(_CLEAN_LINES, max_size=8), st.integers(0, 8), st.none() | _DEFECT_LINES
+)
 
 
 class TestTokenize:
@@ -128,10 +218,14 @@ class TestCorpus:
             ('{"id": true, "text": "a b"}', "id must be a string or an integer, got bool"),
             ('{"id": "x", "text": "a b", "split": "test_labeled"}',
              "test document 'x' is missing its label"),
+            ('{"id": ' + "1" * 5000 + ', "text": "a b"}',
+             "invalid JSON (Exceeds the limit (4300 digits) for integer string conversion"),
+            ("[" * 100_000, "invalid JSON (maximum recursion depth exceeded"),
         ],
         ids=["no-id", "no-text", "label-pos", "label-fraction", "label-negative-fraction",
              "label-true", "split-trian", "not-an-object", "text-null", "text-list",
-             "text-number", "id-null", "id-list", "id-fraction", "id-true", "test-unlabeled"],
+             "text-number", "id-null", "id-list", "id-fraction", "id-true", "test-unlabeled",
+             "integer-past-digit-limit", "nested-past-recursion-limit"],
     )
     def test_bad_record_names_path_and_line(self, tmp_path, record, message):
         path = tmp_path / "corpus.jsonl"
@@ -140,6 +234,20 @@ class TestCorpus:
             Corpus.from_jsonl(path)
         assert str(info.value).startswith(f"{path}:2: ")
         assert message in str(info.value)
+
+    @given(_JSONL)
+    @example(['{"id": "a", "text": "x"} {"id": "b", "text": "y"}'])
+    @example(['{"id": "a", "text": "x"}, {"id": "b", "text": "y"}'])
+    @example(['{"id": "a", "text": "x"}', '{"id": "b",', '"text": "y"}'])
+    @example(['\ufeff{"id": "a", "text": "x"}', '{"id": "b", "text": "y"}'])
+    @example(['\u00a0\u00a0{"id": "a", "text": "x"}\u00a0', '{"id": 7, "text": "y"}\u00a0'])
+    @example(['{"id": "a", "text": "x"}', "", "  ", '{"id": "a", "text": "y"}'])
+    @example(["", "\t"])
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_per_line_loads_loop(self, tmp_path_factory, lines):
+        path = tmp_path_factory.mktemp("jsonl") / "corpus.jsonl"
+        path.write_bytes("\n".join(lines).encode("utf-8"))
+        assert read_outcome(Corpus.from_jsonl, path) == read_outcome(loop_read, path)
 
     def test_integer_id_is_read_as_its_string(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
@@ -249,6 +357,11 @@ class TestTransform:
     )
     @example([], "tf", True, 512)
     @example(["omega !!", "", "\u0130"], "tf_idf", False, 512)
+    @example(["alpha|beta", "|", "| gamma |", "||42||"], "tf", False, 512)  # | is a separator
+    @example(["", "alpha", "", "", "beta x2", ""], "tf", True, 3)  # empty at block ends
+    @example(["alpha beta", "gamma", "42", "", "", "", "zeta"], "tf_idf", False, 3)  # empty block
+    @example(["", "alpha|alpha", "", "beta"], "tf", False, 1)
+    @example(["", "", ""], "tf", False, 1)
     @settings(max_examples=200, deadline=None)
     def test_equals_the_per_token_loop(self, texts, scheme, as_documents, block):
         vectorizer = build_vectorizer(make_docs(self.FIT), scheme=scheme)

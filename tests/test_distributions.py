@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from symloss.distributions import (
     DiscreteBinaryDistribution,
@@ -67,6 +69,20 @@ class TestMcdParams:
             uu_params(0.5, 0.5)
         with pytest.raises(ValueError):
             uu_params(0.3, 0.7)
+
+    # the PU/UU demos train a reduced and a generic run per seed and check
+    # that their traces agree; these equalities are why they always do
+    OPEN_UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+    @given(OPEN_UNIT)
+    def test_pu_params_are_the_generic_parameters(self, p):
+        assert pu_params(p) == McdParams(1.0, p)
+
+    @given(OPEN_UNIT, OPEN_UNIT)
+    def test_uu_params_are_the_generic_parameters(self, a, b):
+        assume(a != b)
+        a, b = max(a, b), min(a, b)
+        assert uu_params(a, b) == McdParams(a, b)
 
 
 class TestDiscreteBinaryDistribution:

@@ -2,10 +2,11 @@
 
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symloss.errors import NonDifferentiableLossError
@@ -23,6 +24,12 @@ from symloss.losses import (
 DIFFERENTIABLE = [n for n in LOSS_NAMES if LOSSES[n].differentiable]
 # kinks where one-sided derivatives disagree; sampled z stay clear of them
 KINKS = {"hinge": (1.0,), "squared_hinge": (1.0,), "ramp": (-1.0, 1.0)}
+
+
+def hook_pairs(spec, scores_pos, scores_neg):
+    out = np.empty((scores_pos.size, scores_neg.size))
+    spec.pair_inplace(scores_pos, scores_neg, out)
+    return out
 
 
 def central_difference(loss, z, h=1e-5):
@@ -61,17 +68,8 @@ class TestCatalogMetadata:
         for name in set(LOSS_NAMES) - {"sigmoid", "ramp", "hinge"}:
             assert LOSSES[name].auc_consistent == "unknown"
 
-    def test_inplace_kernels(self):
-        assert [n for n in LOSS_NAMES if LOSSES[n].value_inplace] == ["sigmoid"]
-
-    @pytest.mark.parametrize("name", [n for n in LOSS_NAMES if LOSSES[n].value_inplace])
-    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=30))
-    @settings(max_examples=200, deadline=None)
-    def test_inplace_kernel_writes_the_value_bits(self, name, margins):
-        z = np.array(margins, dtype=float).reshape(-1, 1) - np.array([0.0, -0.0, 1.5])
-        expected = LOSSES[name].value(z)
-        LOSSES[name].value_inplace(z)
-        assert z.tobytes() == expected.tobytes()
+    def test_only_the_sigmoid_has_a_pair_hook(self):
+        assert [n for n in LOSS_NAMES if LOSSES[n].pair_inplace] == ["sigmoid"]
 
     @pytest.mark.parametrize("name", LOSS_NAMES)
     def test_spec_survives_a_pickle_round_trip(self, name):
@@ -83,6 +81,9 @@ class TestCatalogMetadata:
         assert again.value(margins).tobytes() == spec.value(margins).tobytes()
         if spec.differentiable:
             assert again.grad(margins).tobytes() == spec.grad(margins).tobytes()
+        if spec.pair_inplace is not None:
+            got, expected = (hook_pairs(s, margins, margins[::2]) for s in (again, spec))
+            assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("name", LOSS_NAMES)
     def test_evaluators_see_float64_margins(self, name):
@@ -102,6 +103,73 @@ class TestCatalogMetadata:
     def test_get_loss_unknown_name(self):
         with pytest.raises(ValueError, match="unknown loss"):
             get_loss("barrier_hinge")
+
+
+@st.composite
+def score_grids(draw):
+    """Small pos and neg score lists around one offset.  Most stay within
+    the factored form's spread of 700; a few exceed it or hold a
+    non-finite score, which take the margin path."""
+    offset = draw(st.sampled_from([0.0, 2000.0, -2000.0]) | st.floats(-1e6, 1e6))
+    near = st.floats(-400.0, 400.0).map(lambda x: offset + x)
+    pos = draw(st.lists(near, min_size=1, max_size=12))
+    neg = draw(st.lists(near, min_size=1, max_size=12))
+    if draw(st.integers(0, 9)) == 0:
+        bad = draw(st.sampled_from([math.inf, -math.inf, math.nan]))
+        target = draw(st.sampled_from([pos, neg]))
+        target[draw(st.integers(0, len(target) - 1))] = bad
+    return pos, neg
+
+
+def with_warnings(evaluate, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = evaluate(*args)
+    return result, [str(w.message) for w in caught]
+
+
+class TestSigmoidPairHook:
+    """The factored pair hook against the margin path it replaces."""
+
+    sigmoid = LOSSES["sigmoid"]
+
+    def margin_pairs(self, scores_pos, scores_neg):
+        return self.sigmoid.value(scores_pos[:, None] - scores_neg[None, :])
+
+    above_700 = float(np.nextafter(700.0, math.inf))
+
+    @given(score_grids())
+    @example(([-350.0, 350.0], [0.0]))  # spread exactly 700: factored
+    @example(([0.0], [700.0]))
+    @example(([0.0], [above_700]))  # just above: the margin path
+    @example(([-350.0, 1.0], [350.0, above_700 - 350.0]))
+    @example(([2000.0, 2000.5, 2003.0], [1999.25, 2001.0]))
+    @example(([-2000.0, -2001.5], [-1999.0, -2000.0]))
+    @example(([1.5], [1.5]))
+    @example(([0.0, 0.0, 1.0], [1.0, 0.0, 0.0]))
+    @example(([3.0], [-2.0]))
+    @example(([math.inf], [math.inf]))
+    @example(([-math.inf, 0.0], [-math.inf]))
+    @example(([0.0, 1.0], [math.nan, math.inf]))
+    @example(([math.nan], [0.0]))
+    @example(([0.1, 0.2, 0.3], [0.7, math.nan]))  # a NaN after the finite bounds
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_margin_path(self, grid):
+        scores_pos, scores_neg = (np.array(s, dtype=float) for s in grid)
+        before = scores_pos.tobytes(), scores_neg.tobytes()
+        expected, expected_warnings = with_warnings(self.margin_pairs, scores_pos, scores_neg)
+        got, got_warnings = with_warnings(hook_pairs, self.sigmoid, scores_pos, scores_neg)
+        assert got_warnings == expected_warnings
+        assert (scores_pos.tobytes(), scores_neg.tobytes()) == before
+        scores = np.concatenate([scores_pos, scores_neg])
+        if np.all(np.isfinite(scores)) and np.ptp(scores) <= 700.0:
+            # one exp per score: the rounding of s - c and c - s' grows
+            # with the margin, so the bound does too
+            margins = np.abs(scores_pos[:, None] - scores_neg[None, :])
+            bound = (16.0 + margins.max()) * np.finfo(float).eps
+            assert np.all(np.abs(got - expected) <= bound * expected)
+        else:
+            assert got.tobytes() == expected.tobytes()
 
 
 class TestEvalLoss:

@@ -4,9 +4,10 @@
 sections it reads, and whether it runs a single seed.  :func:`parse_config`
 rejects a section the experiment does not read and, for a single-seed
 experiment, a seed list longer than one.  Each runner takes a parsed
-:class:`ExperimentConfig` and returns its artifacts, ``{file name: (CSV
-header, rows) or text}``, with a process exit status: nonzero exactly
-when an acceptance assertion inside the experiment fails.
+:class:`ExperimentConfig` and returns its artifacts, ``{file name: CSV
+rows or text}``, with a process exit status: nonzero exactly when an
+acceptance assertion inside the experiment fails.  A CSV row is a record
+``{column: value}``; the first record's keys are the header.
 :func:`run_experiment` alone writes to disk: it creates the output
 directory only after the runner has returned, then writes the artifacts
 and a manifest, so a run that raises leaves no output behind.  Runs are
@@ -88,12 +89,19 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
+def write_csv(path: Path, rows: Sequence[Mapping]) -> None:
+    """One CSV line per record under a header of the first record's keys;
+    a record whose keys differ from the header's, in name or order, is a
+    ValueError, raised before the file is opened."""
+    header = list(rows[0])
+    for row in rows:
+        if list(row) != header:
+            raise ValueError(f"{path.name}: record columns {list(row)} differ from {header}")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow([_fmt(cell) for cell in row])
+            writer.writerow([_fmt(cell) for cell in row.values()])
 
 
 def _sha256(path: Path) -> str:
@@ -303,10 +311,12 @@ def parse_config(
         raise ConfigurationError(
             "[noise] pi_corr_pos and pi_corr_neg must have the same length"
         )
-    noise_grid = [
-        check_value(f"[noise] ({a}, {b})", McdParams, a, b)
-        for a, b in zip(noise["pi_corr_pos"], noise["pi_corr_neg"])
-    ]
+    noise_grid = []
+    for a, b in zip(noise["pi_corr_pos"], noise["pi_corr_neg"]):
+        params = check_value(f"[noise] ({a}, {b})", McdParams, a, b)
+        if params in noise_grid:
+            raise ConfigurationError(f"[noise] ({a}, {b}): the cell appears more than once")
+        noise_grid.append(params)
 
     losses = sections["losses"]["names"]
     if not losses:
@@ -344,6 +354,11 @@ def parse_config(
     check_value(at("corpus", "tau"), check_tau, corpus["tau"])
     if corpus["prior"] is not None:
         check_value(at("corpus", "prior"), check_prior, corpus["prior"])
+    elif "corpus" in reads and corpus["threshold_method"] == "breakeven_known_prior":
+        raise ConfigurationError(
+            "[corpus] prior: breakeven thresholding needs the known positive-class prior; "
+            "set it, or pick another threshold_method"
+        )
 
     return ExperimentConfig(
         experiment=name,
@@ -398,39 +413,24 @@ def run_verify_identities(config: ExperimentConfig) -> tuple[dict, int]:
                     and abs(auc.components["excess"] - expected) <= symmetric_tolerance
                 )
             failures += 0 if ok else 1
-            rows.append(
-                [
-                    loss_name,
-                    instance,
-                    dist.size,
-                    params.pi_corr_pos,
-                    params.pi_corr_neg,
-                    ber.lhs,
-                    ber.rhs,
-                    ber.residual,
-                    ber.components["excess"],
-                    auc.lhs,
-                    auc.rhs,
-                    auc.residual,
-                    auc.components["excess"],
-                    symmetric_excess,
-                    "ok" if ok else "FAIL",
-                ]
-            )
-    header = [
-        "loss", "instance", "support_size", "pi_corr_pos", "pi_corr_neg",
-        "ber_lhs", "ber_rhs", "ber_residual", "ber_excess",
-        "auc_lhs", "auc_rhs", "auc_residual", "auc_excess",
-        "symmetric_excess", "status",
-    ]
-    return {"residuals.csv": (header, rows)}, 0 if failures == 0 else 1
-
-
-def _training_sets(config: ExperimentConfig, runs: list[tuple[McdParams, int]]) -> list:
-    """The (positive, negative) training set of each (noise cell, seed) run."""
-    sampler_pos, sampler_neg = config.gaussians.samplers()
-    n = config.sections["dataset"]["n_train_per_class"]
-    return [sample_mcd(sampler_pos, sampler_neg, params, n, n, seed=seed) for params, seed in runs]
+            rows.append({
+                "loss": loss_name,
+                "instance": instance,
+                "support_size": dist.size,
+                "pi_corr_pos": params.pi_corr_pos,
+                "pi_corr_neg": params.pi_corr_neg,
+                "ber_lhs": ber.lhs,
+                "ber_rhs": ber.rhs,
+                "ber_residual": ber.residual,
+                "ber_excess": ber.components["excess"],
+                "auc_lhs": auc.lhs,
+                "auc_rhs": auc.rhs,
+                "auc_residual": auc.residual,
+                "auc_excess": auc.components["excess"],
+                "symmetric_excess": symmetric_excess,
+                "status": "ok" if ok else "FAIL",
+            })
+    return {"residuals.csv": rows}, 0 if failures == 0 else 1
 
 
 def _test_sets(config: ExperimentConfig) -> dict:
@@ -444,92 +444,81 @@ def _test_sets(config: ExperimentConfig) -> dict:
     return tests
 
 
-def _evaluate(traces: list, tests: dict) -> list[tuple[float, float]]:
-    """Clean-test (BER, AUC) of each trace, on its seed's test set."""
-    zero_one = get_loss("zero_one")
-    results = []
-    for trace in traces:
-        test_pos, test_neg = tests[trace.config.seed]
-        ber = empirical_ber_risk(zero_one, test_pos, test_neg, trace.scorer).value
-        results.append((ber, auc_score(trace.scorer(test_pos), trace.scorer(test_neg))))
-    return results
-
-
 def _trainer(config: ExperimentConfig):
     return train_ber if config.train.objective == "ber" else train_auc
 
 
-def _sweep(config: ExperimentConfig, grid: list[McdParams]) -> tuple[list, dict]:
-    """Every loss's (cell, seed) runs train as one stack.  A divergence is
-    raised once all stacks have run: the one the cell-by-cell order of
-    single runs would meet first."""
+def _run_grid(config: ExperimentConfig, grid: list[McdParams], losses: list[str]) -> dict:
+    """loss -> the (trace, clean-test BER, clean-test AUC) of every (noise
+    cell, seed) run of ``grid``, cell-major.  Each loss's runs train as one
+    stack.  A divergence is raised once all stacks have run: the one the
+    cell-by-cell order of single runs would meet first."""
     runs = [(params, seed) for params in grid for seed in config.seeds]
-    sets, tests = _training_sets(config, runs), _test_sets(config)
+    sampler_pos, sampler_neg = config.gaussians.samplers()
+    n = config.sections["dataset"]["n_train_per_class"]
+    sets = [sample_mcd(sampler_pos, sampler_neg, params, n, n, seed=seed) for params, seed in runs]
+    tests, zero_one = _test_sets(config), get_loss("zero_one")
     results, diverged = {}, []
-    for position, loss_name in enumerate(config.losses):
+    for position, loss_name in enumerate(losses):
         configs = [replace(config.train, loss=loss_name, seed=seed) for _, seed in runs]
         try:
-            results[loss_name] = _evaluate(train_many(_trainer(config), sets, configs), tests)
+            traces = train_many(_trainer(config), sets, configs)
         except TrainingDivergedError as exc:
             cell, seed = divmod(exc.run, len(config.seeds))
             diverged.append(((cell, position, seed), exc))
+            continue
+        results[loss_name] = []
+        for trace in traces:
+            test_pos, test_neg = tests[trace.config.seed]
+            ber = empirical_ber_risk(zero_one, test_pos, test_neg, trace.scorer).value
+            auc = auc_score(trace.scorer(test_pos), trace.scorer(test_neg))
+            results[loss_name].append((trace, ber, auc))
     if diverged:
         raise min(diverged, key=lambda item: item[0])[1]
-
-    rows = []
-    cell_means: dict = {}
-    for cell, params in enumerate(grid):
-        for loss_name in config.losses:
-            cell_results = results[loss_name][cell * len(config.seeds) :][: len(config.seeds)]
-            bers, aucs = [ber for ber, _ in cell_results], [score for _, score in cell_results]
-            for seed, (ber, score) in zip(config.seeds, cell_results):
-                rows.append(
-                    [loss_name, params.pi_corr_pos, params.pi_corr_neg, seed, ber, score]
-                )
-            cell_means[(params, loss_name)] = (
-                float(np.mean(bers)),
-                float(np.std(bers, ddof=1) / math.sqrt(len(bers))) if len(bers) > 1 else 0.0,
-                float(np.mean(aucs)),
-                float(np.std(aucs, ddof=1) / math.sqrt(len(aucs))) if len(aucs) > 1 else 0.0,
-            )
-    return rows, cell_means
+    return results
 
 
-def _check_loss_order(config, cell_means, grid) -> int:
-    if config.loss_order is None:
-        return 0
-    first, second = config.loss_order
-    for params in grid:
-        if cell_means[(params, first)][0] > cell_means[(params, second)][0]:
-            return 1
-    return 0
+def _stderr(values: list[float]) -> float:
+    return float(np.std(values, ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
 
 
 def _run_sweep(config: ExperimentConfig, cells: Optional[int]) -> tuple[dict, int]:
     """Train per (noise cell, loss, seed) on the first ``cells`` cells of
-    the noise grid (all of them when None); report clean-test BER/AUC."""
+    the noise grid (all of them when None); report clean-test BER/AUC.
+    Nonzero when a cell's mean BER breaks ``[assertions] loss_order``."""
     grid = config.noise_grid[:cells]
     if not grid:
         raise ConfigurationError("[noise] pi_corr_pos: noise grid is empty")
-    rows, cell_means = _sweep(config, grid)
-    aggregate = [
-        [params.pi_corr_pos, params.pi_corr_neg, loss_name, *means]
-        for (params, loss_name), means in cell_means.items()
-    ]
-    artifacts = {
-        "results.csv": (
-            ["loss", "pi_corr_pos", "pi_corr_neg", "seed", "clean_test_ber", "clean_test_auc"],
-            rows,
-        ),
-        "aggregate.csv": (
-            [
-                "pi_corr_pos", "pi_corr_neg", "loss",
-                "mean_clean_ber", "stderr_clean_ber", "mean_clean_auc", "stderr_clean_auc",
-            ],
-            aggregate,
-        ),
-    }
-    return artifacts, _check_loss_order(config, cell_means, grid)
+    results = _run_grid(config, grid, config.losses)
+    rows, aggregate, status = [], [], 0
+    for cell, params in enumerate(grid):
+        mean_ber = {}
+        for loss_name in config.losses:
+            runs = results[loss_name][cell * len(config.seeds) :][: len(config.seeds)]
+            for seed, (_, ber, auc) in zip(config.seeds, runs):
+                rows.append({
+                    "loss": loss_name,
+                    "pi_corr_pos": params.pi_corr_pos,
+                    "pi_corr_neg": params.pi_corr_neg,
+                    "seed": seed,
+                    "clean_test_ber": ber,
+                    "clean_test_auc": auc,
+                })
+            bers, aucs = [ber for _, ber, _ in runs], [auc for _, _, auc in runs]
+            mean_ber[loss_name] = float(np.mean(bers))
+            aggregate.append({
+                "pi_corr_pos": params.pi_corr_pos,
+                "pi_corr_neg": params.pi_corr_neg,
+                "loss": loss_name,
+                "mean_clean_ber": mean_ber[loss_name],
+                "stderr_clean_ber": _stderr(bers),
+                "mean_clean_auc": float(np.mean(aucs)),
+                "stderr_clean_auc": _stderr(aucs),
+            })
+        if config.loss_order is not None:
+            first, second = config.loss_order
+            status = status or int(mean_ber[first] > mean_ber[second])
+    return {"results.csv": rows, "aggregate.csv": aggregate}, status
 
 
 def _run_reduction_demo(config: ExperimentConfig, reduction: str) -> tuple[dict, int]:
@@ -543,39 +532,25 @@ def _run_reduction_demo(config: ExperimentConfig, reduction: str) -> tuple[dict,
         reduced = uu_params(uu["pi_u"], uu["pi_u_prime"])
         generic = McdParams(uu["pi_u"], uu["pi_u_prime"])
 
-    # the reduced and the generic run of every seed train as one stack
-    runs = [(params, seed) for seed in config.seeds for params in (reduced, generic)]
-    configs = [replace(config.train, seed=seed) for _, seed in runs]
-    traces = train_many(_trainer(config), _training_sets(config, runs), configs)
+    [runs] = _run_grid(config, [reduced, generic], [config.train.loss]).values()
     rows = []
-    mismatches = 0
-    reduced_traces, generic_traces = traces[::2], traces[1::2]
-    for trace_reduced, trace_generic, (ber_reduced, auc_reduced) in zip(
-        reduced_traces, generic_traces, _evaluate(reduced_traces, _test_sets(config))
-    ):
-        identical = trace_reduced.objectives == trace_generic.objectives and np.array_equal(
-            trace_reduced.scorer.params, trace_generic.scorer.params
+    n = len(config.seeds)
+    for (trace, ber, auc), (generic_trace, _, _) in zip(runs[:n], runs[n:]):
+        identical = trace.objectives == generic_trace.objectives and np.array_equal(
+            trace.scorer.params, generic_trace.scorer.params
         )
-        mismatches += 0 if identical else 1
-        rows.append(
-            [
-                trace_reduced.config.seed,
-                reduction,
-                reduced.pi_corr_pos,
-                reduced.pi_corr_neg,
-                trace_reduced.final_objective(),
-                trace_generic.final_objective(),
-                ber_reduced,
-                auc_reduced,
-                "identical" if identical else "MISMATCH",
-            ]
-        )
-    header = [
-        "seed", "reduction", "pi_corr_pos", "pi_corr_neg",
-        "final_objective_reduction", "final_objective_generic",
-        "clean_test_ber", "clean_test_auc", "trace_check",
-    ]
-    return {"results.csv": (header, rows)}, 0 if mismatches == 0 else 1
+        rows.append({
+            "seed": trace.config.seed,
+            "reduction": reduction,
+            "pi_corr_pos": reduced.pi_corr_pos,
+            "pi_corr_neg": reduced.pi_corr_neg,
+            "final_objective_reduction": trace.final_objective(),
+            "final_objective_generic": generic_trace.final_objective(),
+            "clean_test_ber": ber,
+            "clean_test_auc": auc,
+            "trace_check": "identical" if identical else "MISMATCH",
+        })
+    return {"results.csv": rows}, int(any(row["trace_check"] == "MISMATCH" for row in rows))
 
 
 def _load_asset(setting: str, what: str, bundled, from_file):
@@ -606,24 +581,19 @@ def run_keywords(config: ExperimentConfig) -> tuple[dict, int]:
     report = run_pipeline(corpus, keywords, pipeline_config)
 
     metrics = report.test_metrics or {}
-    header = [
-        "n_pseudo_pos", "n_pseudo_neg", "empirical_pi_pos", "empirical_pi_neg",
-        "threshold_beta", "threshold_method", "test_auc",
-        "cer", "ber", "precision", "recall", "f1",
-    ]
-    row = [
-        report.n_pseudo_pos,
-        report.n_pseudo_neg,
-        "" if report.empirical_pi_pos is None else report.empirical_pi_pos,
-        "" if report.empirical_pi_neg is None else report.empirical_pi_neg,
-        report.threshold.beta,
-        report.threshold.method,
-        "" if report.test_auc is None else report.test_auc,
-        *[metrics.get(key, "") for key in ("cer", "ber", "precision", "recall", "f1")],
-    ]
+    row = {
+        "n_pseudo_pos": report.n_pseudo_pos,
+        "n_pseudo_neg": report.n_pseudo_neg,
+        "empirical_pi_pos": "" if report.empirical_pi_pos is None else report.empirical_pi_pos,
+        "empirical_pi_neg": "" if report.empirical_pi_neg is None else report.empirical_pi_neg,
+        "threshold_beta": report.threshold.beta,
+        "threshold_method": report.threshold.method,
+        "test_auc": "" if report.test_auc is None else report.test_auc,
+        **{key: metrics.get(key, "") for key in ("cer", "ber", "precision", "recall", "f1")},
+    }
     artifacts = {
         "report.json": json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n",
-        "metrics.csv": (header, [row]),
+        "metrics.csv": [row],
     }
 
     informative = (
@@ -712,6 +682,6 @@ def run_experiment(config: ExperimentConfig) -> int:
         if isinstance(content, str):
             path.write_text(content)
         else:
-            write_csv(path, *content)
+            write_csv(path, content)
     write_manifest(config, paths)
     return status

@@ -336,11 +336,12 @@ def ber_decomposition_check(
     s = _scores_for(g, dist.support)
     corr_pos, corr_neg = corrupt_distribution(dist, params)
     a, b = params.pi_corr_pos, params.pi_corr_neg
-    pos_term, neg_term = _class_terms(loss, s, corr_pos, corr_neg)
-    gap = loss.value(s) + loss.value(-s)
+    loss_pos, loss_neg = loss.value(s), loss.value(-s)
+    gap = loss_pos + loss_neg
     excess = 0.5 * (b * float(dist.p_pos @ gap) + (1.0 - a) * float(dist.p_neg @ gap))
-    clean = exact_ber_risk(loss, dist, s).value
-    return _decomposition("ber", loss, params, 0.5 * (pos_term + neg_term), clean, excess)
+    lhs = 0.5 * (float(corr_pos @ loss_pos) + float(corr_neg @ loss_neg))
+    clean = 0.5 * (float(dist.p_pos @ loss_pos) + float(dist.p_neg @ loss_neg))
+    return _decomposition("ber", loss, params, lhs, clean, excess)
 
 
 def auc_decomposition_check(

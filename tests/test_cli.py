@@ -16,7 +16,7 @@ import symloss.textpipe
 from symloss.cli import main
 from symloss.datasets import default_config_path, load_mini_corpus
 from symloss.errors import ConfigurationError
-from symloss.experiments import _SCHEMA, parse_config, run_experiment
+from symloss.experiments import _SCHEMA, parse_config, run_experiment, write_csv
 from symloss.textpipe import Corpus
 from symloss.training import TrainConfig
 
@@ -529,6 +529,20 @@ def test_unreadable_config_names_the_path_once_with_the_line(tmp_path, capsys, t
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "drifted", [{"b": 2.0, "a": 1}, {"a": 1, "c": 2.0}, {"a": 1}, {"a": 1, "b": 2.0, "c": 3}],
+    ids=["order", "name", "missing", "extra"],
+)
+def test_write_csv_rejects_a_record_whose_columns_differ_from_the_header(tmp_path, drifted):
+    good = tmp_path / "good.csv"
+    write_csv(good, [{"a": 1, "b": 2.5}, {"a": 3, "b": 4.0}])
+    assert read_csv(good) == [["a", "b"], ["1", "2.5"], ["3", "4"]]
+    path = tmp_path / "drifted.csv"
+    with pytest.raises(ValueError, match=r"drifted.csv: record columns .* differ from \['a', 'b'\]"):
+        write_csv(path, [{"a": 1, "b": 2.5}, drifted])
+    assert not path.exists()
+
+
 def test_config_without_a_section_header_names_the_line(tmp_path):
     path = write_config(tmp_path, "name = noise_sweep\n[experiment]\n")
     with pytest.raises(ConfigurationError) as raised:
@@ -783,7 +797,7 @@ class TestSchema:
             stacks = self.record(monkeypatch, "train_many")
             assert run_experiment(configs[experiment]) == 0
             [((_, _, train_configs), _)] = stacks
-            assert train_configs == [replace(self.TRAIN, seed=seed) for seed in (3, 3, 4, 4)]
+            assert train_configs == [replace(self.TRAIN, seed=seed) for seed in (3, 4, 3, 4)]
             rows = read_csv(out / "results.csv")[1:]
             assert [(float(row[2]), float(row[3])) for row in rows] == [
                 (params.pi_corr_pos, params.pi_corr_neg)
@@ -876,13 +890,20 @@ class TestSchema:
          [], "[train] loss: the noise_sweep experiment trains each of [losses] names"),
         ("loss_compare", "[noise]\npi_corr_pos = 0.8\npi_corr_neg = 0.3\n\n[train]\nloss = hinge\n",
          [], "[train] loss: the loss_compare experiment trains each of [losses] names"),
+        ("noise_sweep", "[noise]\npi_corr_pos = 0.8, 0.7, 0.8\npi_corr_neg = 0.3, 0.4, 0.3\n",
+         [], "[noise] (0.8, 0.3): the cell appears more than once"),
+        ("keywords", "[corpus]\nthreshold_method = breakeven\n", [],
+         "[corpus] prior: breakeven thresholding needs the known positive-class prior"),
+        ("keywords", "[corpus]\nthreshold_method = heuristic\n", ["--threshold-method", "breakeven"],
+         "[corpus] prior: breakeven thresholding needs the known positive-class prior"),
     ],
     ids=["pu-prior", "uu-order", "tau", "tau-flag", "prior", "prior-flag", "max-support",
          "zero-one-train", "zero-one-flag", "zero-one-names", "seed-flag", "method-flag",
          "keywords-objective", "divergence", "seed-negative", "seed-list-negative",
          "n-train-zero", "n-test-zero", "score-range-negative", "score-range-inf",
          "score-range-overflow", "instances-zero", "names-empty", "step-size-nan",
-         "covariance-nan", "mean-inf", "sweep-train-loss", "compare-train-loss"],
+         "covariance-nan", "mean-inf", "sweep-train-loss", "compare-train-loss",
+         "repeated-noise-cell", "breakeven-no-prior", "breakeven-flag-no-prior"],
 )
 def test_out_of_range_value_exits_two_before_any_output(
     tmp_path, capsys, experiment, text, flags, location

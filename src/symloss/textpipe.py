@@ -29,6 +29,7 @@ from .errors import ConfigurationError, DegenerateSplitError, not_utf8
 from .losses import get_loss
 from .risks import auc_score, classification_metrics
 from .threshold import (
+    THRESHOLD_METHODS,
     ThresholdResult,
     classify_scores,
     default_threshold,
@@ -61,8 +62,9 @@ _ASCII_TOKEN_BYTES = bytes(
 )
 # documents counted per bincount in Vectorizer.transform; bounds its scratch memory
 _ROW_BLOCK = 512
-# json.loads without its leading-BOM and trailing-data checks
-_raw_decode = json.JSONDecoder().raw_decode
+# json.loads without its leading-BOM and trailing-data checks, nor raw_decode's
+# wrapper; it raises StopIteration where no value starts
+_scan_once = json.JSONDecoder().scan_once
 
 
 def tokenize(text: str) -> list[str]:
@@ -87,16 +89,42 @@ def _joined_tokens(texts: Sequence[str]) -> list[str]:
     ]).decode("ascii").split()
 
 
-@dataclass(frozen=True)
-class Document:
-    """One corpus record.  Its rules, checked at construction:
+def _record(
+    doc_id, text, label=None, split="train_unlabeled"
+) -> tuple[str, str, Optional[int], str]:
+    """One record's normalized fields ``(id, text, label, split)``, or a
+    ValueError naming the first field that breaks its rule:
 
-    * ``id`` is a string, or an integer, which is stored as its string;
+    * ``id`` is a string, or an integer, which becomes its string;
     * ``text`` is a string;
-    * ``hidden_label`` is None or +1/-1, not a bool, and is stored as an int;
-    * ``split`` is one of ``SPLITS``, and a ``test_labeled`` document has
+    * ``label`` is None or +1/-1, not a bool, and becomes an int;
+    * ``split`` is one of ``SPLITS``, and a ``test_labeled`` record has
       a label.
     """
+    # str() would turn None into "None" and a list into its repr
+    if isinstance(doc_id, int) and not isinstance(doc_id, bool):
+        doc_id = str(doc_id)
+    elif not isinstance(doc_id, str):
+        raise ValueError(f"id must be a string or an integer, got {type(doc_id).__name__}")
+    if not isinstance(text, str):
+        raise ValueError(f"text must be a string, got {type(text).__name__}")
+    if label is not None:
+        # a bool or a fraction is not a label, though int() would make one of it
+        if isinstance(label, bool) or label not in (-1, 1):
+            raise ValueError(f"label must be +1 or -1, got {label!r}")
+        if type(label) is not int:
+            label = int(label)
+    if split not in SPLITS:
+        raise ValueError(f"split must be one of {SPLITS}, got {split!r}")
+    if split == "test_labeled" and label is None:
+        raise ValueError(f"test document {doc_id!r} is missing its label")
+    return doc_id, text, label, split
+
+
+@dataclass(frozen=True)
+class Document:
+    """One corpus record, checked and normalized at construction by the
+    record rule (:func:`_record`) that ``Corpus.from_jsonl`` applies too."""
 
     id: str
     text: str
@@ -104,24 +132,9 @@ class Document:
     split: str = "train_unlabeled"
 
     def __post_init__(self) -> None:
-        # str() would turn None into "None" and a list into its repr
-        if isinstance(self.id, int) and not isinstance(self.id, bool):
-            object.__setattr__(self, "id", str(self.id))
-        elif not isinstance(self.id, str):
-            raise ValueError(f"id must be a string or an integer, got {type(self.id).__name__}")
-        if not isinstance(self.text, str):
-            raise ValueError(f"text must be a string, got {type(self.text).__name__}")
-        label = self.hidden_label
-        if label is not None:
-            # a bool or a fraction is not a label, though int() would make one of it
-            if isinstance(label, bool) or label not in (-1, 1):
-                raise ValueError(f"label must be +1 or -1, got {label!r}")
-            if type(label) is not int:
-                object.__setattr__(self, "hidden_label", int(label))
-        if self.split not in SPLITS:
-            raise ValueError(f"split must be one of {SPLITS}, got {self.split!r}")
-        if self.split == "test_labeled" and label is None:
-            raise ValueError(f"test document {self.id!r} is missing its label")
+        doc_id, _, label, _ = _record(self.id, self.text, self.hidden_label, self.split)
+        object.__setattr__(self, "id", doc_id)
+        object.__setattr__(self, "hidden_label", label)
 
 
 def _stripped_lines(path):
@@ -144,24 +157,48 @@ def _loads(line: str, where: str):
         raise ConfigurationError(f"{where}: invalid JSON ({exc})") from None
 
 
-@dataclass
 class Corpus:
-    """Documents tagged with purpose splits; test documents carry labels."""
+    """Documents tagged with purpose splits; test documents carry labels.
 
-    documents: list[Document]
+    The corpus stores each record once, as the row ``(id, text, label,
+    split)`` of its normalized fields, in the order given.  ``documents``
+    and ``split`` build their ``Document``s when called; ``columns`` hands
+    out a split's texts and labels without building any.
+    """
 
-    def __post_init__(self) -> None:
-        ids = [doc.id for doc in self.documents]
-        if len(set(ids)) != len(ids):
+    def __init__(self, documents: Iterable[Document]) -> None:
+        rows = [(doc.id, doc.text, doc.hidden_label, doc.split) for doc in documents]
+        if len({row[0] for row in rows}) != len(rows):
             raise ValueError("document ids must be unique")
+        self._rows = rows
 
-    def split(self, tag: str) -> list[Document]:
+    @property
+    def documents(self) -> list[Document]:
+        return [Document(*row) for row in self._rows]
+
+    def _split_rows(self, tag: str) -> list[tuple]:
         if tag not in SPLITS:
             raise ValueError(f"unknown split {tag!r}")
-        return [doc for doc in self.documents if doc.split == tag]
+        return [row for row in self._rows if row[3] == tag]
+
+    def split(self, tag: str) -> list[Document]:
+        return [Document(*row) for row in self._split_rows(tag)]
+
+    def columns(self, tag: str) -> tuple[list[str], list[Optional[int]]]:
+        """The texts and the labels of the ``tag`` split, in corpus order."""
+        rows = self._split_rows(tag)
+        return [row[1] for row in rows], [row[2] for row in rows]
 
     def __len__(self) -> int:
-        return len(self.documents)
+        return len(self._rows)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Corpus):
+            return NotImplemented
+        return self._rows == other._rows
+
+    def __repr__(self) -> str:
+        return f"Corpus(documents={self.documents!r})"
 
     @classmethod
     def from_jsonl(cls, path) -> "Corpus":
@@ -169,22 +206,25 @@ class Corpus:
         on an earlier line (the integer 7 and the string "7" are one id),
         is a ConfigurationError naming ``path:line``.
 
-        Each stripped line is decoded by one ``raw_decode`` that must
-        consume the whole line, so a line is accepted exactly when
-        ``json.loads`` accepts it alone, and an object split across two
-        lines is rejected at its first.  A line ``raw_decode`` rejects goes
-        to ``json.loads`` for the message (it alone names a leading BOM).
-        An integer past Python's digit limit and nesting past its recursion
-        limit are invalid JSON too, and bytes that are not UTF-8 name the
-        first line that does not decode.  The ``path:line`` text is
-        formatted only for a rejected line.
+        Each stripped line is decoded by one call of the JSON scanner
+        (``scan_once``), which must consume the whole line, so a line is
+        accepted exactly when ``json.loads`` accepts it alone, and an
+        object split across two lines is rejected at its first.  A line the
+        scanner rejects goes to ``json.loads`` for the message (it alone
+        names a leading BOM).  An integer past Python's digit limit and
+        nesting past its recursion limit are invalid JSON too, and bytes
+        that are not UTF-8 name the first line that does not decode.  The
+        ``path:line`` text is formatted only for a rejected line.
+
+        Each record passes the record rule (:func:`_record`) and is stored
+        as its row of normalized fields; no ``Document`` is built.
         """
-        documents = []
+        rows = []
         first_line: dict[str, int] = {}
         for line_number, line in _stripped_lines(path):
             try:
-                record, end = _raw_decode(line)
-            except (ValueError, RecursionError):
+                record, end = _scan_once(line, 0)
+            except (StopIteration, ValueError, RecursionError):
                 end = None
             if end != len(line):
                 record = _loads(line, f"{path}:{line_number}")
@@ -193,7 +233,7 @@ class Corpus:
                     f"{path}:{line_number}: expected a JSON object, got {type(record).__name__}"
                 )
             try:
-                doc = Document(
+                row = _record(
                     record["id"], record["text"], record.get("label"),
                     record.get("split", "train_unlabeled"),
                 )
@@ -201,23 +241,27 @@ class Corpus:
                 raise ConfigurationError(f"{path}:{line_number}: missing field {exc}") from None
             except ValueError as exc:
                 raise ConfigurationError(f"{path}:{line_number}: {exc}") from None
-            if doc.id in first_line:
+            doc_id = row[0]
+            if doc_id in first_line:
                 raise ConfigurationError(
-                    f"{path}:{line_number}: duplicate document id {doc.id!r}, "
-                    f"first at {path}:{first_line[doc.id]}"
+                    f"{path}:{line_number}: duplicate document id {doc_id!r}, "
+                    f"first at {path}:{first_line[doc_id]}"
                 )
-            first_line[doc.id] = line_number
-            documents.append(doc)
-        if not documents:
+            first_line[doc_id] = line_number
+            rows.append(row)
+        if not rows:
             raise ConfigurationError(f"{path}: corpus is empty")
-        return cls(documents)
+        # every row has passed the record rule and its id is unique
+        corpus = cls.__new__(cls)
+        corpus._rows = rows
+        return corpus
 
     def to_jsonl(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            for doc in self.documents:
-                record: dict = {"id": doc.id, "text": doc.text, "split": doc.split}
-                if doc.hidden_label is not None:
-                    record["label"] = doc.hidden_label
+            for doc_id, text, label, split in self._rows:
+                record: dict = {"id": doc_id, "text": text, "split": split}
+                if label is not None:
+                    record["label"] = label
                 fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
@@ -279,6 +323,8 @@ class Vectorizer:
     def transform(self, docs: Iterable) -> np.ndarray:
         """Row-per-document term matrix under the configured scheme.
 
+        ``docs`` are texts, or ``Document``s (:func:`_texts`).
+
         Documents are counted in blocks of 512 rows (``_ROW_BLOCK``).  Each
         block is tokenized by one split of its documents joined with a
         ``|`` token between them (:func:`_joined_tokens`), and its tokens
@@ -291,7 +337,7 @@ class Vectorizer:
         memory to one block's tokens and counts.  The idf is applied to the
         whole matrix afterwards.
         """
-        texts = [doc.text if isinstance(doc, Document) else str(doc) for doc in docs]
+        texts = _texts(docs)
         size = self.size
         separator = size + 1
         width = size + 2
@@ -325,16 +371,26 @@ class Vectorizer:
         return vector
 
 
+def _texts(docs) -> list[str]:
+    """The texts of a Corpus, or of a sequence of texts or of ``Document``s;
+    the first item tells which, so a sequence does not mix the two."""
+    if isinstance(docs, Corpus):
+        return [row[1] for row in docs._rows]
+    texts = list(docs)
+    if texts and isinstance(texts[0], Document):
+        return [doc.text for doc in texts]
+    return texts
+
+
 def build_vectorizer(corpus, scheme: str = "tf_idf", min_doc_freq: int = 1) -> Vectorizer:
     """Fit the vocabulary and document frequencies on a document slice."""
     if scheme not in ("tf", "tf_idf"):
         raise ConfigurationError(f"scheme must be 'tf' or 'tf_idf', got {scheme!r}")
-    docs = corpus.documents if isinstance(corpus, Corpus) else list(corpus)
-    if not docs:
+    texts = _texts(corpus)
+    if not texts:
         raise ConfigurationError("cannot build a vectorizer from an empty corpus")
     df: dict[str, int] = {}
-    for doc in docs:
-        text = doc.text if isinstance(doc, Document) else str(doc)
+    for text in texts:
         for token in set(tokenize(text)):
             df[token] = df.get(token, 0) + 1
     kept = [(token, count) for token, count in df.items() if count >= min_doc_freq]
@@ -349,7 +405,7 @@ def build_vectorizer(corpus, scheme: str = "tf_idf", min_doc_freq: int = 1) -> V
         vocabulary=vocabulary,
         document_frequency=frequencies,
         scheme=scheme,
-        n_documents=len(docs),
+        n_documents=len(texts),
     )
 
 
@@ -425,6 +481,14 @@ class PipelineConfig:
     threshold_method: str = "breakeven_known_prior"
     known_prior: Optional[float] = None
 
+    def __post_init__(self) -> None:
+        if self.threshold_method not in THRESHOLD_METHODS:
+            raise ConfigurationError(f"unknown threshold method {self.threshold_method!r}")
+        if self.threshold_method == "breakeven_known_prior" and self.known_prior is None:
+            raise ConfigurationError(
+                "breakeven thresholding needs known_prior in the pipeline config"
+            )
+
 
 @dataclass
 class PipelineReport:
@@ -462,7 +526,9 @@ def run_pipeline(corpus: Corpus, keywords: KeywordSet, config: PipelineConfig) -
     """Pseudo-label, train the ranker, pick a threshold, evaluate.
 
     The vectorizer is fit on the training slice only; validation and test
-    documents are transformed with the fitted vocabulary.  A non-symmetric
+    texts are transformed with the fitted vocabulary.  Only the training
+    slice is built as ``Document``s, for :func:`pseudo_label`; the other
+    two are read from the corpus as text and label lists.  A non-symmetric
     training loss is allowed (for comparison experiments) but warned
     about, since the noisy-split guarantee needs symmetry.
     """
@@ -477,8 +543,8 @@ def run_pipeline(corpus: Corpus, keywords: KeywordSet, config: PipelineConfig) -
         notes.append(message)
 
     train_docs = corpus.split("train_unlabeled")
-    validation_docs = corpus.split("validation_unlabeled")
-    test_docs = corpus.split("test_labeled")
+    validation_texts, _ = corpus.columns("validation_unlabeled")
+    test_texts, test_labels = corpus.columns("test_labeled")
     if not train_docs:
         raise ConfigurationError("corpus has no train_unlabeled documents")
 
@@ -501,35 +567,27 @@ def run_pipeline(corpus: Corpus, keywords: KeywordSet, config: PipelineConfig) -
     scorer = trace.scorer
 
     if config.threshold_method == "default_zero":
-        threshold_scores = validation_docs or train_docs
+        threshold_scores = validation_texts or train_docs
         threshold = default_threshold(scorer(vectorizer.transform(threshold_scores)))
     else:
-        if not validation_docs:
+        if not validation_texts:
             raise ConfigurationError(
                 "threshold selection needs validation_unlabeled documents"
             )
-        validation_scores = scorer(vectorizer.transform(validation_docs))
+        validation_scores = scorer(vectorizer.transform(validation_texts))
         if config.threshold_method == "breakeven_known_prior":
-            if config.known_prior is None:
-                raise ConfigurationError(
-                    "breakeven thresholding needs known_prior in the pipeline config"
-                )
             threshold = select_threshold(validation_scores, config.known_prior)
-        elif config.threshold_method == "heuristic_pseudo_ratio":
+        else:
             threshold = heuristic_threshold(
                 len(pseudo_pos), len(train_docs), validation_scores
-            )
-        else:
-            raise ConfigurationError(
-                f"unknown threshold method {config.threshold_method!r}"
             )
 
     test_metrics = None
     test_auc = None
-    if test_docs:
-        test_matrix = vectorizer.transform(test_docs)
+    if test_texts:
+        test_matrix = vectorizer.transform(test_texts)
         test_scores = scorer(test_matrix)
-        truth = np.array([doc.hidden_label for doc in test_docs], dtype=int)
+        truth = np.array(test_labels, dtype=int)
         predicted = classify_scores(test_scores, threshold.beta)
         test_metrics = classification_metrics(predicted, truth)
         if (truth == 1).any() and (truth == -1).any():

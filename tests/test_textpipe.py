@@ -153,6 +153,32 @@ def _insert(lines, at, line):
 _JSONL = st.builds(
     _insert, st.lists(_CLEAN_LINES, max_size=8), st.integers(0, 8), st.none() | _DEFECT_LINES
 )
+# documents with unique ids; a test document always has a label
+_DOCUMENTS = st.lists(
+    st.builds(
+        lambda doc_id, text, labeled: Document(doc_id, text, *labeled),
+        st.text("ab7", min_size=1, max_size=3) | st.integers(0, 99),
+        st.text(_CHARS, max_size=8),
+        st.sampled_from([
+            (None, "train_unlabeled"), (1, "train_unlabeled"), (None, "validation_unlabeled"),
+            (-1, "validation_unlabeled"), (1, "test_labeled"), (-1, "test_labeled"),
+        ]),
+    ),
+    max_size=8,
+    unique_by=lambda doc: doc.id,
+)
+
+
+def counting_documents():
+    """A patch of ``Document.__post_init__`` and the list of ids it was called for."""
+    built = []
+    check = Document.__post_init__
+
+    def counted(doc):
+        built.append(doc.id)
+        check(doc)
+
+    return mock.patch.object(Document, "__post_init__", counted), built
 
 
 class TestTokenize:
@@ -189,6 +215,33 @@ class TestCorpus:
     def test_test_split_needs_labels(self):
         with pytest.raises(ValueError, match="label"):
             Corpus([Document(id="a", text="x", split="test_labeled")])
+
+    @given(_DOCUMENTS)
+    @settings(max_examples=100, deadline=None)
+    def test_store_gives_back_its_documents(self, tmp_path_factory, docs):
+        corpus = Corpus(docs)
+        assert len(corpus) == len(docs)
+        assert corpus.documents == docs
+        for tag in SPLITS:
+            kept = [doc for doc in docs if doc.split == tag]
+            assert corpus.split(tag) == kept
+            assert corpus.columns(tag) == (
+                [doc.text for doc in kept], [doc.hidden_label for doc in kept]
+            )
+        if docs:
+            path = tmp_path_factory.mktemp("jsonl") / "corpus.jsonl"
+            corpus.to_jsonl(path)
+            assert Corpus.from_jsonl(path) == corpus
+
+    def test_reader_builds_no_document(self, tmp_path, bundled):
+        corpus, _ = bundled
+        path = tmp_path / "corpus.jsonl"
+        corpus.to_jsonl(path)
+        patch, built = counting_documents()
+        with patch:
+            again = Corpus.from_jsonl(path)
+        assert built == []
+        assert again == corpus
 
     def test_jsonl_round_trip(self, tmp_path, bundled):
         corpus, _ = bundled
@@ -243,11 +296,28 @@ class TestCorpus:
     @example(['\u00a0\u00a0{"id": "a", "text": "x"}\u00a0', '{"id": 7, "text": "y"}\u00a0'])
     @example(['{"id": "a", "text": "x"}', "", "  ", '{"id": "a", "text": "y"}'])
     @example(["", "\t"])
+    # only file iteration's newlines split lines: a \r\n or a lone \r does;
+    # U+2028, U+0085 and U+001C, which str.splitlines splits at, do not
+    @example([
+        '{"id": "a", "text": "x\u2028y\x85z"}\r',
+        '\x1c{"id": "b", "text": "w"}\u2028\r{"id": "c", "text": "v\u2028"}\x85',
+    ])
+    @example(['{"id": "a", "text": "x"}', '{"id": "b", "text": "y\x1cz"}'])
+    @example(['{"id": "a", "text": "x\ty"}'])  # a literal tab: the scanner's JSONDecodeError
+    @example(['{"id": "a", "text": "x"}', '{"id": ' + "7" * 5000 + ', "text": "y"}'])
     @settings(max_examples=300, deadline=None)
     def test_equals_the_per_line_loads_loop(self, tmp_path_factory, lines):
         path = tmp_path_factory.mktemp("jsonl") / "corpus.jsonl"
         path.write_bytes("\n".join(lines).encode("utf-8"))
-        assert read_outcome(Corpus.from_jsonl, path) == read_outcome(loop_read, path)
+        outcome = read_outcome(Corpus.from_jsonl, path)
+        try:
+            assert outcome == read_outcome(loop_read, path)
+        except ValueError as exc:
+            # the loop leaves json.loads's error for an integer past the
+            # digit limit unwrapped; the reader calls it invalid JSON
+            assert re.fullmatch(
+                rf"{re.escape(str(path))}:\d+: invalid JSON \({re.escape(str(exc))}\)", outcome
+            )
 
     def test_integer_id_is_read_as_its_string(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
@@ -505,6 +575,21 @@ class TestRunPipeline:
         with pytest.warns(UserWarning, match="not symmetric"):
             report = run_pipeline(corpus, keywords, config)
         assert report.warnings
+
+    def test_unknown_threshold_method_fails_before_training(self, bundled):
+        corpus, keywords = bundled
+        trained = AssertionError("the pipeline trained before rejecting its config")
+        with mock.patch.object(symloss.textpipe, "train_auc", side_effect=trained):
+            with pytest.raises(ConfigurationError, match="unknown threshold method 'oracle'"):
+                run_pipeline(corpus, keywords, pipeline_config(threshold_method="oracle"))
+
+    def test_only_the_train_slice_becomes_documents(self, bundled):
+        corpus, keywords = bundled
+        n_train = len(corpus.split("train_unlabeled"))
+        patch, built = counting_documents()
+        with patch:
+            run_pipeline(corpus, keywords, pipeline_config(seed=0))
+        assert len(built) <= n_train
 
     def test_missing_prior_for_breakeven(self, bundled):
         corpus, keywords = bundled

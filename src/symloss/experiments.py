@@ -293,6 +293,10 @@ def parse_config(
         raise ConfigurationError(
             f"{at('experiment', 'seeds')}: seeds must be non-negative, got {seeds}"
         )
+    if len(set(seeds)) != len(seeds):
+        raise ConfigurationError(
+            f"{at('experiment', 'seeds')}: a seed appears more than once, got {seeds}"
+        )
     for (section, key), least in _AT_LEAST.items():
         if sections[section][key] < least:
             raise ConfigurationError(f"[{section}] {key}: must be at least {least}")

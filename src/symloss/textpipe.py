@@ -161,9 +161,9 @@ class Corpus:
     """Documents tagged with purpose splits; test documents carry labels.
 
     The corpus stores each record once, as the row ``(id, text, label,
-    split)`` of its normalized fields, in the order given.  ``documents``
-    and ``split`` build their ``Document``s when called; ``columns`` hands
-    out a split's texts and labels without building any.
+    split)`` of its normalized fields, in the order given.  ``Document``s
+    come in through ``Corpus(documents)`` and out through ``documents``;
+    everything downstream reads a split's texts and labels (``columns``).
     """
 
     def __init__(self, documents: Iterable[Document]) -> None:
@@ -176,17 +176,11 @@ class Corpus:
     def documents(self) -> list[Document]:
         return [Document(*row) for row in self._rows]
 
-    def _split_rows(self, tag: str) -> list[tuple]:
-        if tag not in SPLITS:
-            raise ValueError(f"unknown split {tag!r}")
-        return [row for row in self._rows if row[3] == tag]
-
-    def split(self, tag: str) -> list[Document]:
-        return [Document(*row) for row in self._split_rows(tag)]
-
     def columns(self, tag: str) -> tuple[list[str], list[Optional[int]]]:
         """The texts and the labels of the ``tag`` split, in corpus order."""
-        rows = self._split_rows(tag)
+        if tag not in SPLITS:
+            raise ValueError(f"unknown split {tag!r}")
+        rows = [row for row in self._rows if row[3] == tag]
         return [row[1] for row in rows], [row[2] for row in rows]
 
     def __len__(self) -> int:
@@ -320,10 +314,8 @@ class Vectorizer:
     def _idf(self) -> np.ndarray:
         return np.log((1.0 + self.n_documents) / (1.0 + self.document_frequency)) + 1.0
 
-    def transform(self, docs: Iterable) -> np.ndarray:
-        """Row-per-document term matrix under the configured scheme.
-
-        ``docs`` are texts, or ``Document``s (:func:`_texts`).
+    def transform(self, texts: Sequence[str]) -> np.ndarray:
+        """Row-per-text term matrix under the configured scheme.
 
         Documents are counted in blocks of 512 rows (``_ROW_BLOCK``).  Each
         block is tokenized by one split of its documents joined with a
@@ -337,7 +329,6 @@ class Vectorizer:
         memory to one block's tokens and counts.  The idf is applied to the
         whole matrix afterwards.
         """
-        texts = _texts(docs)
         size = self.size
         separator = size + 1
         width = size + 2
@@ -371,22 +362,10 @@ class Vectorizer:
         return vector
 
 
-def _texts(docs) -> list[str]:
-    """The texts of a Corpus, or of a sequence of texts or of ``Document``s;
-    the first item tells which, so a sequence does not mix the two."""
-    if isinstance(docs, Corpus):
-        return [row[1] for row in docs._rows]
-    texts = list(docs)
-    if texts and isinstance(texts[0], Document):
-        return [doc.text for doc in texts]
-    return texts
-
-
-def build_vectorizer(corpus, scheme: str = "tf_idf", min_doc_freq: int = 1) -> Vectorizer:
-    """Fit the vocabulary and document frequencies on a document slice."""
+def build_vectorizer(texts, scheme: str = "tf_idf", min_doc_freq: int = 1) -> Vectorizer:
+    """Fit the vocabulary and document frequencies on a slice of texts."""
     if scheme not in ("tf", "tf_idf"):
         raise ConfigurationError(f"scheme must be 'tf' or 'tf_idf', got {scheme!r}")
-    texts = _texts(corpus)
     if not texts:
         raise ConfigurationError("cannot build a vectorizer from an empty corpus")
     df: dict[str, int] = {}
@@ -426,27 +405,30 @@ def check_tau(tau: float) -> float:
 
 def pseudo_label(
     keywords: KeywordSet,
-    documents: Sequence[Document],
+    texts: Sequence[str],
     vectorizer: Vectorizer,
     tau: float,
+    hidden_labels: Optional[Sequence[Optional[int]]] = None,
 ) -> tuple[SampleSet, SampleSet]:
-    """Split documents at cosine(document, keywords) > tau.
+    """Split texts at cosine(text, keywords) > tau.
 
-    Hidden labels ride along for purity accounting when every document
-    carries one.  Raises when the keywords miss the vocabulary entirely
+    ``hidden_labels``, aligned with ``texts``, ride along for purity
+    accounting when none of them is None.  Raises when the labels and the
+    texts differ in length, when the keywords miss the vocabulary entirely
     or when either side of the split comes out empty.
     """
     check_tau(tau)
-    documents = list(documents)
-    if not documents:
+    if not texts:
         raise ConfigurationError("no documents to pseudo-label")
+    if hidden_labels is not None and len(hidden_labels) != len(texts):
+        raise ValueError(f"{len(hidden_labels)} hidden labels for {len(texts)} texts")
     keyword_vec = vectorizer.keyword_vector(keywords.words)
     overlap = int(np.count_nonzero(keyword_vec))
     if overlap == 0:
         raise ConfigurationError(
             "keywords share no tokens with the vectorizer vocabulary"
         )
-    matrix = vectorizer.transform(documents)
+    matrix = vectorizer.transform(texts)
     cosines = _cosine_rows(matrix, keyword_vec)
     mask = cosines > tau
     if not mask.any() or mask.all():
@@ -455,8 +437,8 @@ def pseudo_label(
             f"tau={tau} leaves the {side} side empty; adjust the threshold"
         )
     labels = None
-    if all(doc.hidden_label is not None for doc in documents):
-        labels = np.array([doc.hidden_label for doc in documents], dtype=int)
+    if hidden_labels is not None and None not in hidden_labels:
+        labels = np.array(hidden_labels, dtype=int)
     pos = SampleSet(
         points=matrix[mask],
         origin="pseudo_pos",
@@ -526,9 +508,9 @@ def run_pipeline(corpus: Corpus, keywords: KeywordSet, config: PipelineConfig) -
     """Pseudo-label, train the ranker, pick a threshold, evaluate.
 
     The vectorizer is fit on the training slice only; validation and test
-    texts are transformed with the fitted vocabulary.  Only the training
-    slice is built as ``Document``s, for :func:`pseudo_label`; the other
-    two are read from the corpus as text and label lists.  A non-symmetric
+    texts are transformed with the fitted vocabulary.  All three slices are
+    read from the corpus as text and label lists (``Corpus.columns``), so
+    no ``Document`` is built.  A non-symmetric
     training loss is allowed (for comparison experiments) but warned
     about, since the noisy-split guarantee needs symmetry.
     """
@@ -542,14 +524,16 @@ def run_pipeline(corpus: Corpus, keywords: KeywordSet, config: PipelineConfig) -
         warnings.warn(message)
         notes.append(message)
 
-    train_docs = corpus.split("train_unlabeled")
+    train_texts, train_labels = corpus.columns("train_unlabeled")
     validation_texts, _ = corpus.columns("validation_unlabeled")
     test_texts, test_labels = corpus.columns("test_labeled")
-    if not train_docs:
+    if not train_texts:
         raise ConfigurationError("corpus has no train_unlabeled documents")
 
-    vectorizer = build_vectorizer(train_docs, config.scheme, config.min_doc_freq)
-    pseudo_pos, pseudo_neg = pseudo_label(keywords, train_docs, vectorizer, config.tau)
+    vectorizer = build_vectorizer(train_texts, config.scheme, config.min_doc_freq)
+    pseudo_pos, pseudo_neg = pseudo_label(
+        keywords, train_texts, vectorizer, config.tau, train_labels
+    )
 
     pi_pos = pi_neg = None
     if pseudo_pos.hidden_labels is not None and pseudo_neg.hidden_labels is not None:
@@ -567,7 +551,7 @@ def run_pipeline(corpus: Corpus, keywords: KeywordSet, config: PipelineConfig) -
     scorer = trace.scorer
 
     if config.threshold_method == "default_zero":
-        threshold_scores = validation_texts or train_docs
+        threshold_scores = validation_texts or train_texts
         threshold = default_threshold(scorer(vectorizer.transform(threshold_scores)))
     else:
         if not validation_texts:
@@ -579,7 +563,7 @@ def run_pipeline(corpus: Corpus, keywords: KeywordSet, config: PipelineConfig) -
             threshold = select_threshold(validation_scores, config.known_prior)
         else:
             threshold = heuristic_threshold(
-                len(pseudo_pos), len(train_docs), validation_scores
+                len(pseudo_pos), len(train_texts), validation_scores
             )
 
     test_metrics = None

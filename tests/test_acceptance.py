@@ -298,10 +298,10 @@ def test_criterion_6_auc_oracle_equivalence():
 def test_criterion_7_breakeven_threshold(bundled_corpus, pipeline_runs):
     corpus, _ = bundled_corpus
     breakeven, _, _ = pipeline_runs
-    vectorizer = build_vectorizer(corpus.split("train_unlabeled"), "tf_idf", 1)
-    test_docs = corpus.split("test_labeled")
-    truth = np.array([doc.hidden_label for doc in test_docs])
-    scores = breakeven.scorer(vectorizer.transform(test_docs))
+    vectorizer = build_vectorizer(corpus.columns("train_unlabeled")[0], "tf_idf", 1)
+    test_texts, test_labels = corpus.columns("test_labeled")
+    truth = np.array(test_labels)
+    scores = breakeven.scorer(vectorizer.transform(test_texts))
 
     n_positive = int((truth == 1).sum())
     threshold = select_threshold(scores, target_prior=n_positive / truth.size)

@@ -896,6 +896,9 @@ class TestSchema:
          "[corpus] prior: breakeven thresholding needs the known positive-class prior"),
         ("keywords", "[corpus]\nthreshold_method = heuristic\n", ["--threshold-method", "breakeven"],
          "[corpus] prior: breakeven thresholding needs the known positive-class prior"),
+        ("loss_compare", "seeds = 3, 3\n", [],
+         "[experiment] seeds: a seed appears more than once, got [3, 3]"),
+        ("uu_demo", "", ["--seed", "2,2"], "--seed: a seed appears more than once, got [2, 2]"),
     ],
     ids=["pu-prior", "uu-order", "tau", "tau-flag", "prior", "prior-flag", "max-support",
          "zero-one-train", "zero-one-flag", "zero-one-names", "seed-flag", "method-flag",
@@ -903,7 +906,8 @@ class TestSchema:
          "n-train-zero", "n-test-zero", "score-range-negative", "score-range-inf",
          "score-range-overflow", "instances-zero", "names-empty", "step-size-nan",
          "covariance-nan", "mean-inf", "sweep-train-loss", "compare-train-loss",
-         "repeated-noise-cell", "breakeven-no-prior", "breakeven-flag-no-prior"],
+         "repeated-noise-cell", "breakeven-no-prior", "breakeven-flag-no-prior",
+         "repeated-seed", "repeated-seed-flag"],
 )
 def test_out_of_range_value_exits_two_before_any_output(
     tmp_path, capsys, experiment, text, flags, location

@@ -35,14 +35,6 @@ from symloss.textpipe import (
 from symloss.training import TrainConfig, train_auc
 
 
-def make_docs(texts, split="train_unlabeled", labels=None):
-    labels = labels or [None] * len(texts)
-    return [
-        Document(id=f"d{i}", text=text, hidden_label=label, split=split)
-        for i, (text, label) in enumerate(zip(texts, labels))
-    ]
-
-
 @pytest.fixture(scope="module")
 def bundled():
     return load_mini_corpus(), load_keywords()
@@ -224,7 +216,6 @@ class TestCorpus:
         assert corpus.documents == docs
         for tag in SPLITS:
             kept = [doc for doc in docs if doc.split == tag]
-            assert corpus.split(tag) == kept
             assert corpus.columns(tag) == (
                 [doc.text for doc in kept], [doc.hidden_label for doc in kept]
             )
@@ -232,6 +223,11 @@ class TestCorpus:
             path = tmp_path_factory.mktemp("jsonl") / "corpus.jsonl"
             corpus.to_jsonl(path)
             assert Corpus.from_jsonl(path) == corpus
+
+    def test_unknown_split_is_named(self):
+        corpus = Corpus([Document(id="a", text="x")])
+        with pytest.raises(ValueError, match="unknown split 'trian'"):
+            corpus.columns("trian")
 
     def test_reader_builds_no_document(self, tmp_path, bundled):
         corpus, _ = bundled
@@ -385,11 +381,11 @@ class TestKeywordSet:
 
 class TestBuildVectorizer:
     def test_min_doc_freq_two(self):
-        vec = build_vectorizer(make_docs(["a b", "a c"]), scheme="tf", min_doc_freq=2)
+        vec = build_vectorizer(["a b", "a c"], scheme="tf", min_doc_freq=2)
         assert set(vec.vocabulary) == {"a"}
 
     def test_min_doc_freq_one(self):
-        vec = build_vectorizer(make_docs(["a b", "a c"]), scheme="tf", min_doc_freq=1)
+        vec = build_vectorizer(["a b", "a c"], scheme="tf", min_doc_freq=1)
         assert set(vec.vocabulary) == {"a", "b", "c"}
         # order: frequency descending, then token ascending
         assert vec.vocabulary["a"] == 0
@@ -400,12 +396,12 @@ class TestBuildVectorizer:
 
     def test_unreachable_frequency_rejected(self):
         with pytest.raises(ConfigurationError, match="vocabulary is empty"):
-            build_vectorizer(make_docs(["a b", "c d"]), scheme="tf", min_doc_freq=3)
+            build_vectorizer(["a b", "c d"], scheme="tf", min_doc_freq=3)
 
     def test_deterministic_ordering(self):
         texts = ["b a", "a c b", "c b"]
-        first = build_vectorizer(make_docs(texts), scheme="tf")
-        second = build_vectorizer(make_docs(texts), scheme="tf")
+        first = build_vectorizer(texts, scheme="tf")
+        second = build_vectorizer(texts, scheme="tf")
         assert first.vocabulary == second.vocabulary
 
 
@@ -422,23 +418,21 @@ class TestTransform:
     @given(
         st.lists(_TEXTS, max_size=40),
         st.sampled_from(["tf", "tf_idf"]),
-        st.booleans(),
         st.sampled_from([1, 3, 512]),
     )
-    @example([], "tf", True, 512)
-    @example(["omega !!", "", "\u0130"], "tf_idf", False, 512)
-    @example(["alpha|beta", "|", "| gamma |", "||42||"], "tf", False, 512)  # | is a separator
-    @example(["", "alpha", "", "", "beta x2", ""], "tf", True, 3)  # empty at block ends
-    @example(["alpha beta", "gamma", "42", "", "", "", "zeta"], "tf_idf", False, 3)  # empty block
-    @example(["", "alpha|alpha", "", "beta"], "tf", False, 1)
-    @example(["", "", ""], "tf", False, 1)
+    @example([], "tf", 512)
+    @example(["omega !!", "", "\u0130"], "tf_idf", 512)
+    @example(["alpha|beta", "|", "| gamma |", "||42||"], "tf", 512)  # | is a separator
+    @example(["", "alpha", "", "", "beta x2", ""], "tf", 3)  # empty at block ends
+    @example(["alpha beta", "gamma", "42", "", "", "", "zeta"], "tf_idf", 3)  # empty block
+    @example(["", "alpha|alpha", "", "beta"], "tf", 1)
+    @example(["", "", ""], "tf", 1)
     @settings(max_examples=200, deadline=None)
-    def test_equals_the_per_token_loop(self, texts, scheme, as_documents, block):
-        vectorizer = build_vectorizer(make_docs(self.FIT), scheme=scheme)
-        docs = make_docs(texts) if as_documents else texts
+    def test_equals_the_per_token_loop(self, texts, scheme, block):
+        vectorizer = build_vectorizer(self.FIT, scheme=scheme)
         with mock.patch.object(symloss.textpipe, "_ROW_BLOCK", block):
-            matrix = vectorizer.transform(docs)
-        expected = loop_transform(vectorizer, docs)
+            matrix = vectorizer.transform(texts)
+        expected = loop_transform(vectorizer, texts)
         assert matrix.shape == (len(texts), vectorizer.size)
         assert matrix.dtype == expected.dtype
         assert matrix.tobytes() == expected.tobytes()
@@ -447,7 +441,7 @@ class TestTransform:
     def test_crosses_row_blocks_at_the_real_block_size(self, scheme):
         rng = np.random.default_rng(5)
         texts = [" ".join(rng.choice(_WORDS, size=int(rng.integers(0, 9)))) for _ in range(1100)]
-        vectorizer = build_vectorizer(make_docs(self.FIT), scheme=scheme)
+        vectorizer = build_vectorizer(self.FIT, scheme=scheme)
         assert len(texts) > 2 * symloss.textpipe._ROW_BLOCK
         assert vectorizer.transform(texts).tobytes() == loop_transform(vectorizer, texts).tobytes()
 
@@ -473,46 +467,58 @@ class TestTransform:
 class TestPseudoLabel:
     def test_hand_cosine(self):
         # doc tf vector (2, 1, 0) against indicator of {a}: 2/sqrt(5)
-        vec = build_vectorizer(make_docs(["a a b", "a b c"]), scheme="tf")
-        docs = make_docs(["a a b"], labels=[1])
-        pos, neg = None, None
+        vec = build_vectorizer(["a a b", "a b c"], scheme="tf")
         with pytest.raises(DegenerateSplitError):
             # cosine = 0.894 > 0.5, so everything is pseudo-positive
-            pseudo_label(KeywordSet(("a",)), docs, vec, tau=0.5)
-        two = make_docs(["a a b", "c c"], labels=[1, -1])
-        pos, neg = pseudo_label(KeywordSet(("a",)), two, vec, tau=0.5)
+            pseudo_label(KeywordSet(("a",)), ["a a b"], vec, tau=0.5, hidden_labels=[1])
+        pos, neg = pseudo_label(
+            KeywordSet(("a",)), ["a a b", "c c"], vec, tau=0.5, hidden_labels=[1, -1]
+        )
         assert len(pos) == 1 and len(neg) == 1
+        assert (pos.hidden_labels.tolist(), neg.hidden_labels.tolist()) == ([1], [-1])
         np.testing.assert_allclose(
             pos.points[0, vec.vocabulary["a"]], 2.0
         )
 
     def test_doc_without_keywords_is_negative(self):
-        vec = build_vectorizer(make_docs(["a b", "c d"]), scheme="tf")
-        docs = make_docs(["a b", "c d"])
-        pos, neg = pseudo_label(KeywordSet(("a",)), docs, vec, tau=0.01)
+        vec = build_vectorizer(["a b", "c d"], scheme="tf")
+        pos, neg = pseudo_label(KeywordSet(("a",)), ["a b", "c d"], vec, tau=0.01)
         assert len(pos) == 1 and len(neg) == 1
 
+    def test_one_missing_label_drops_them_all(self):
+        vec = build_vectorizer(["a b", "c d"], scheme="tf")
+        pos, neg = pseudo_label(
+            KeywordSet(("a",)), ["a b", "c d", "a c"], vec, tau=0.01, hidden_labels=[1, None, -1]
+        )
+        assert (len(pos), len(neg)) == (2, 1)
+        assert pos.hidden_labels is None and neg.hidden_labels is None
+
+    def test_label_count_must_match_the_texts(self):
+        vec = build_vectorizer(["a b", "c d"], scheme="tf")
+        with pytest.raises(ValueError, match="^1 hidden labels for 2 texts$"):
+            pseudo_label(KeywordSet(("a",)), ["a b", "c d"], vec, tau=0.01, hidden_labels=[1])
+
     def test_no_vocabulary_overlap(self):
-        vec = build_vectorizer(make_docs(["a b", "a c"]), scheme="tf")
+        vec = build_vectorizer(["a b", "a c"], scheme="tf")
         with pytest.raises(ConfigurationError, match="no tokens"):
-            pseudo_label(KeywordSet(("zebra",)), make_docs(["a b"]), vec, tau=0.1)
+            pseudo_label(KeywordSet(("zebra",)), ["a b"], vec, tau=0.1)
 
     def test_degenerate_split_names_tau(self):
-        vec = build_vectorizer(make_docs(["a b", "a c"]), scheme="tf")
+        vec = build_vectorizer(["a b", "a c"], scheme="tf")
         with pytest.raises(DegenerateSplitError, match="tau=1.0"):
-            pseudo_label(KeywordSet(("a",)), make_docs(["a b", "a c"]), vec, tau=1.0)
+            pseudo_label(KeywordSet(("a",)), ["a b", "a c"], vec, tau=1.0)
 
     def test_partition_and_purity(self, bundled):
         corpus, keywords = bundled
-        train = corpus.split("train_unlabeled")
+        train, labels = corpus.columns("train_unlabeled")
         vec = build_vectorizer(train, "tf_idf", 1)
-        pos, neg = pseudo_label(keywords, train, vec, tau=0.15)
+        pos, neg = pseudo_label(keywords, train, vec, tau=0.15, hidden_labels=labels)
         assert len(pos) + len(neg) == len(train)
         assert pos.positive_fraction > neg.positive_fraction
 
     def test_cosines_in_unit_interval(self, bundled):
         corpus, keywords = bundled
-        train = corpus.split("train_unlabeled")
+        train, _ = corpus.columns("train_unlabeled")
         vec = build_vectorizer(train, "tf_idf", 1)
         from symloss.textpipe import _cosine_rows
 
@@ -530,11 +536,11 @@ class TestBundledAssets:
 
     def test_split_sizes_and_prior(self, bundled):
         corpus, _ = bundled
-        assert len(corpus.split("train_unlabeled")) == 200
-        assert len(corpus.split("validation_unlabeled")) == 100
-        test = corpus.split("test_labeled")
-        assert len(test) == 100
-        assert sum(doc.hidden_label == 1 for doc in test) == 30
+        assert len(corpus.columns("train_unlabeled")[0]) == 200
+        assert len(corpus.columns("validation_unlabeled")[0]) == 100
+        _, test_labels = corpus.columns("test_labeled")
+        assert len(test_labels) == 100
+        assert test_labels.count(1) == 30
 
 
 def pipeline_config(seed=0, **overrides):
@@ -583,13 +589,12 @@ class TestRunPipeline:
             with pytest.raises(ConfigurationError, match="unknown threshold method 'oracle'"):
                 run_pipeline(corpus, keywords, pipeline_config(threshold_method="oracle"))
 
-    def test_only_the_train_slice_becomes_documents(self, bundled):
+    def test_builds_no_document(self, bundled):
         corpus, keywords = bundled
-        n_train = len(corpus.split("train_unlabeled"))
         patch, built = counting_documents()
         with patch:
             run_pipeline(corpus, keywords, pipeline_config(seed=0))
-        assert len(built) <= n_train
+        assert built == []
 
     def test_missing_prior_for_breakeven(self, bundled):
         corpus, keywords = bundled
@@ -631,21 +636,21 @@ class TestTauSweepTrend:
         """Raising tau purifies the split; the clean-risk gap to a
         clean-trained reference must not grow (rank correlation <= 0)."""
         corpus, keywords = bundled
-        train = corpus.split("train_unlabeled")
-        test = corpus.split("test_labeled")
+        train, labels = corpus.columns("train_unlabeled")
+        test, test_labels = corpus.columns("test_labeled")
         vec = build_vectorizer(train, "tf_idf", 1)
         sigmoid = get_loss("sigmoid")
 
         test_matrix = vec.transform(test)
-        truth = np.array([doc.hidden_label for doc in test])
+        truth = np.array(test_labels)
         test_pos, test_neg = test_matrix[truth == 1], test_matrix[truth == -1]
 
         train_matrix = vec.transform(train)
-        train_labels = np.array([doc.hidden_label for doc in train])
+        train_labels = np.array(labels)
 
         purities, errors = [], []
         for tau in (0.1, 0.3, 0.5):
-            pos, neg = pseudo_label(keywords, train, vec, tau)
+            pos, neg = pseudo_label(keywords, train, vec, tau, labels)
             purities.append(pos.positive_fraction - neg.positive_fraction)
             per_seed = []
             for seed in range(3):

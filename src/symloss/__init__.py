@@ -64,7 +64,6 @@ from .textpipe import (
 )
 from .threshold import (
     ThresholdResult,
-    classify,
     default_threshold,
     heuristic_threshold,
     select_threshold,

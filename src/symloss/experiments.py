@@ -165,6 +165,7 @@ _AT_LEAST = {
     ("dataset", "n_test_per_class"): 1,
     ("identities", "instances"): 1,
     ("identities", "max_support"): 2,
+    ("corpus", "min_doc_freq"): 1,
 }
 
 
@@ -297,6 +298,8 @@ def parse_config(
         raise ConfigurationError(
             f"{at('experiment', 'seeds')}: a seed appears more than once, got {seeds}"
         )
+    if not sections["experiment"]["output_dir"]:
+        raise ConfigurationError(f"{at('experiment', 'output_dir')}: must name a directory")
     for (section, key), least in _AT_LEAST.items():
         if sections[section][key] < least:
             raise ConfigurationError(f"[{section}] {key}: must be at least {least}")
@@ -454,9 +457,10 @@ def _trainer(config: ExperimentConfig):
 
 def _run_grid(config: ExperimentConfig, grid: list[McdParams], losses: list[str]) -> dict:
     """loss -> the (trace, clean-test BER, clean-test AUC) of every (noise
-    cell, seed) run of ``grid``, cell-major.  Each loss's runs train as one
-    stack.  A divergence is raised once all stacks have run: the one the
-    cell-by-cell order of single runs would meet first."""
+    cell, seed) run of ``grid``, cell-major; both metrics read one scoring
+    of each test set.  Each loss's runs train as one stack.  A divergence
+    is raised once all stacks have run: the one the cell-by-cell order of
+    single runs would meet first."""
     runs = [(params, seed) for params in grid for seed in config.seeds]
     sampler_pos, sampler_neg = config.gaussians.samplers()
     n = config.sections["dataset"]["n_train_per_class"]
@@ -473,9 +477,9 @@ def _run_grid(config: ExperimentConfig, grid: list[McdParams], losses: list[str]
             continue
         results[loss_name] = []
         for trace in traces:
-            test_pos, test_neg = tests[trace.config.seed]
-            ber = empirical_ber_risk(zero_one, test_pos, test_neg, trace.scorer).value
-            auc = auc_score(trace.scorer(test_pos), trace.scorer(test_neg))
+            scores_pos, scores_neg = (trace.scorer(test) for test in tests[trace.config.seed])
+            ber = empirical_ber_risk(zero_one, scores_pos, scores_neg).value
+            auc = auc_score(scores_pos, scores_neg)
             results[loss_name].append((trace, ber, auc))
     if diverged:
         raise min(diverged, key=lambda item: item[0])[1]

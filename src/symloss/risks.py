@@ -1,12 +1,15 @@
 """Surrogate risks, exact decomposition checks, and evaluation metrics.
 
-Three families of computation live here:
+Every risk takes scores, the outputs of a prediction function g, never
+g itself: the caller scores each point set once.  Three families of
+computation live here:
 
-* empirical risks over sample sets (balanced per-class means for BER,
-  and, always exact, the mean over every pos x neg pair for AUC, which
-  the sigmoid evaluates from one exponential per score, not per pair);
-* exact risks over finite-support distributions, where expectations are
-  plain weighted sums; and
+* empirical risks over the scores of two samples (balanced per-class
+  means for BER, and, always exact, the mean over every pos x neg pair
+  for AUC, which the sigmoid evaluates from one exponential per score,
+  not per pair);
+* exact risks over finite-support distributions, given one score per
+  support point, where expectations are plain weighted sums; and
 * decomposition checks that recompute a corrupted risk two ways -- once
   directly from the corrupted mixture densities, once as
   ``separation * clean risk + excess`` -- and report the residual.
@@ -31,11 +34,11 @@ import functools
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .distributions import DiscreteBinaryDistribution, McdParams, SampleSet, corrupt_distribution
+from .distributions import DiscreteBinaryDistribution, McdParams, corrupt_distribution
 from .losses import LossSpec
 
 __all__ = [
@@ -91,38 +94,15 @@ class DecompositionCheck:
         }
 
 
-# a scorer is either a vectorized callable (points -> scores) or, for the
-# exact-risk functions only, a per-support-point score array
-ScorerLike = Union[Callable[[np.ndarray], np.ndarray], np.ndarray, Sequence[float]]
-
-
-def _scores_for(g: ScorerLike, points: np.ndarray) -> np.ndarray:
-    """Scores of ``g`` on ``points``: g may be a vectorized callable
-    (e.g. a Scorer) or a precomputed per-point score array."""
-    scores = g(points) if callable(g) else np.asarray(g, dtype=float)
+def _scores(scores, n_points: Optional[int] = None) -> np.ndarray:
+    """``scores`` as a flat float array, rejected when empty or, given
+    ``n_points``, when it holds other than one score per support point."""
     scores = np.asarray(scores, dtype=float).reshape(-1)
-    if scores.shape[0] != points.shape[0]:
-        raise ValueError(
-            f"got {scores.shape[0]} scores for {points.shape[0]} points"
-        )
+    if scores.size == 0:
+        raise ValueError("empty score list")
+    if n_points is not None and scores.size != n_points:
+        raise ValueError(f"got {scores.size} scores for {n_points} points")
     return scores
-
-
-def _points_of(sample_set) -> np.ndarray:
-    points = sample_set.points if isinstance(sample_set, SampleSet) else sample_set
-    points = np.asarray(points, dtype=float)
-    if points.ndim == 1:
-        points = points.reshape(-1, 1)
-    if points.shape[0] == 0:
-        raise ValueError("sample set is empty")
-    return points
-
-
-def _require_callable(g) -> None:
-    # empirical risks score two different point sets, so a fixed score
-    # array cannot stand in for the prediction function
-    if not callable(g):
-        raise ValueError("empirical risks need a callable scorer")
 
 
 def symmetric_excess_constant(loss: LossSpec, params: McdParams) -> float:
@@ -133,21 +113,20 @@ def symmetric_excess_constant(loss: LossSpec, params: McdParams) -> float:
     return k * (1.0 - params.pi_corr_pos + params.pi_corr_neg) / 2.0
 
 
-def empirical_ber_risk(loss: LossSpec, set_pos, set_neg, g: ScorerLike) -> RiskReport:
-    """Balanced empirical risk: the mean of the two per-class mean losses.
+def empirical_ber_risk(loss: LossSpec, scores_pos, scores_neg) -> RiskReport:
+    """Balanced empirical risk of the scores of a positive and a negative
+    sample: the mean of the two per-class mean losses.
 
     Both class means get weight 1/2 regardless of the sample counts, so
     the estimate targets the balanced risk even under class imbalance.
     """
-    _require_callable(g)
-    pos = _points_of(set_pos)
-    neg = _points_of(set_neg)
-    pos_term = float(np.mean(loss.value(_scores_for(g, pos))))
-    neg_term = float(np.mean(loss.value(-_scores_for(g, neg))))
+    scores_pos, scores_neg = _scores(scores_pos), _scores(scores_neg)
+    pos_term = float(np.mean(loss.value(scores_pos)))
+    neg_term = float(np.mean(loss.value(-scores_neg)))
     return RiskReport(
         value=0.5 * (pos_term + neg_term),
         components={"pos_term": pos_term, "neg_term": neg_term},
-        meta={"risk": "ber", "loss": loss.name, "n_pos": pos.shape[0], "n_neg": neg.shape[0]},
+        meta={"risk": "ber", "loss": loss.name, "n_pos": len(scores_pos), "n_neg": len(scores_neg)},
     )
 
 
@@ -226,15 +205,14 @@ def pairwise_mean_loss(
     return total / (scores_pos.shape[0] * scores_neg.shape[0])
 
 
-def empirical_auc_risk(loss: LossSpec, set_pos, set_neg, g: ScorerLike) -> RiskReport:
-    """Empirical pairwise ranking risk of treating set_pos above set_neg.
+def empirical_auc_risk(loss: LossSpec, scores_pos, scores_neg) -> RiskReport:
+    """Empirical pairwise ranking risk of ranking ``scores_pos`` above
+    ``scores_neg``.
 
     Always exact: every pos x neg pair is visited, by
     :func:`pairwise_mean_loss`, whose chunks bound the memory at any size.
     """
-    _require_callable(g)
-    scores_pos = _scores_for(g, _points_of(set_pos))
-    scores_neg = _scores_for(g, _points_of(set_neg))
+    scores_pos, scores_neg = _scores(scores_pos), _scores(scores_neg)
     value = pairwise_mean_loss(loss, scores_pos, scores_neg)
     n_pos, n_neg = scores_pos.shape[0], scores_neg.shape[0]
     return RiskReport(
@@ -255,11 +233,10 @@ def _class_terms(loss: LossSpec, s: np.ndarray, w_pos, w_neg) -> tuple[float, fl
     return float(w_pos @ loss.value(s)), float(w_neg @ loss.value(-s))
 
 
-def exact_ber_risk(
-    loss: LossSpec, dist: DiscreteBinaryDistribution, g: ScorerLike
-) -> RiskReport:
-    """Exact balanced risk over a finite support."""
-    pos_term, neg_term = _class_terms(loss, _scores_for(g, dist.support), dist.p_pos, dist.p_neg)
+def exact_ber_risk(loss: LossSpec, dist: DiscreteBinaryDistribution, scores) -> RiskReport:
+    """Exact balanced risk over a finite support, given one score per
+    support point."""
+    pos_term, neg_term = _class_terms(loss, _scores(scores, dist.size), dist.p_pos, dist.p_neg)
     return RiskReport(
         value=0.5 * (pos_term + neg_term),
         components={"pos_term": pos_term, "neg_term": neg_term},
@@ -267,11 +244,10 @@ def exact_ber_risk(
     )
 
 
-def exact_cer_risk(
-    loss: LossSpec, dist: DiscreteBinaryDistribution, g: ScorerLike
-) -> RiskReport:
-    """Exact misclassification-style risk, prior-weighted per class."""
-    pos_term, neg_term = _class_terms(loss, _scores_for(g, dist.support), dist.p_pos, dist.p_neg)
+def exact_cer_risk(loss: LossSpec, dist: DiscreteBinaryDistribution, scores) -> RiskReport:
+    """Exact misclassification-style risk, prior-weighted per class, given
+    one score per support point."""
+    pos_term, neg_term = _class_terms(loss, _scores(scores, dist.size), dist.p_pos, dist.p_neg)
     prior = dist.class_prior
     return RiskReport(
         value=prior * pos_term + (1.0 - prior) * neg_term,
@@ -284,11 +260,10 @@ def _pair_loss_matrix(loss: LossSpec, s: np.ndarray) -> np.ndarray:
     return loss.value(s[:, None] - s[None, :])
 
 
-def exact_auc_risk(
-    loss: LossSpec, dist: DiscreteBinaryDistribution, g: ScorerLike
-) -> RiskReport:
-    """Exact pairwise ranking risk over a finite support."""
-    s = _scores_for(g, dist.support)
+def exact_auc_risk(loss: LossSpec, dist: DiscreteBinaryDistribution, scores) -> RiskReport:
+    """Exact pairwise ranking risk over a finite support, given one score
+    per support point."""
+    s = _scores(scores, dist.size)
     pair_losses = _pair_loss_matrix(loss, s)
     value = float(dist.p_pos @ pair_losses @ dist.p_neg)
     return RiskReport(
@@ -321,19 +296,17 @@ def _decomposition(
 
 
 def ber_decomposition_check(
-    loss: LossSpec,
-    dist: DiscreteBinaryDistribution,
-    g: ScorerLike,
-    params: McdParams,
+    loss: LossSpec, dist: DiscreteBinaryDistribution, scores, params: McdParams
 ) -> DecompositionCheck:
-    """Corrupted balanced risk vs. its clean-plus-excess reconstruction.
+    """Corrupted balanced risk vs. its clean-plus-excess reconstruction,
+    given one score per support point.
 
     lhs: the corrupted risk computed directly from the mixture densities.
     rhs: separation * clean risk plus the excess term
     ``[b * E_pos[gap] + (1-a) * E_neg[gap]] / 2``.  The two agree
     identically for every loss; the residual is pure roundoff.
     """
-    s = _scores_for(g, dist.support)
+    s = _scores(scores, dist.size)
     corr_pos, corr_neg = corrupt_distribution(dist, params)
     a, b = params.pi_corr_pos, params.pi_corr_neg
     loss_pos, loss_neg = loss.value(s), loss.value(-s)
@@ -345,19 +318,17 @@ def ber_decomposition_check(
 
 
 def auc_decomposition_check(
-    loss: LossSpec,
-    dist: DiscreteBinaryDistribution,
-    g: ScorerLike,
-    params: McdParams,
+    loss: LossSpec, dist: DiscreteBinaryDistribution, scores, params: McdParams
 ) -> DecompositionCheck:
-    """Corrupted pairwise risk vs. its clean-plus-three-excess form.
+    """Corrupted pairwise risk vs. its clean-plus-three-excess form, given
+    one score per support point.
 
     The excess splits into a pos-vs-neg cross term weighted by
     ``(1-a) * b``, a pos-vs-pos term weighted by ``a * b / 2``, and a
     neg-vs-neg term weighted by ``(1-a) * (1-b) / 2``, each an exact
     expectation of the pair gap l(z - z') + l(z' - z).
     """
-    s = _scores_for(g, dist.support)
+    s = _scores(scores, dist.size)
     corr_pos, corr_neg = corrupt_distribution(dist, params)
     a, b = params.pi_corr_pos, params.pi_corr_neg
     pair_losses = _pair_loss_matrix(loss, s)

@@ -405,30 +405,30 @@ def check_tau(tau: float) -> float:
 
 def pseudo_label(
     keywords: KeywordSet,
-    texts: Sequence[str],
+    matrix: np.ndarray,
     vectorizer: Vectorizer,
     tau: float,
     hidden_labels: Optional[Sequence[Optional[int]]] = None,
 ) -> tuple[SampleSet, SampleSet]:
-    """Split texts at cosine(text, keywords) > tau.
+    """Split the rows of ``matrix``, texts transformed by ``vectorizer``,
+    at cosine(text, keywords) > tau.
 
-    ``hidden_labels``, aligned with ``texts``, ride along for purity
+    ``hidden_labels``, aligned with the rows, ride along for purity
     accounting when none of them is None.  Raises when the labels and the
-    texts differ in length, when the keywords miss the vocabulary entirely
+    rows differ in length, when the keywords miss the vocabulary entirely
     or when either side of the split comes out empty.
     """
     check_tau(tau)
-    if not texts:
+    if len(matrix) == 0:
         raise ConfigurationError("no documents to pseudo-label")
-    if hidden_labels is not None and len(hidden_labels) != len(texts):
-        raise ValueError(f"{len(hidden_labels)} hidden labels for {len(texts)} texts")
+    if hidden_labels is not None and len(hidden_labels) != len(matrix):
+        raise ValueError(f"{len(hidden_labels)} hidden labels for {len(matrix)} texts")
     keyword_vec = vectorizer.keyword_vector(keywords.words)
     overlap = int(np.count_nonzero(keyword_vec))
     if overlap == 0:
         raise ConfigurationError(
             "keywords share no tokens with the vectorizer vocabulary"
         )
-    matrix = vectorizer.transform(texts)
     cosines = _cosine_rows(matrix, keyword_vec)
     mask = cosines > tau
     if not mask.any() or mask.all():
@@ -507,8 +507,8 @@ class PipelineReport:
 def run_pipeline(corpus: Corpus, keywords: KeywordSet, config: PipelineConfig) -> PipelineReport:
     """Pseudo-label, train the ranker, pick a threshold, evaluate.
 
-    The vectorizer is fit on the training slice only; validation and test
-    texts are transformed with the fitted vocabulary.  All three slices are
+    The vectorizer is fit on the training slice only; each slice is then
+    transformed once with the fitted vocabulary.  All three slices are
     read from the corpus as text and label lists (``Corpus.columns``), so
     no ``Document`` is built.  A non-symmetric
     training loss is allowed (for comparison experiments) but warned
@@ -531,8 +531,9 @@ def run_pipeline(corpus: Corpus, keywords: KeywordSet, config: PipelineConfig) -
         raise ConfigurationError("corpus has no train_unlabeled documents")
 
     vectorizer = build_vectorizer(train_texts, config.scheme, config.min_doc_freq)
+    train_matrix = vectorizer.transform(train_texts)
     pseudo_pos, pseudo_neg = pseudo_label(
-        keywords, train_texts, vectorizer, config.tau, train_labels
+        keywords, train_matrix, vectorizer, config.tau, train_labels
     )
 
     pi_pos = pi_neg = None
@@ -551,8 +552,9 @@ def run_pipeline(corpus: Corpus, keywords: KeywordSet, config: PipelineConfig) -
     scorer = trace.scorer
 
     if config.threshold_method == "default_zero":
-        threshold_scores = validation_texts or train_texts
-        threshold = default_threshold(scorer(vectorizer.transform(threshold_scores)))
+        threshold = default_threshold(scorer(
+            vectorizer.transform(validation_texts) if validation_texts else train_matrix
+        ))
     else:
         if not validation_texts:
             raise ConfigurationError(
@@ -565,6 +567,7 @@ def run_pipeline(corpus: Corpus, keywords: KeywordSet, config: PipelineConfig) -
             threshold = heuristic_threshold(
                 len(pseudo_pos), len(train_texts), validation_scores
             )
+    del train_matrix  # not held through the test slice's transform
 
     test_metrics = None
     test_auc = None

@@ -28,7 +28,6 @@ __all__ = [
     "select_threshold",
     "heuristic_threshold",
     "default_threshold",
-    "classify",
     "classify_scores",
     "THRESHOLD_METHODS",
 ]
@@ -152,8 +151,3 @@ def classify_scores(scores, beta: float) -> np.ndarray:
     """+1 where score > beta, else -1 (exact ties are negative)."""
     scores = np.asarray(scores, dtype=float)
     return np.where(scores > beta, 1, -1)
-
-
-def classify(g, beta: float, x) -> int:
-    """Label a single feature vector by sign(g(x) - beta) with ties negative."""
-    return int(classify_scores(g(x), beta))

@@ -37,9 +37,10 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
+from .distributions import SampleSet
 from .errors import NonDifferentiableLossError, TrainingDivergedError
 from .losses import LossSpec, get_loss
-from .risks import _PAIR_CHUNK, _points_of, pairwise_mean_loss
+from .risks import _PAIR_CHUNK, pairwise_mean_loss
 
 __all__ = [
     "Scorer",
@@ -382,6 +383,16 @@ class _Run:
     X_neg: np.ndarray
     rng: np.random.Generator
     trace: TrainTrace
+
+
+def _points_of(sample_set) -> np.ndarray:
+    points = sample_set.points if isinstance(sample_set, SampleSet) else sample_set
+    points = np.asarray(points, dtype=float)
+    if points.ndim == 1:
+        points = points.reshape(-1, 1)
+    if points.shape[0] == 0:
+        raise ValueError("sample set is empty")
+    return points
 
 
 # the runs declared while train_many calls its trainer; None outside it.

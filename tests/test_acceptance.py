@@ -227,7 +227,8 @@ def test_criterion_4_robustness_experiment():
         trace = train_ber(pos, neg, config)
         test_rng = np.random.default_rng(seed + 10_000)
         return empirical_ber_risk(
-            zero_one, sampler_pos(test_rng, 2000), sampler_neg(test_rng, 2000), trace.scorer
+            zero_one, trace.scorer(sampler_pos(test_rng, 2000)),
+            trace.scorer(sampler_neg(test_rng, 2000)),
         ).value
 
     noisy = McdParams(0.8, 0.3)

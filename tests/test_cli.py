@@ -18,7 +18,7 @@ from symloss.datasets import default_config_path, load_mini_corpus
 from symloss.errors import ConfigurationError
 from symloss.experiments import _SCHEMA, parse_config, run_experiment, write_csv
 from symloss.textpipe import Corpus
-from symloss.training import TrainConfig
+from symloss.training import Scorer, TrainConfig
 
 SMALL_DATASET = """
 [dataset]
@@ -309,6 +309,21 @@ names = sigmoid, logistic
         results = read_csv(tmp_path / "out" / "results.csv")
         assert len(results) == 1 + 2  # one seed only
         assert {row[3] for row in results[1:]} == {"7"}
+
+    def test_each_clean_test_set_is_scored_once_per_run(self, tmp_path, monkeypatch):
+        # Scorer.__call__ is an alias of Scorer.score, so both are counted
+        sizes, score = [], Scorer.score
+
+        def counted(self, x, params=None):
+            sizes.append(len(x))
+            return score(self, x, params)
+
+        monkeypatch.setattr(Scorer, "score", counted)
+        monkeypatch.setattr(Scorer, "__call__", counted)
+        config = parse_config(sweep_config(tmp_path))
+        results = symloss.experiments._run_grid(config, config.noise_grid, config.losses)
+        assert sum(map(len, results.values())) == 4  # 1 cell x 2 losses x 2 seeds
+        assert sizes == [200] * (4 * 2)  # a positive and a negative test set per run
 
 
 class TestReductionCommands:
@@ -899,6 +914,8 @@ class TestSchema:
         ("loss_compare", "seeds = 3, 3\n", [],
          "[experiment] seeds: a seed appears more than once, got [3, 3]"),
         ("uu_demo", "", ["--seed", "2,2"], "--seed: a seed appears more than once, got [2, 2]"),
+        ("keywords", "[corpus]\nmin_doc_freq = -5\n", [],
+         "[corpus] min_doc_freq: must be at least 1"),
     ],
     ids=["pu-prior", "uu-order", "tau", "tau-flag", "prior", "prior-flag", "max-support",
          "zero-one-train", "zero-one-flag", "zero-one-names", "seed-flag", "method-flag",
@@ -907,7 +924,7 @@ class TestSchema:
          "score-range-overflow", "instances-zero", "names-empty", "step-size-nan",
          "covariance-nan", "mean-inf", "sweep-train-loss", "compare-train-loss",
          "repeated-noise-cell", "breakeven-no-prior", "breakeven-flag-no-prior",
-         "repeated-seed", "repeated-seed-flag"],
+         "repeated-seed", "repeated-seed-flag", "min-doc-freq-negative"],
 )
 def test_out_of_range_value_exits_two_before_any_output(
     tmp_path, capsys, experiment, text, flags, location
@@ -921,6 +938,22 @@ def test_out_of_range_value_exits_two_before_any_output(
     err = capsys.readouterr().err
     assert f"symloss: error: {location}" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, flags, location",
+    [("output_dir =\n", [], "[experiment] output_dir"), ("", ["--out", ""], "--out")],
+    ids=["config", "flag"],
+)
+def test_an_empty_output_directory_exits_two_and_writes_nothing(
+    tmp_path, monkeypatch, capsys, text, flags, location
+):
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path, f"[experiment]\nname = verify_identities\n{text}")
+    assert main(["verify-identities", "--config", str(path), *flags]) == 2
+    err = capsys.readouterr().err
+    assert f"symloss: error: {location}: must name a directory" in err
+    assert [child.name for child in tmp_path.iterdir()] == ["config.ini"]
 
 
 @pytest.mark.parametrize(

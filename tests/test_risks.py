@@ -8,6 +8,7 @@ losses.
 """
 
 import dataclasses
+import functools
 import itertools
 import math
 import multiprocessing
@@ -83,14 +84,14 @@ class TestEmpiricalBer:
         pos = SampleSet(np.array([[1.0], [2.0]]), "corr_pos")
         neg = SampleSet(np.array([[-1.0], [-2.0]]), "corr_neg")
         g = lambda X: X[:, 0]
-        report = empirical_ber_risk(get_loss("zero_one"), pos, neg, g)
+        report = empirical_ber_risk(get_loss("zero_one"), g(pos.points), g(neg.points))
         assert report.value == 0.0
 
     def test_trivial_constant_scorer_is_half(self):
         pos = SampleSet(np.array([[1.0], [2.0]]), "corr_pos")
         neg = SampleSet(np.array([[-1.0], [-2.0]]), "corr_neg")
         g = lambda X: np.full(X.shape[0], 3.7)
-        report = empirical_ber_risk(get_loss("zero_one"), pos, neg, g)
+        report = empirical_ber_risk(get_loss("zero_one"), g(pos.points), g(neg.points))
         assert report.value == 0.5
 
     def test_sigmoid_hand_value(self):
@@ -98,7 +99,7 @@ class TestEmpiricalBer:
         pos = SampleSet(np.array([[0.0]]), "corr_pos")
         neg = SampleSet(np.array([[0.0]]), "corr_neg")
         g = lambda X: np.ones(X.shape[0])
-        report = empirical_ber_risk(get_loss("sigmoid"), pos, neg, g)
+        report = empirical_ber_risk(get_loss("sigmoid"), g(pos.points), g(neg.points))
         assert report.value == pytest.approx(0.5, abs=1e-12)
         assert report.components["pos_term"] == pytest.approx(0.2689414213699951, abs=1e-12)
         assert report.components["neg_term"] == pytest.approx(0.7310585786300049, abs=1e-12)
@@ -107,15 +108,16 @@ class TestEmpiricalBer:
         pos = SampleSet(np.array([[0.3], [0.9]]), "corr_pos")
         neg = SampleSet(np.array([[-0.2]]), "corr_neg")
         g = lambda X: X[:, 0]
-        report = empirical_ber_risk(get_loss("logistic"), pos, neg, g)
+        report = empirical_ber_risk(get_loss("logistic"), g(pos.points), g(neg.points))
         rebuilt = 0.5 * (report.components["pos_term"] + report.components["neg_term"])
         assert abs(report.value - rebuilt) <= 1e-12
 
     def test_empty_set_rejected(self):
         pos = SampleSet(np.zeros((0, 1)), "corr_pos")
         neg = SampleSet(np.array([[1.0]]), "corr_neg")
+        g = lambda X: X[:, 0]
         with pytest.raises(ValueError, match="empty"):
-            empirical_ber_risk(get_loss("sigmoid"), pos, neg, lambda X: X[:, 0])
+            empirical_ber_risk(get_loss("sigmoid"), g(pos.points), g(neg.points))
 
 
 class TestEmpiricalAuc:
@@ -123,7 +125,7 @@ class TestEmpiricalAuc:
         pos = SampleSet(np.array([[0.9], [0.4]]), "corr_pos")
         neg = SampleSet(np.array([[0.4], [0.1]]), "corr_neg")
         g = lambda X: X[:, 0]
-        report = empirical_auc_risk(get_loss("zero_one"), pos, neg, g)
+        report = empirical_auc_risk(get_loss("zero_one"), g(pos.points), g(neg.points))
         # 3 wins, 1 tie at half: (0 + 0 + 0.5 + 0) / 4
         assert report.value == pytest.approx(0.125, abs=1e-15)
         assert report.meta["pairs"] == 4
@@ -134,14 +136,14 @@ class TestEmpiricalAuc:
         pos = SampleSet(np.array([[1.0], [2.0]]), "corr_pos")
         neg = SampleSet(np.array([[3.0]]), "corr_neg")
         g = lambda X: np.zeros(X.shape[0])
-        report = empirical_auc_risk(loss, pos, neg, g)
+        report = empirical_auc_risk(loss, g(pos.points), g(neg.points))
         assert report.value == pytest.approx(loss.symmetry_constant / 2.0, abs=1e-12)
 
     def test_sigmoid_single_pair(self):
         pos = SampleSet(np.array([[0.0]]), "corr_pos")
         neg = SampleSet(np.array([[1.0]]), "corr_neg")
         g = lambda X: 1.0 - X[:, 0]  # pos scores 1, neg scores 0
-        report = empirical_auc_risk(get_loss("sigmoid"), pos, neg, g)
+        report = empirical_auc_risk(get_loss("sigmoid"), g(pos.points), g(neg.points))
         assert report.value == pytest.approx(0.2689414213699951, abs=1e-12)
 
     def test_large_grid_is_exact(self):
@@ -151,7 +153,7 @@ class TestEmpiricalAuc:
         neg = SampleSet(rng.normal(-1.0, 1.0, size=(3163, 1)), "corr_neg")
         g = lambda X: X[:, 0]
         loss = get_loss("sigmoid")
-        report = empirical_auc_risk(loss, pos, neg, g)
+        report = empirical_auc_risk(loss, g(pos.points), g(neg.points))
         assert report.value == pairwise_mean_loss(loss, g(pos.points), g(neg.points))
         assert report.meta["pairs"] == 3163 * 3163
 
@@ -191,11 +193,15 @@ class TestExactRisks:
         report = exact_cer_risk(get_loss("zero_one"), dist, np.array([1.0, 1.0]))
         assert report.value == pytest.approx(0.01, abs=1e-15)
 
-    def test_scorer_callable_accepted(self, two_point_dist):
-        g = lambda X: 2.0 * X[:, 0] - 1.0
-        by_callable = exact_auc_risk(get_loss("sigmoid"), two_point_dist, g)
-        by_array = exact_auc_risk(get_loss("sigmoid"), two_point_dist, np.array([-1.0, 1.0]))
-        assert by_callable.value == by_array.value
+    @pytest.mark.parametrize(
+        "risk", [exact_ber_risk, exact_cer_risk, exact_auc_risk,
+                 functools.partial(ber_decomposition_check, params=McdParams(0.9, 0.2)),
+                 functools.partial(auc_decomposition_check, params=McdParams(0.9, 0.2))],
+        ids=["ber", "cer", "auc", "ber-check", "auc-check"],
+    )
+    def test_score_count_must_match_the_support(self, two_point_dist, risk):
+        with pytest.raises(ValueError, match="^got 3 scores for 2 points$"):
+            risk(get_loss("sigmoid"), two_point_dist, np.zeros(3))
 
 
 class TestBerDecomposition:
@@ -390,12 +396,7 @@ class TestAucScore:
         rng = np.random.default_rng(707)
         pos = rng.normal(1.0, 1.0, size=40)
         neg = rng.normal(0.0, 1.0, size=30)
-        report = empirical_auc_risk(
-            get_loss("zero_one"),
-            SampleSet(pos.reshape(-1, 1), "corr_pos"),
-            SampleSet(neg.reshape(-1, 1), "corr_neg"),
-            lambda X: X[:, 0],
-        )
+        report = empirical_auc_risk(get_loss("zero_one"), pos, neg)
         assert auc_score(pos, neg) == pytest.approx(1.0 - report.value, abs=1e-12)
 
     # a coarse grid of values gives many ties, within and across the classes
@@ -565,7 +566,7 @@ class TestEmpiricalConvergence:
         rng = np.random.default_rng(808)
         pos = SampleSet(self._sample_class(rng, two_point_dist, two_point_dist.p_pos, n), "corr_pos")
         neg = SampleSet(self._sample_class(rng, two_point_dist, two_point_dist.p_neg, n), "corr_neg")
-        empirical = empirical_ber_risk(loss, pos, neg, g).value
+        empirical = empirical_ber_risk(loss, g(pos.points), g(neg.points)).value
 
         # exact per-class loss variances from the distribution itself
         lp = loss.value(scores)
@@ -585,7 +586,7 @@ class TestEmpiricalConvergence:
         rng = np.random.default_rng(909)
         pos = SampleSet(self._sample_class(rng, two_point_dist, two_point_dist.p_pos, n), "corr_pos")
         neg = SampleSet(self._sample_class(rng, two_point_dist, two_point_dist.p_neg, n), "corr_neg")
-        empirical = empirical_auc_risk(loss, pos, neg, g).value
+        empirical = empirical_auc_risk(loss, g(pos.points), g(neg.points)).value
 
         # exact variance of the mean-over-all-pairs statistic
         h = loss.value(scores[:, None] - scores[None, :])

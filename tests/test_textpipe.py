@@ -470,9 +470,12 @@ class TestPseudoLabel:
         vec = build_vectorizer(["a a b", "a b c"], scheme="tf")
         with pytest.raises(DegenerateSplitError):
             # cosine = 0.894 > 0.5, so everything is pseudo-positive
-            pseudo_label(KeywordSet(("a",)), ["a a b"], vec, tau=0.5, hidden_labels=[1])
+            pseudo_label(
+                KeywordSet(("a",)), vec.transform(["a a b"]), vec, tau=0.5, hidden_labels=[1]
+            )
         pos, neg = pseudo_label(
-            KeywordSet(("a",)), ["a a b", "c c"], vec, tau=0.5, hidden_labels=[1, -1]
+            KeywordSet(("a",)), vec.transform(["a a b", "c c"]), vec, tau=0.5,
+            hidden_labels=[1, -1],
         )
         assert len(pos) == 1 and len(neg) == 1
         assert (pos.hidden_labels.tolist(), neg.hidden_labels.tolist()) == ([1], [-1])
@@ -482,13 +485,14 @@ class TestPseudoLabel:
 
     def test_doc_without_keywords_is_negative(self):
         vec = build_vectorizer(["a b", "c d"], scheme="tf")
-        pos, neg = pseudo_label(KeywordSet(("a",)), ["a b", "c d"], vec, tau=0.01)
+        pos, neg = pseudo_label(KeywordSet(("a",)), vec.transform(["a b", "c d"]), vec, tau=0.01)
         assert len(pos) == 1 and len(neg) == 1
 
     def test_one_missing_label_drops_them_all(self):
         vec = build_vectorizer(["a b", "c d"], scheme="tf")
         pos, neg = pseudo_label(
-            KeywordSet(("a",)), ["a b", "c d", "a c"], vec, tau=0.01, hidden_labels=[1, None, -1]
+            KeywordSet(("a",)), vec.transform(["a b", "c d", "a c"]), vec, tau=0.01,
+            hidden_labels=[1, None, -1],
         )
         assert (len(pos), len(neg)) == (2, 1)
         assert pos.hidden_labels is None and neg.hidden_labels is None
@@ -496,23 +500,25 @@ class TestPseudoLabel:
     def test_label_count_must_match_the_texts(self):
         vec = build_vectorizer(["a b", "c d"], scheme="tf")
         with pytest.raises(ValueError, match="^1 hidden labels for 2 texts$"):
-            pseudo_label(KeywordSet(("a",)), ["a b", "c d"], vec, tau=0.01, hidden_labels=[1])
+            pseudo_label(
+                KeywordSet(("a",)), vec.transform(["a b", "c d"]), vec, tau=0.01, hidden_labels=[1]
+            )
 
     def test_no_vocabulary_overlap(self):
         vec = build_vectorizer(["a b", "a c"], scheme="tf")
         with pytest.raises(ConfigurationError, match="no tokens"):
-            pseudo_label(KeywordSet(("zebra",)), ["a b"], vec, tau=0.1)
+            pseudo_label(KeywordSet(("zebra",)), vec.transform(["a b"]), vec, tau=0.1)
 
     def test_degenerate_split_names_tau(self):
         vec = build_vectorizer(["a b", "a c"], scheme="tf")
         with pytest.raises(DegenerateSplitError, match="tau=1.0"):
-            pseudo_label(KeywordSet(("a",)), ["a b", "a c"], vec, tau=1.0)
+            pseudo_label(KeywordSet(("a",)), vec.transform(["a b", "a c"]), vec, tau=1.0)
 
     def test_partition_and_purity(self, bundled):
         corpus, keywords = bundled
         train, labels = corpus.columns("train_unlabeled")
         vec = build_vectorizer(train, "tf_idf", 1)
-        pos, neg = pseudo_label(keywords, train, vec, tau=0.15, hidden_labels=labels)
+        pos, neg = pseudo_label(keywords, vec.transform(train), vec, tau=0.15, hidden_labels=labels)
         assert len(pos) + len(neg) == len(train)
         assert pos.positive_fraction > neg.positive_fraction
 
@@ -622,6 +628,23 @@ class TestRunPipeline:
         )
         assert breakeven.test_metrics["f1"] > default.test_metrics["f1"]
 
+    def test_default_threshold_reuses_the_train_matrix(self, bundled):
+        # without a validation split the default cutoff scores the train
+        # slice, which pseudo-labeling has transformed already
+        corpus, keywords = bundled
+        kept = Corpus(doc for doc in corpus.documents if doc.split != "validation_unlabeled")
+        rows, transform = [], symloss.textpipe.Vectorizer.transform
+
+        def counted(self, texts):
+            rows.append(len(texts))
+            return transform(self, texts)
+
+        config = pipeline_config(seed=0, threshold_method="default_zero")
+        with mock.patch.object(symloss.textpipe.Vectorizer, "transform", counted):
+            report = run_pipeline(kept, keywords, config)
+        assert rows == [200, 100]  # the train slice, then the test slice
+        assert report.threshold.beta == 0.0
+
     def test_guarantee_gate(self, bundled):
         # informative split plus symmetric loss implies an above-chance ranker
         corpus, keywords = bundled
@@ -650,7 +673,7 @@ class TestTauSweepTrend:
 
         purities, errors = [], []
         for tau in (0.1, 0.3, 0.5):
-            pos, neg = pseudo_label(keywords, train, vec, tau, labels)
+            pos, neg = pseudo_label(keywords, train_matrix, vec, tau, labels)
             purities.append(pos.positive_fraction - neg.positive_fraction)
             per_seed = []
             for seed in range(3):

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from symloss.risks import classification_metrics
 from symloss.threshold import (
     ThresholdResult,
-    classify,
     classify_scores,
     default_threshold,
     heuristic_threshold,
@@ -162,9 +161,7 @@ class TestHeuristicAndDefault:
 
 class TestClassify:
     def test_strict_inequality(self):
-        g = lambda x: float(np.sum(x))
-        assert classify(g, 0.8, np.array([0.9])) == 1
-        assert classify(g, 0.8, np.array([0.8])) == -1
+        np.testing.assert_array_equal(classify_scores([0.9, 0.8], 0.8), [1, -1])
 
     def test_beta_above_all_scores(self):
         scores = np.array([0.1, 0.5, 0.9])

@@ -118,7 +118,9 @@ class TestTrainBer:
         config = TrainConfig(objective="ber", loss="sigmoid", epochs=200, seed=0)
         trace = train_ber(pos, neg, config)
         test_pos, test_neg = clean_sets(1000, seed=99)
-        ber = empirical_ber_risk(get_loss("zero_one"), test_pos, test_neg, trace.scorer).value
+        ber = empirical_ber_risk(
+            get_loss("zero_one"), trace.scorer(test_pos.points), trace.scorer(test_neg.points)
+        ).value
         assert ber <= 0.05
 
     def test_zero_step_size_is_a_no_op(self):

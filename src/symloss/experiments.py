@@ -25,6 +25,7 @@ import difflib
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -300,6 +301,11 @@ def parse_config(
         )
     if not sections["experiment"]["output_dir"]:
         raise ConfigurationError(f"{at('experiment', 'output_dir')}: must name a directory")
+    output_dir = Path(sections["experiment"]["output_dir"])
+    # mkdir fails where the directory or its nearest existing ancestor is not one
+    nearest = next((p for p in (output_dir, *output_dir.parents) if os.path.exists(p)), None)
+    if nearest is not None and not os.path.isdir(nearest):
+        raise ConfigurationError(f"{at('experiment', 'output_dir')}: {nearest} is not a directory")
     for (section, key), least in _AT_LEAST.items():
         if sections[section][key] < least:
             raise ConfigurationError(f"[{section}] {key}: must be at least {least}")
@@ -369,7 +375,7 @@ def parse_config(
 
     return ExperimentConfig(
         experiment=name,
-        output_dir=Path(sections["experiment"]["output_dir"]),
+        output_dir=output_dir,
         seeds=seeds,
         echo={sec: dict(parser[sec]) for sec in parser.sections()},
         sections=sections,
@@ -682,9 +688,15 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
 
 def run_experiment(config: ExperimentConfig) -> int:
     """Run ``config``'s experiment, then write its artifacts and manifest
-    into ``config.output_dir``; the exit status is the runner's."""
+    into ``config.output_dir``; the exit status is the runner's.  A directory
+    that cannot be made is a ConfigurationError naming it."""
     artifacts, status = _EXPERIMENTS[config.experiment][0](config)
-    config.output_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        config.output_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(
+            f"{config.output_dir}: cannot make the output directory ({exc.strerror})"
+        ) from None
     paths = [config.output_dir / name for name in artifacts]
     for path, content in zip(paths, artifacts.values()):
         if isinstance(content, str):

@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -61,7 +60,9 @@ _ASCII_TOKEN_BYTES = bytes(
     for char in map(chr, range(256))
 )
 # documents counted per bincount in Vectorizer.transform; bounds its scratch memory
-_ROW_BLOCK = 512
+_ROW_BLOCK = 256
+# _LOW_BYTES[k] keeps the low k bytes of a uint64
+_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 # json.loads without its leading-BOM and trailing-data checks, nor raw_decode's
 # wrapper; it raises StopIteration where no value starts
 _scan_once = json.JSONDecoder().scan_once
@@ -70,23 +71,17 @@ _scan_once = json.JSONDecoder().scan_once
 def tokenize(text: str) -> list[str]:
     """Lowercase and split on runs of characters outside [0-9a-z].
 
-    The lowered text is encoded to ASCII with every other code point as
-    ``?``; one byte translate then turns each byte outside [0-9a-z] into a
-    space, and a whitespace split cuts the tokens.
+    The text goes through the token byte rule (:func:`_token_bytes`), and a
+    whitespace split cuts the tokens.
     """
-    return _joined_tokens([text])
+    return _token_bytes(text).decode("ascii").split()
 
 
-def _joined_tokens(texts: Sequence[str]) -> list[str]:
-    """The tokens of each text in turn, with a ``|`` token between two texts.
-
-    Each text is lowered, encoded and translated alone; the translate maps
-    ``|`` to a space, so only a separator yields that token.  The texts are
-    joined with ``b" | "``, then decoded and split once.
-    """
-    return b" | ".join([
-        text.lower().encode("ascii", "replace").translate(_ASCII_TOKEN_BYTES) for text in texts
-    ]).decode("ascii").split()
+def _token_bytes(text: str) -> bytes:
+    """The token byte rule: the lowered text encoded to ASCII with every other
+    code point as ``?``, then each byte outside [0-9a-z] translated to a space.
+    A token is a run of non-space bytes, so it never holds a space or a NUL."""
+    return text.lower().encode("ascii", "replace").translate(_ASCII_TOKEN_BYTES)
 
 
 def _record(
@@ -291,6 +286,33 @@ class KeywordSet:
         return len(self.words)
 
 
+def _token_columns(texts: Sequence[str], column_of, unknown: int) -> np.ndarray:
+    """``column_of(token, unknown)`` for each token of the texts, with a ``|``
+    token between two texts (see :meth:`Vectorizer.transform`).  The scratch
+    arrays are freed on return, before the next block's exist."""
+    # a space before and 8 after: every token is bounded by spaces, and 8 bytes
+    # can be read where any token starts
+    joined = b"".join((b" ", b" | ".join([_token_bytes(text) for text in texts]), b" " * 8))
+    buffer = np.frombuffer(joined, dtype=np.uint8)
+    edges = np.flatnonzero(np.diff(buffer != 0x20)) + 1
+    starts, stops = edges[0::2], edges[1::2]
+    lengths = stops - starts
+    # the 8 bytes from each token start as one little-endian integer
+    keys = np.ndarray((len(buffer) - 7,), dtype="<u8", buffer=buffer, strides=(1,))[starts]
+    keys &= _LOW_BYTES[np.minimum(lengths, 8)]
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    # an S8 item drops its trailing NULs, so a key of at most 8 bytes becomes its token
+    columns = np.array(
+        [column_of(word, unknown) for word in distinct.view("S8").tolist()], dtype=np.int64
+    )[inverse]
+    longer = np.flatnonzero(lengths > 8)
+    columns[longer] = [
+        column_of(joined[a:b], unknown)
+        for a, b in zip(starts[longer].tolist(), stops[longer].tolist())
+    ]
+    return columns
+
+
 @dataclass
 class Vectorizer:
     """Bag-of-words vectorizer with tf or smoothed tf-idf weighting.
@@ -317,30 +339,36 @@ class Vectorizer:
     def transform(self, texts: Sequence[str]) -> np.ndarray:
         """Row-per-text term matrix under the configured scheme.
 
-        Documents are counted in blocks of 512 rows (``_ROW_BLOCK``).  Each
-        block is tokenized by one split of its documents joined with a
-        ``|`` token between them (:func:`_joined_tokens`), and its tokens
-        are mapped to columns once: unknown tokens go to spare column
-        ``size`` and separators to spare column ``size + 1``.  A token's
-        row is the count of separators up to it, taken by one ``cumsum``,
-        and the block's (row, column) cells go through one ``np.bincount``;
-        the spare columns are dropped.  The counts are exact integers, so the
-        matrix equals a per-token loop's; the block bounds the scratch
-        memory to one block's tokens and counts.  The idf is applied to the
-        whole matrix afterwards.
+        Documents are counted in blocks of 256 rows (``_ROW_BLOCK``), and no
+        per-token Python object is made.  A block's documents pass the token
+        byte rule (:func:`_token_bytes`) and are joined with a ``|`` token
+        between them; tokens start and stop where the bytes change between
+        space and non-space.  A token's word key is its first 8 bytes read as
+        one little-endian integer and masked to its length, which is the
+        token itself when it is at most 8 bytes long, as no token holds a NUL.
+        The block's distinct keys are looked up once each, by their bytes, in
+        a dict of the vocabulary's words and ``|``, and mapped back to the
+        tokens; a token longer than 8 bytes is looked up alone by its bytes.
+        Unknown tokens go to spare column ``size`` and separators to spare
+        column ``size + 1``.  A token's row is the count of separators up to
+        it, taken by one ``cumsum``, and the block's (row, column) cells go
+        through one ``np.bincount``; the spare columns are dropped.  The
+        counts are exact integers, so the matrix equals a per-token loop's;
+        the block bounds the scratch memory.  The idf is applied afterwards.
         """
         size = self.size
         separator = size + 1
         width = size + 2
         matrix = np.empty((len(texts), size))
-        column_of = {**self.vocabulary, "|": separator}.get
+        # a word outside ASCII gets a ``?``, which no token holds
+        by_bytes = {
+            word.encode("ascii", "replace"): column for word, column in self.vocabulary.items()
+        }
+        by_bytes[b"|"] = separator
         for start in range(0, len(texts), _ROW_BLOCK):
             block = texts[start:start + _ROW_BLOCK]
             rows = len(block)
-            tokens = _joined_tokens(block)
-            columns = np.fromiter(
-                map(column_of, tokens, repeat(size)), dtype=np.int64, count=len(tokens)
-            )
+            columns = _token_columns(block, by_bytes.get, size)
             cells = np.cumsum(columns == separator) * width + columns
             counts = np.bincount(cells, minlength=rows * width).reshape(rows, width)
             matrix[start:start + rows] = counts[:, :size]

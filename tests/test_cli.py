@@ -956,6 +956,40 @@ def test_an_empty_output_directory_exits_two_and_writes_nothing(
     assert [child.name for child in tmp_path.iterdir()] == ["config.ini"]
 
 
+@pytest.mark.parametrize("out", ["afile", "afile/sub"], ids=["file", "under-file"])
+@pytest.mark.parametrize("where", ["config", "flag"])
+def test_an_output_directory_at_or_under_a_file_exits_two_before_the_run(
+    tmp_path, monkeypatch, capsys, out, where
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("kept\n")
+    text = f"output_dir = {out}\n" if where == "config" else ""
+    flags = ["--out", out] if where == "flag" else []
+    location = "[experiment] output_dir" if where == "config" else "--out"
+    path = write_config(tmp_path, f"[experiment]\nname = verify_identities\n{text}")
+    runs = []
+    _, reads, one_seed = symloss.experiments._EXPERIMENTS["verify_identities"]
+    monkeypatch.setitem(
+        symloss.experiments._EXPERIMENTS, "verify_identities", (runs.append, reads, one_seed)
+    )
+    assert main(["verify-identities", "--config", str(path), *flags]) == 2
+    assert capsys.readouterr().err == f"symloss: error: {location}: afile is not a directory\n"
+    assert runs == []
+    assert (tmp_path / "afile").read_text() == "kept\n"
+
+
+def test_an_output_directory_that_cannot_be_made_is_a_configuration_error(tmp_path):
+    path = write_config(
+        tmp_path,
+        f"[experiment]\nname = verify_identities\noutput_dir = {tmp_path / 'out'}\n\n"
+        "[losses]\nnames = sigmoid\n\n[identities]\ninstances = 1\n",
+    )
+    config = parse_config(path)
+    (tmp_path / "out").write_text("made after the config was read\n")
+    with pytest.raises(ConfigurationError, match="out: cannot make the output directory"):
+        run_experiment(config)
+
+
 @pytest.mark.parametrize(
     "experiment, text, section",
     [

@@ -412,6 +412,25 @@ _WORDS = ("alpha", "Beta", "gamma", "delta", "x2", "42", "\u212a", "zeta", "caf\
 _TEXTS = st.lists(st.sampled_from(_WORDS), max_size=12).map(" ".join) | st.text(max_size=20)
 
 
+_TOKEN = st.text(alphabet="0123456789abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=20)
+
+
+@st.composite
+def _long_token_texts(draw):
+    """A vocabulary of up to 2,000 tokens of 1 to 20 bytes, and texts of its
+    tokens and strangers, joined by bytes outside the token alphabet."""
+    words = draw(st.lists(_TOKEN, min_size=1, max_size=2000, unique=True))
+    token = st.sampled_from(words) | _TOKEN
+    joiner = st.sampled_from([" ", "|", ", ", "\u00e9"])
+    text = st.lists(st.tuples(token, joiner), max_size=30).map(
+        lambda pairs: "".join(word + glue for word, glue in pairs)
+    )
+    return words, draw(st.lists(text, max_size=40))
+
+
+_PREFIXED = ["abcdefgh", "abcdefghi", "abcdefghij"]
+
+
 class TestTransform:
     FIT = ["alpha beta gamma", "beta delta 42", "gamma K x2 beta", "alpha alpha zeta"]
 
@@ -462,6 +481,29 @@ class TestTransform:
         finally:
             tracemalloc.stop()
         assert peak - matrix.nbytes < 2_000_000
+
+    # a token of at most 8 bytes is looked up by its 8-byte key, a longer one by its bytes
+    @given(_long_token_texts(), st.sampled_from(["tf", "tf_idf"]), st.sampled_from([1, 3, 256]))
+    @example(
+        (["abcdefgh", "abcdefghi", "abcdefghijklmnop", "abcdefghijklmnopq"],
+         ["abcdefgh abcdefghi", "abcdefghijklmnop|abcdefghijklmnopq", "abcdefghijklmno"]),
+        "tf", 256,
+    )  # 8, 9, 16 and 17 bytes, and 15
+    @example(
+        (_PREFIXED, ["abcdefghij abcdefgh", "abcdefghi abcdefghijk abcdefg", "ABCDEFGHIJ"]),
+        "tf_idf", 256,
+    )  # one 8-byte prefix
+    @example((["abcdefghi", "x"], ["abcdefgh abcdefghij abcdefghi"]), "tf", 1)  # prefix strangers
+    @example((_PREFIXED, ["x" * 100_000, "abcdefgh " + "y" * 100_000 + " abcdefgh"]), "tf", 256)
+    @example((_PREFIXED, ["abcdefghij abcdefghi", "abcdefghijk", "abcdefghi"]), "tf", 1)
+    @example((["abcdefghijklmnopqrst"], ["abcdefghijklmnopqrst " * 3]), "tf", 256)  # only long
+    @settings(max_examples=100, deadline=None)
+    def test_long_tokens_equal_the_per_token_loop(self, words_and_texts, scheme, block):
+        words, texts = words_and_texts
+        vectorizer = build_vectorizer(words, scheme=scheme)
+        with mock.patch.object(symloss.textpipe, "_ROW_BLOCK", block):
+            matrix = vectorizer.transform(texts)
+        assert matrix.tobytes() == loop_transform(vectorizer, texts).tobytes()
 
 
 class TestPseudoLabel:

@@ -85,6 +85,8 @@ def check_loss_name(name: str, where: str, trainable: bool = False) -> str:
 
 
 def _fmt(value) -> str:
+    if value is None:
+        return ""
     if isinstance(value, float):
         return f"{value:.12g}"
     return str(value)
@@ -160,12 +162,14 @@ def _convert(where: str, text: str, kind):
     return value
 
 
-# (section, key) -> the least value an integer key may take
+# (section, key) -> the least value a numeric key may take
 _AT_LEAST = {
     ("dataset", "n_train_per_class"): 1,
     ("dataset", "n_test_per_class"): 1,
     ("identities", "instances"): 1,
     ("identities", "max_support"): 2,
+    ("identities", "tolerance"): 0,
+    ("identities", "symmetric_tolerance"): 0,
     ("corpus", "min_doc_freq"): 1,
 }
 
@@ -422,8 +426,8 @@ def run_verify_identities(config: ExperimentConfig) -> tuple[dict, int]:
                 expected = symmetric_excess_constant(loss, params)
                 symmetric_excess = expected
                 ok = ok and (
-                    abs(ber.components["excess"] - expected) <= symmetric_tolerance
-                    and abs(auc.components["excess"] - expected) <= symmetric_tolerance
+                    abs(ber.excess - expected) <= symmetric_tolerance
+                    and abs(auc.excess - expected) <= symmetric_tolerance
                 )
             failures += 0 if ok else 1
             rows.append({
@@ -435,11 +439,11 @@ def run_verify_identities(config: ExperimentConfig) -> tuple[dict, int]:
                 "ber_lhs": ber.lhs,
                 "ber_rhs": ber.rhs,
                 "ber_residual": ber.residual,
-                "ber_excess": ber.components["excess"],
+                "ber_excess": ber.excess,
                 "auc_lhs": auc.lhs,
                 "auc_rhs": auc.rhs,
                 "auc_residual": auc.residual,
-                "auc_excess": auc.components["excess"],
+                "auc_excess": auc.excess,
                 "symmetric_excess": symmetric_excess,
                 "status": "ok" if ok else "FAIL",
             })
@@ -594,19 +598,21 @@ def run_keywords(config: ExperimentConfig) -> tuple[dict, int]:
     )
     report = run_pipeline(corpus, keywords, pipeline_config)
 
-    metrics = report.test_metrics or {}
+    # an absent or undefined value is None: an empty cell and JSON null
+    data = report.to_dict()
+    metrics = data["test_metrics"] or {}
     row = {
         "n_pseudo_pos": report.n_pseudo_pos,
         "n_pseudo_neg": report.n_pseudo_neg,
-        "empirical_pi_pos": "" if report.empirical_pi_pos is None else report.empirical_pi_pos,
-        "empirical_pi_neg": "" if report.empirical_pi_neg is None else report.empirical_pi_neg,
+        "empirical_pi_pos": report.empirical_pi_pos,
+        "empirical_pi_neg": report.empirical_pi_neg,
         "threshold_beta": report.threshold.beta,
         "threshold_method": report.threshold.method,
-        "test_auc": "" if report.test_auc is None else report.test_auc,
-        **{key: metrics.get(key, "") for key in ("cer", "ber", "precision", "recall", "f1")},
+        "test_auc": report.test_auc,
+        **{key: metrics.get(key) for key in ("cer", "ber", "precision", "recall", "f1")},
     }
     artifacts = {
-        "report.json": json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n",
+        "report.json": json.dumps(data, sort_keys=True, indent=2, allow_nan=False) + "\n",
         "metrics.csv": [row],
     }
 

@@ -11,8 +11,12 @@ computation live here:
 * exact risks over finite-support distributions, given one score per
   support point, where expectations are plain weighted sums; and
 * decomposition checks that recompute a corrupted risk two ways -- once
-  directly from the corrupted mixture densities, once as
-  ``separation * clean risk + excess`` -- and report the residual.
+  directly from the corrupted mixture densities (``lhs``), once as
+  ``separation * clean_risk + excess`` (``rhs``) -- and report both,
+  the clean risk, the excess and their residual.
+
+A risk report is the risk's value plus, for BER and CER, its two class
+terms.
 
 The corrupted BER risk of any loss l satisfies
 
@@ -62,36 +66,26 @@ _PAIR_CHUNK = 512
 
 @dataclass
 class RiskReport:
-    """Value of a risk plus the named sub-terms it was assembled from."""
+    """Value of a risk plus, for the BER and CER risks, its two class
+    terms ``pos_term`` and ``neg_term``."""
 
     value: float
     components: dict[str, float] = field(default_factory=dict)
-    meta: dict[str, object] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {"value": self.value, "components": self.components, "meta": self.meta}
 
 
 @dataclass
 class DecompositionCheck:
-    """Two independent evaluations of a corrupted risk and their residual."""
+    """A corrupted risk computed directly (``lhs``) and as
+    ``separation * clean_risk + excess`` (``rhs``)."""
 
     lhs: float
     rhs: float
-    components: dict[str, float] = field(default_factory=dict)
-    meta: dict[str, object] = field(default_factory=dict)
+    clean_risk: float
+    excess: float
 
     @property
     def residual(self) -> float:
         return abs(self.lhs - self.rhs)
-
-    def to_dict(self) -> dict:
-        return {
-            "value": self.lhs,
-            "components": dict(self.components, rhs=self.rhs),
-            "residual": self.residual,
-            "meta": self.meta,
-        }
 
 
 def _scores(scores, n_points: Optional[int] = None) -> np.ndarray:
@@ -123,11 +117,7 @@ def empirical_ber_risk(loss: LossSpec, scores_pos, scores_neg) -> RiskReport:
     scores_pos, scores_neg = _scores(scores_pos), _scores(scores_neg)
     pos_term = float(np.mean(loss.value(scores_pos)))
     neg_term = float(np.mean(loss.value(-scores_neg)))
-    return RiskReport(
-        value=0.5 * (pos_term + neg_term),
-        components={"pos_term": pos_term, "neg_term": neg_term},
-        meta={"risk": "ber", "loss": loss.name, "n_pos": len(scores_pos), "n_neg": len(scores_neg)},
-    )
+    return RiskReport(0.5 * (pos_term + neg_term), {"pos_term": pos_term, "neg_term": neg_term})
 
 
 @functools.cache
@@ -212,20 +202,7 @@ def empirical_auc_risk(loss: LossSpec, scores_pos, scores_neg) -> RiskReport:
     Always exact: every pos x neg pair is visited, by
     :func:`pairwise_mean_loss`, whose chunks bound the memory at any size.
     """
-    scores_pos, scores_neg = _scores(scores_pos), _scores(scores_neg)
-    value = pairwise_mean_loss(loss, scores_pos, scores_neg)
-    n_pos, n_neg = scores_pos.shape[0], scores_neg.shape[0]
-    return RiskReport(
-        value=value,
-        components={"pair_mean": value},
-        meta={
-            "risk": "auc",
-            "loss": loss.name,
-            "n_pos": n_pos,
-            "n_neg": n_neg,
-            "pairs": n_pos * n_neg,
-        },
-    )
+    return RiskReport(pairwise_mean_loss(loss, _scores(scores_pos), _scores(scores_neg)))
 
 
 def _class_terms(loss: LossSpec, s: np.ndarray, w_pos, w_neg) -> tuple[float, float]:
@@ -237,11 +214,7 @@ def exact_ber_risk(loss: LossSpec, dist: DiscreteBinaryDistribution, scores) -> 
     """Exact balanced risk over a finite support, given one score per
     support point."""
     pos_term, neg_term = _class_terms(loss, _scores(scores, dist.size), dist.p_pos, dist.p_neg)
-    return RiskReport(
-        value=0.5 * (pos_term + neg_term),
-        components={"pos_term": pos_term, "neg_term": neg_term},
-        meta={"risk": "ber", "loss": loss.name, "expectation": "exact"},
-    )
+    return RiskReport(0.5 * (pos_term + neg_term), {"pos_term": pos_term, "neg_term": neg_term})
 
 
 def exact_cer_risk(loss: LossSpec, dist: DiscreteBinaryDistribution, scores) -> RiskReport:
@@ -250,9 +223,7 @@ def exact_cer_risk(loss: LossSpec, dist: DiscreteBinaryDistribution, scores) -> 
     pos_term, neg_term = _class_terms(loss, _scores(scores, dist.size), dist.p_pos, dist.p_neg)
     prior = dist.class_prior
     return RiskReport(
-        value=prior * pos_term + (1.0 - prior) * neg_term,
-        components={"pos_term": pos_term, "neg_term": neg_term, "class_prior": prior},
-        meta={"risk": "cer", "loss": loss.name, "expectation": "exact"},
+        prior * pos_term + (1.0 - prior) * neg_term, {"pos_term": pos_term, "neg_term": neg_term}
     )
 
 
@@ -264,35 +235,7 @@ def exact_auc_risk(loss: LossSpec, dist: DiscreteBinaryDistribution, scores) -> 
     """Exact pairwise ranking risk over a finite support, given one score
     per support point."""
     s = _scores(scores, dist.size)
-    pair_losses = _pair_loss_matrix(loss, s)
-    value = float(dist.p_pos @ pair_losses @ dist.p_neg)
-    return RiskReport(
-        value=value,
-        components={"pair_mean": value},
-        meta={"risk": "auc", "loss": loss.name, "expectation": "exact"},
-    )
-
-
-def _decomposition(
-    risk: str, loss: LossSpec, params: McdParams, lhs: float, clean: float, excess: float, **terms
-) -> DecompositionCheck:
-    """The check record of ``lhs`` against ``separation * clean + excess``;
-    ``terms`` are the excess's named parts."""
-    components = {"clean_risk": clean, "excess": excess, **terms, "slope": params.separation}
-    if loss.symmetric:
-        components["symmetric_excess"] = symmetric_excess_constant(loss, params)
-    return DecompositionCheck(
-        lhs=lhs,
-        rhs=params.separation * clean + excess,
-        components=components,
-        meta={
-            "risk": risk,
-            "loss": loss.name,
-            "pi_corr_pos": params.pi_corr_pos,
-            "pi_corr_neg": params.pi_corr_neg,
-            "expectation": "exact",
-        },
-    )
+    return RiskReport(float(dist.p_pos @ _pair_loss_matrix(loss, s) @ dist.p_neg))
 
 
 def ber_decomposition_check(
@@ -314,7 +257,7 @@ def ber_decomposition_check(
     excess = 0.5 * (b * float(dist.p_pos @ gap) + (1.0 - a) * float(dist.p_neg @ gap))
     lhs = 0.5 * (float(corr_pos @ loss_pos) + float(corr_neg @ loss_neg))
     clean = 0.5 * (float(dist.p_pos @ loss_pos) + float(dist.p_neg @ loss_neg))
-    return _decomposition("ber", loss, params, lhs, clean, excess)
+    return DecompositionCheck(lhs, params.separation * clean + excess, clean, excess)
 
 
 def auc_decomposition_check(
@@ -336,13 +279,10 @@ def auc_decomposition_check(
     cross = (1.0 - a) * b * float(dist.p_pos @ pair_gap @ dist.p_neg)
     pos_pos = 0.5 * a * b * float(dist.p_pos @ pair_gap @ dist.p_pos)
     neg_neg = 0.5 * (1.0 - a) * (1.0 - b) * float(dist.p_neg @ pair_gap @ dist.p_neg)
-    return _decomposition(
-        "auc", loss, params,
-        lhs=float(corr_pos @ pair_losses @ corr_neg),
-        clean=float(dist.p_pos @ pair_losses @ dist.p_neg),
-        excess=cross + pos_pos + neg_neg,
-        excess_cross=cross, excess_pos_pos=pos_pos, excess_neg_neg=neg_neg,
-    )
+    lhs = float(corr_pos @ pair_losses @ corr_neg)
+    clean = float(dist.p_pos @ pair_losses @ dist.p_neg)
+    excess = cross + pos_pos + neg_neg
+    return DecompositionCheck(lhs, params.separation * clean + excess, clean, excess)
 
 
 def auc_score(scores_pos: Sequence[float], scores_neg: Sequence[float]) -> float:

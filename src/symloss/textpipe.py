@@ -515,13 +515,21 @@ class PipelineReport:
     warnings: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
+        """The report as JSON-ready data; a metric listed as undefined is
+        None, not NaN."""
+        metrics = self.test_metrics
+        if metrics is not None:
+            metrics = {
+                key: None if key in metrics["undefined"] else value
+                for key, value in metrics.items()
+            }
         return {
             "n_pseudo_pos": self.n_pseudo_pos,
             "n_pseudo_neg": self.n_pseudo_neg,
             "empirical_pi_pos": self.empirical_pi_pos,
             "empirical_pi_neg": self.empirical_pi_neg,
             "threshold": self.threshold.to_dict(),
-            "test_metrics": self.test_metrics,
+            "test_metrics": metrics,
             "test_auc": self.test_auc,
             "warnings": self.warnings,
             "scorer": {

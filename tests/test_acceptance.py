@@ -115,8 +115,8 @@ def test_criterion_1_identity_suite():
                 expected = symmetric_excess_constant(loss, params)
                 worst_excess_gap = max(
                     worst_excess_gap,
-                    abs(ber.components["excess"] - expected),
-                    abs(auc.components["excess"] - expected),
+                    abs(ber.excess - expected),
+                    abs(auc.excess - expected),
                 )
     elapsed = time.perf_counter() - start
     report(

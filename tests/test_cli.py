@@ -14,7 +14,7 @@ import pytest
 import symloss.experiments
 import symloss.textpipe
 from symloss.cli import main
-from symloss.datasets import default_config_path, load_mini_corpus
+from symloss.datasets import default_config_path, load_mini_corpus, mini_corpus_path
 from symloss.errors import ConfigurationError
 from symloss.experiments import _SCHEMA, parse_config, run_experiment, write_csv
 from symloss.textpipe import Corpus
@@ -460,6 +460,24 @@ batch_size = 64
             assert main(["keywords", "--config", str(path), "--out", str(out)]) == 0
             runs.append(json.loads((out / "manifest.json").read_text())["artifacts"])
         assert runs[0] == runs[1]
+
+    def test_an_undefined_metric_is_written_empty_and_null(self, tmp_path):
+        # without negative test documents the test BER has no value
+        records = [json.loads(line) for line in mini_corpus_path().read_text().splitlines()]
+        corpus = tmp_path / "no_test_negatives.jsonl"
+        corpus.write_text("".join(
+            json.dumps(record) + "\n" for record in records
+            if (record["split"], record["label"]) != ("test_labeled", -1)
+        ))
+        config = self.keywords_config(tmp_path, corpus=str(corpus))
+        assert main(["keywords", "--config", str(config)]) == 0
+        text = (tmp_path / "out" / "report.json").read_text()
+        metrics = json.loads(text, parse_constant=pytest.fail)["test_metrics"]
+        assert metrics["undefined"] == ["ber"]
+        assert metrics["ber"] is None and metrics["cer"] is not None
+        header, row = read_csv(tmp_path / "out" / "metrics.csv")
+        values = dict(zip(header, row))
+        assert values["ber"] == "" and values["cer"] != ""
 
     @pytest.mark.parametrize(
         "corpus, flags, message",
@@ -916,6 +934,10 @@ class TestSchema:
         ("uu_demo", "", ["--seed", "2,2"], "--seed: a seed appears more than once, got [2, 2]"),
         ("keywords", "[corpus]\nmin_doc_freq = -5\n", [],
          "[corpus] min_doc_freq: must be at least 1"),
+        ("verify_identities", "[identities]\ntolerance = -1\n", [],
+         "[identities] tolerance: must be at least 0"),
+        ("verify_identities", "[identities]\nsymmetric_tolerance = -1e-12\n", [],
+         "[identities] symmetric_tolerance: must be at least 0"),
     ],
     ids=["pu-prior", "uu-order", "tau", "tau-flag", "prior", "prior-flag", "max-support",
          "zero-one-train", "zero-one-flag", "zero-one-names", "seed-flag", "method-flag",
@@ -924,7 +946,8 @@ class TestSchema:
          "score-range-overflow", "instances-zero", "names-empty", "step-size-nan",
          "covariance-nan", "mean-inf", "sweep-train-loss", "compare-train-loss",
          "repeated-noise-cell", "breakeven-no-prior", "breakeven-flag-no-prior",
-         "repeated-seed", "repeated-seed-flag", "min-doc-freq-negative"],
+         "repeated-seed", "repeated-seed-flag", "min-doc-freq-negative",
+         "tolerance-negative", "symmetric-tolerance-negative"],
 )
 def test_out_of_range_value_exits_two_before_any_output(
     tmp_path, capsys, experiment, text, flags, location

@@ -50,13 +50,16 @@ class LossSpec:
     loss is symmetric.  ``auc_consistent`` is a tri-state: "yes", "no", or
     "unknown" for losses whose status is not established here.
 
-    ``pair_inplace``, when set, is called as ``pair_inplace(block_pos,
-    scores_neg, out)`` and fills ``out`` with l(s - s') over the block x
-    negatives grid.  It lets :func:`~symloss.risks.pairwise_mean_loss`
-    reuse one buffer per worker and skip forming the margins.  Only the
-    sigmoid has one.  Its relative error against ``value`` on the margins
-    is at most (16 + max|s - s'|) * eps, with eps the float64 machine
-    epsilon, and it equals ``value`` bit for bit where it falls back.
+    ``pair_inplace``, when set, is a two-step pair hook.  The call
+    ``fill = pair_inplace(block_pos, scores_neg)`` does the work shared by
+    the whole block x negatives grid; then ``fill(rows, out)`` writes
+    l(s - s') for the block rows ``rows`` (a slice) into ``out``, of shape
+    (rows, negatives), and returns ``out``.  It lets
+    :func:`~symloss.risks.pairwise_mean_loss` fill one small tile at a time
+    in a reused buffer and skip forming the margins.  Only the sigmoid has
+    one.  Its relative error against ``value`` on the margins is at most
+    (16 + max|s - s'|) * eps, with eps the float64 machine epsilon, and it
+    equals ``value`` bit for bit where it falls back.
     """
 
     name: str
@@ -66,7 +69,9 @@ class LossSpec:
     convex: bool
     classification_calibrated: bool = True
     auc_consistent: str = "unknown"
-    pair_inplace: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], None]] = None
+    pair_inplace: Optional[
+        Callable[[np.ndarray, np.ndarray], Callable[[slice, np.ndarray], np.ndarray]]
+    ] = None
 
     @property
     def symmetric(self) -> bool:
@@ -167,7 +172,7 @@ def _sigmoid(z):
     return expit(-z)
 
 
-def _sigmoid_pairs(scores_pos, scores_neg, out):
+def _sigmoid_pairs(scores_pos, scores_neg):
     # l(s - s') = 1 / (1 + e^(s-c) * e^(c-s')) for any centre c, so the grid
     # needs one exp per score, not one per pair.  With c mid-range and a
     # spread of at most _EXP_CLAMP, every product lies in e^[-700, 700].
@@ -177,15 +182,22 @@ def _sigmoid_pairs(scores_pos, scores_neg, out):
     lo, hi = min(bounds), max(bounds)
     if all(map(math.isfinite, bounds)) and hi - lo <= _EXP_CLAMP:
         centre = lo + (hi - lo) / 2.0
-        # einsum's outer product writes each product once, as multiply
-        # would, but runs faster than a broadcast multiply here
-        np.einsum("i,j->ij", np.exp(scores_pos - centre), np.exp(centre - scores_neg), out=out)
-        out += 1.0
-        np.reciprocal(out, out=out)
-    else:
-        np.subtract(scores_pos[:, None], scores_neg, out=out)
-        np.negative(out, out=out)
-        expit(out, out=out)
+        return partial(_sigmoid_factors, np.exp(scores_pos - centre), np.exp(centre - scores_neg))
+    return partial(_sigmoid_margins, scores_pos, scores_neg)
+
+
+def _sigmoid_factors(exp_pos, exp_neg, rows, out):
+    # einsum's outer product writes each product once, as multiply
+    # would, but runs faster than a broadcast multiply here
+    np.einsum("i,j->ij", exp_pos[rows], exp_neg, out=out)
+    out += 1.0
+    return np.reciprocal(out, out=out)
+
+
+def _sigmoid_margins(scores_pos, scores_neg, rows, out):
+    np.subtract(scores_pos[rows, None], scores_neg, out=out)
+    np.negative(out, out=out)
+    return expit(out, out=out)
 
 
 def _sigmoid_grad(z):

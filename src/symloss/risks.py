@@ -62,6 +62,13 @@ __all__ = [
 ]
 
 _PAIR_CHUNK = 512
+# the most losses one tile of a pair grid holds: 512 KB, which fits a
+# core's L2 cache
+_TILE = 65_536
+# the fewest rows a tile holds: a tile fills whole rows, and on a wide
+# grid the two rows it only partly sums would otherwise be most of its
+# work (4x the time at 512 x 99,999 with the hinge)
+_TILE_ROWS = 8
 
 
 @dataclass
@@ -132,24 +139,60 @@ def _pair_pool() -> concurrent.futures.ThreadPoolExecutor:
 os.register_at_fork(after_in_child=_pair_pool.cache_clear)
 
 
+def _margin_losses(value, block, scores_neg, rows, out):
+    np.subtract(block[rows, None], scores_neg, out=out)
+    return value(out)
+
+
+def _tree_sum(losses, tile: int, width: int, start: int, size: int, buf: np.ndarray) -> np.float64:
+    """Sum of a chunk's losses at flat positions ``[start, start + size)``
+    of its row-major grid, ``width`` losses a row, added as ``np.sum``
+    adds the whole grid.
+
+    numpy sums a contiguous array pairwise and, above 128 elements, splits
+    n at ``n // 2`` rounded down to a multiple of 8.  This takes the same
+    splits down to nodes of at most ``tile`` >= 128 losses, so every
+    split is one numpy makes.  A node's covering rows go to
+    ``losses(rows, out)`` with ``out`` a view of ``buf``, and the node is
+    summed as one flat slice of what it returns.  The sums stay numpy
+    floats, so an overflow between two nodes warns as numpy's does.
+    """
+    if size > tile:
+        half = size // 2
+        half -= half % 8
+        return _tree_sum(losses, tile, width, start, half, buf) + _tree_sum(
+            losses, tile, width, start + half, size - half, buf
+        )
+    first, stop = start // width, -(-(start + size) // width)
+    grid = losses(slice(first, stop), buf[: (stop - first) * width].reshape(-1, width))
+    offset = start - first * width
+    return grid.reshape(-1)[offset : offset + size].sum()
+
+
 def _chunk_sums(
     loss: LossSpec, scores_pos: np.ndarray, scores_neg: np.ndarray, starts
 ) -> list[float]:
-    """Loss sums of the pair-grid chunks that begin at ``starts``; the
-    loss's ``pair_inplace`` hook, when it has one, writes each chunk's
-    losses into one reused buffer, else its margins are formed there and
-    passed to ``value``."""
-    buf = np.empty((min(_PAIR_CHUNK, scores_pos.shape[0]), scores_neg.shape[0]))
+    """Loss sums of the pair-grid chunks that begin at ``starts``, each
+    summed in tiles by :func:`_tree_sum` through one reused buffer that
+    holds a tile's covering rows.
+
+    The loss's ``pair_inplace`` hook, when it has one, writes a tile of up
+    to ``_TILE`` losses there.  Else the tile's margins are formed there
+    and passed to ``value``, which makes up to two temporaries of their
+    size, so those tiles hold half as many.  Either way a tile may hold
+    ``_TILE_ROWS`` rows.
+    """
+    width = scores_neg.shape[0]
+    tile = max(_TILE if loss.pair_inplace else _TILE // 2, _TILE_ROWS * width, 128)
+    buf = np.empty(min(min(_PAIR_CHUNK, scores_pos.shape[0]) * width, tile + 2 * width))
     sums = []
     for start in starts:
         block = scores_pos[start : start + _PAIR_CHUNK]
-        out = buf[: block.shape[0]]
         if loss.pair_inplace is None:
-            np.subtract(block[:, None], scores_neg[None, :], out=out)
-            out = loss.value(out)
+            losses = functools.partial(_margin_losses, loss.value, block, scores_neg)
         else:
-            loss.pair_inplace(block, scores_neg, out)
-        sums.append(float(out.sum()))
+            losses = loss.pair_inplace(block, scores_neg)
+        sums.append(float(_tree_sum(losses, tile, width, 0, block.shape[0] * width, buf)))
     return sums
 
 
@@ -158,17 +201,20 @@ def pairwise_mean_loss(
 ) -> float:
     """Mean of l(s - s') over the full pos x neg score grid.
 
-    The grid is cut into chunks of ``_PAIR_CHUNK`` = 512 positive rows, so
-    large grids never materialize at once.  Each chunk's losses are summed
-    as one array, and the chunk sums are added in chunk order.  With two
-    or more chunks, a second worker thread sums the odd-numbered chunks.
-    Every chunk's summation shape is that of the serial ``loss.value``
-    loop.  A loss without a ``pair_inplace`` hook evaluates the same
-    values, so the result equals that loop bit for bit.  The sigmoid's
-    hook factors each chunk into one exponential per score.  It equals the
-    loop bit for bit on chunks with a non-finite score or a score spread
-    above 700; elsewhere its relative error is at most
-    (16 + max|s - s'|) * eps, with eps the float64 machine epsilon.
+    The grid is cut into chunks of ``_PAIR_CHUNK`` = 512 positive rows,
+    and the chunk sums are added in chunk order.  With two or more chunks,
+    a second worker thread sums the odd-numbered chunks.  Each chunk is
+    filled and summed in tiles of at most ``_TILE`` = 65,536 losses (half
+    that for a loss without a pair hook) or 8 rows, whichever is more, so
+    a worker holds a tile's rows, never a whole chunk.  The tiles follow numpy's pairwise summation
+    tree, so each chunk sum equals ``np.sum`` of the whole chunk bit for
+    bit, as in the serial ``loss.value`` loop.  A loss without a
+    ``pair_inplace`` hook evaluates the same values, so the result equals
+    that loop bit for bit.  The sigmoid's hook factors each chunk into one
+    exponential per score.  It equals the loop bit for bit on chunks with
+    a non-finite score or a score spread above 700; elsewhere its relative
+    error is at most (16 + max|s - s'|) * eps, with eps the float64 machine
+    epsilon.
     """
     scores_pos = np.asarray(scores_pos, dtype=float).reshape(-1)
     scores_neg = np.asarray(scores_neg, dtype=float).reshape(-1)
@@ -200,7 +246,7 @@ def empirical_auc_risk(loss: LossSpec, scores_pos, scores_neg) -> RiskReport:
     ``scores_neg``.
 
     Always exact: every pos x neg pair is visited, by
-    :func:`pairwise_mean_loss`, whose chunks bound the memory at any size.
+    :func:`pairwise_mean_loss`, whose tiles bound the memory at any size.
     """
     return RiskReport(pairwise_mean_loss(loss, _scores(scores_pos), _scores(scores_neg)))
 

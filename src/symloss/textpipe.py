@@ -109,8 +109,11 @@ def _record(
             raise ValueError(f"label must be +1 or -1, got {label!r}")
         if type(label) is not int:
             label = int(label)
-    if split not in SPLITS:
-        raise ValueError(f"split must be one of {SPLITS}, got {split!r}")
+    try:
+        # the constant itself, so the rows of a corpus share three strings
+        split = SPLITS[SPLITS.index(split)]
+    except ValueError:
+        raise ValueError(f"split must be one of {SPLITS}, got {split!r}") from None
     if split == "test_labeled" and label is None:
         raise ValueError(f"test document {doc_id!r} is missing its label")
     return doc_id, text, label, split
@@ -127,9 +130,10 @@ class Document:
     split: str = "train_unlabeled"
 
     def __post_init__(self) -> None:
-        doc_id, _, label, _ = _record(self.id, self.text, self.hidden_label, self.split)
+        doc_id, _, label, split = _record(self.id, self.text, self.hidden_label, self.split)
         object.__setattr__(self, "id", doc_id)
         object.__setattr__(self, "hidden_label", label)
+        object.__setattr__(self, "split", split)
 
 
 def _stripped_lines(path):

@@ -28,8 +28,7 @@ KINKS = {"hinge": (1.0,), "squared_hinge": (1.0,), "ramp": (-1.0, 1.0)}
 
 def hook_pairs(spec, scores_pos, scores_neg):
     out = np.empty((scores_pos.size, scores_neg.size))
-    spec.pair_inplace(scores_pos, scores_neg, out)
-    return out
+    return spec.pair_inplace(scores_pos, scores_neg)(slice(None), out)
 
 
 def central_difference(loss, z, h=1e-5):

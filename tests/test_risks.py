@@ -13,6 +13,7 @@ import itertools
 import math
 import multiprocessing
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -427,6 +428,17 @@ def serial_pairwise_mean(loss, scores_pos, scores_neg):
     return total / (scores_pos.shape[0] * scores_neg.shape[0])
 
 
+def hook_pairwise_mean(loss, scores_pos, scores_neg):
+    """The serial 512-row chunk loop with each chunk filled whole by the
+    loss's pair hook, the oracle for the sigmoid's factored tiles."""
+    total = 0.0
+    for start in range(0, scores_pos.shape[0], 512):
+        block = scores_pos[start : start + 512]
+        out = np.empty((block.shape[0], scores_neg.shape[0]))
+        total += float(loss.pair_inplace(block, scores_neg)(slice(None), out).sum())
+    return total / (scores_pos.shape[0] * scores_neg.shape[0])
+
+
 def takes_the_margin_path(scores_pos, scores_neg):
     """Whether every chunk's scores spread over more than 700, where the
     sigmoid's pair hook forms the margins as the serial loop does."""
@@ -466,6 +478,57 @@ class TestPairwiseMeanLoss:
             assert value == expected
         assert (scores_pos.tobytes(), scores_neg.tobytes()) == before
 
+    # small tiles cut rows, and with no fewest rows a tile can lie inside one
+    @pytest.mark.parametrize("tile", [128, 1000, 4096])
+    @pytest.mark.parametrize("n_pos", ROWS)
+    @given(
+        name=st.sampled_from(LOSS_NAMES),
+        n_neg=st.integers(1, 300),
+        tile_rows=st.sampled_from([0, 1, 8]),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([0.1, 3.0, 800.0]),
+    )
+    @settings(max_examples=6, deadline=None)
+    def test_tiles_sum_each_chunk_as_numpy_does(
+        self, tile, n_pos, name, n_neg, tile_rows, seed, scale
+    ):
+        rng = np.random.default_rng(seed)
+        scores_pos = rng.normal(scale=scale, size=n_pos)
+        scores_neg = rng.normal(scale=scale, size=n_neg)
+        loss = LOSSES[name]
+        # the exponential's sums overflow at the widest scale, in every path
+        with pytest.MonkeyPatch.context() as patch, np.errstate(over="ignore"):
+            patch.setattr(symloss.risks, "_TILE", tile)
+            patch.setattr(symloss.risks, "_TILE_ROWS", tile_rows)
+            value = pairwise_mean_loss(loss, scores_pos, scores_neg)
+            if loss.pair_inplace is not None:
+                assert value == hook_pairwise_mean(loss, scores_pos, scores_neg)
+            if loss.pair_inplace is None or takes_the_margin_path(scores_pos, scores_neg):
+                assert value == serial_pairwise_mean(loss, scores_pos, scores_neg)
+
+    def test_an_overflow_between_tiles_warns_as_the_serial_loop(self, monkeypatch):
+        # each loss is e^700, so a tile of 4096 sums to 4.2e307, and two
+        # tiles to more than the largest float
+        monkeypatch.setattr(symloss.risks, "_TILE", 4096)
+        scores_pos, scores_neg = np.full(512, -350.0), np.full(64, 350.0)
+        for mean in (pairwise_mean_loss, serial_pairwise_mean):
+            with pytest.warns(RuntimeWarning, match="overflow encountered"):
+                assert mean(get_loss("exponential"), scores_pos, scores_neg) == math.inf
+
+    # one 512-row chunk of this grid is 4 MB of losses, one tile 512 KB
+    @pytest.mark.parametrize("name", ["sigmoid", "hinge"])
+    def test_a_trace_holds_tiles_not_chunks(self, name):
+        rng = np.random.default_rng(0)
+        scores_pos, scores_neg = rng.normal(size=1000), rng.normal(size=1000)
+        pairwise_mean_loss(get_loss(name), scores_pos, scores_neg)  # the worker now exists
+        tracemalloc.start()
+        try:
+            pairwise_mean_loss(get_loss(name), scores_pos, scores_neg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
     @pytest.mark.parametrize("name", LOSS_NAMES)
     def test_every_loss_uses_the_worker_for_two_chunks(self, name, monkeypatch):
         loss = LOSSES[name]
@@ -481,7 +544,7 @@ class TestPairwiseMeanLoss:
 
         changes = {"value": counted("value", loss.value)}
         if loss.pair_inplace is not None:
-            changes["pair_inplace"] = counted("pairs", loss.pair_inplace)
+            changes["pair_inplace"] = lambda *args: counted("pairs", loss.pair_inplace(*args))
         spy = dataclasses.replace(loss, **changes)
         pool = symloss.risks._pair_pool
         monkeypatch.setattr(symloss.risks, "_pair_pool", lambda: pool_calls.append(1) or pool())
@@ -525,10 +588,10 @@ class TestPairwiseMeanLoss:
 
         sigmoid = get_loss("sigmoid")
 
-        def hook(scores_pos, scores_neg, out):
+        def hook(scores_pos, scores_neg):
             if threading.current_thread() is not threading.main_thread():
                 raise WorkerError("raised in the worker")
-            sigmoid.pair_inplace(scores_pos, scores_neg, out)
+            return sigmoid.pair_inplace(scores_pos, scores_neg)
 
         failing = dataclasses.replace(sigmoid, pair_inplace=hook)
         scores_pos, scores_neg = np.linspace(-1.0, 1.0, 1024), np.linspace(-2.0, 2.0, 7)

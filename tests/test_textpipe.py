@@ -239,6 +239,15 @@ class TestCorpus:
         assert built == []
         assert again == corpus
 
+    def test_every_row_shares_a_split_constant(self, tmp_path, bundled):
+        corpus, _ = bundled
+        path = tmp_path / "corpus.jsonl"
+        corpus.to_jsonl(path)
+        built = "".join(["validation", "_unlabeled"])  # equal to the constant, not it
+        assert built is not SPLITS[1]
+        for rows in (Corpus.from_jsonl(path)._rows, Corpus([Document("a", "x", split=built)])._rows):
+            assert all(any(row[3] is tag for tag in SPLITS) for row in rows)
+
     def test_jsonl_round_trip(self, tmp_path, bundled):
         corpus, _ = bundled
         path = tmp_path / "corpus.jsonl"

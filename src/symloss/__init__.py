@@ -42,12 +42,10 @@ from .losses import (
 )
 from .risks import (
     DecompositionCheck,
-    RiskReport,
     auc_decomposition_check,
     auc_score,
     ber_decomposition_check,
     classification_metrics,
-    empirical_auc_risk,
     empirical_ber_risk,
     exact_auc_risk,
     exact_ber_risk,

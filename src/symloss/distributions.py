@@ -25,14 +25,11 @@ __all__ = [
     "DiscreteBinaryDistribution",
     "SampleSet",
     "GaussianPairConfig",
-    "SAMPLE_ORIGINS",
     "corrupt_distribution",
     "sample_mcd",
     "pu_params",
     "uu_params",
 ]
-
-SAMPLE_ORIGINS = ("corr_pos", "corr_neg", "unlabeled", "pseudo_pos", "pseudo_neg")
 
 # A sampler maps (rng, n) to an (n, d) array of points.
 Sampler = Callable[[np.random.Generator, int], np.ndarray]
@@ -152,7 +149,7 @@ def corrupt_distribution(
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Points with a provenance tag and, for evaluation only, hidden labels.
+    """Points and, for evaluation only, hidden labels.
 
     ``hidden_labels`` records which clean component each point was drawn
     from.  Learners never read it; the evaluation harness uses it to
@@ -160,7 +157,6 @@ class SampleSet:
     """
 
     points: np.ndarray
-    origin: str
     hidden_labels: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
@@ -168,10 +164,6 @@ class SampleSet:
         if points.ndim == 1:
             points = points.reshape(-1, 1)
         object.__setattr__(self, "points", points)
-        if self.origin not in SAMPLE_ORIGINS:
-            raise ValueError(
-                f"origin must be one of {SAMPLE_ORIGINS}, got {self.origin!r}"
-            )
         if self.hidden_labels is not None:
             labels = np.asarray(self.hidden_labels, dtype=int)
             object.__setattr__(self, "hidden_labels", labels)
@@ -187,7 +179,7 @@ class SampleSet:
     def positive_fraction(self) -> float:
         """Fraction of hidden labels equal to +1 (evaluation only)."""
         if self.hidden_labels is None:
-            raise ValueError(f"sample set {self.origin!r} has no hidden labels")
+            raise ValueError("sample set has no hidden labels")
         return float(np.mean(self.hidden_labels == 1))
 
 
@@ -197,7 +189,6 @@ def _draw_mixture(
     sampler_neg: Sampler,
     pi: float,
     n: int,
-    origin: str,
 ) -> SampleSet:
     # component coins for the whole block first, then one block draw per
     # component: deterministic under the seed and unbiased for the mixture
@@ -210,7 +201,7 @@ def _draw_mixture(
     points[coins] = from_pos
     points[~coins] = from_neg
     labels = np.where(coins, 1, -1)
-    return SampleSet(points=points, origin=origin, hidden_labels=labels)
+    return SampleSet(points=points, hidden_labels=labels)
 
 
 def sample_mcd(
@@ -231,12 +222,8 @@ def sample_mcd(
     if n_pos < 1 or n_neg < 1:
         raise ValueError(f"sample counts must be >= 1, got {n_pos}, {n_neg}")
     rng = np.random.default_rng(seed)
-    corr_pos = _draw_mixture(
-        rng, sampler_pos, sampler_neg, params.pi_corr_pos, n_pos, "corr_pos"
-    )
-    corr_neg = _draw_mixture(
-        rng, sampler_pos, sampler_neg, params.pi_corr_neg, n_neg, "corr_neg"
-    )
+    corr_pos = _draw_mixture(rng, sampler_pos, sampler_neg, params.pi_corr_pos, n_pos)
+    corr_neg = _draw_mixture(rng, sampler_pos, sampler_neg, params.pi_corr_neg, n_neg)
     return corr_pos, corr_neg
 
 

@@ -488,7 +488,7 @@ def _run_grid(config: ExperimentConfig, grid: list[McdParams], losses: list[str]
         results[loss_name] = []
         for trace in traces:
             scores_pos, scores_neg = (trace.scorer(test) for test in tests[trace.config.seed])
-            ber = empirical_ber_risk(zero_one, scores_pos, scores_neg).value
+            ber = empirical_ber_risk(zero_one, scores_pos, scores_neg)
             auc = auc_score(scores_pos, scores_neg)
             results[loss_name].append((trace, ber, auc))
     if diverged:
@@ -695,7 +695,8 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
 def run_experiment(config: ExperimentConfig) -> int:
     """Run ``config``'s experiment, then write its artifacts and manifest
     into ``config.output_dir``; the exit status is the runner's.  A directory
-    that cannot be made is a ConfigurationError naming it."""
+    that cannot be made, or a file that cannot be written, is a
+    ConfigurationError naming it."""
     artifacts, status = _EXPERIMENTS[config.experiment][0](config)
     try:
         config.output_dir.mkdir(parents=True, exist_ok=True)
@@ -704,10 +705,13 @@ def run_experiment(config: ExperimentConfig) -> int:
             f"{config.output_dir}: cannot make the output directory ({exc.strerror})"
         ) from None
     paths = [config.output_dir / name for name in artifacts]
-    for path, content in zip(paths, artifacts.values()):
-        if isinstance(content, str):
-            path.write_text(content)
-        else:
-            write_csv(path, content)
-    write_manifest(config, paths)
+    try:
+        for path, content in zip(paths, artifacts.values()):
+            if isinstance(content, str):
+                path.write_text(content)
+            else:
+                write_csv(path, content)
+        write_manifest(config, paths)
+    except OSError as exc:
+        raise ConfigurationError(f"{exc.filename}: cannot write ({exc.strerror})") from None
     return status

@@ -3,8 +3,8 @@
 Every loss is a function of the margin z (z = y*g(x) for classification,
 z = g(x) - g(x') for pairwise ranking).  Each catalog entry bundles the
 value function, an analytic derivative where one exists, and the metadata
-the rest of the package keys on: convexity, classification calibration,
-AUC consistency, and symmetry.
+the rest of the package keys on: convexity, AUC consistency, and
+symmetry.
 
 A loss is *symmetric* when l(z) + l(-z) = K for a constant K independent
 of z.  Symmetric losses are the reason corrupted-label risks share their
@@ -67,7 +67,6 @@ class LossSpec:
     grad: Optional[Callable[[np.ndarray], np.ndarray]]
     symmetry_constant: Optional[float]
     convex: bool
-    classification_calibrated: bool = True
     auc_consistent: str = "unknown"
     pair_inplace: Optional[
         Callable[[np.ndarray, np.ndarray], Callable[[slice, np.ndarray], np.ndarray]]

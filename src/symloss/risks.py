@@ -1,22 +1,19 @@
 """Surrogate risks, exact decomposition checks, and evaluation metrics.
 
 Every risk takes scores, the outputs of a prediction function g, never
-g itself: the caller scores each point set once.  Three families of
-computation live here:
+g itself: the caller scores each point set once.  Every risk is a float.
+Three families of computation live here:
 
 * empirical risks over the scores of two samples (balanced per-class
-  means for BER, and, always exact, the mean over every pos x neg pair
-  for AUC, which the sigmoid evaluates from one exponential per score,
-  not per pair);
+  means for BER, and for AUC :func:`pairwise_mean_loss`, always exact:
+  the mean over every pos x neg pair, which the sigmoid evaluates from
+  one exponential per score, not per pair);
 * exact risks over finite-support distributions, given one score per
   support point, where expectations are plain weighted sums; and
 * decomposition checks that recompute a corrupted risk two ways -- once
   directly from the corrupted mixture densities (``lhs``), once as
   ``separation * clean_risk + excess`` (``rhs``) -- and report both,
   the clean risk, the excess and their residual.
-
-A risk report is the risk's value plus, for BER and CER, its two class
-terms.
 
 The corrupted BER risk of any loss l satisfies
 
@@ -37,7 +34,7 @@ import contextvars
 import functools
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -46,10 +43,8 @@ from .distributions import DiscreteBinaryDistribution, McdParams, corrupt_distri
 from .losses import LossSpec
 
 __all__ = [
-    "RiskReport",
     "DecompositionCheck",
     "empirical_ber_risk",
-    "empirical_auc_risk",
     "exact_ber_risk",
     "exact_auc_risk",
     "exact_cer_risk",
@@ -69,15 +64,6 @@ _TILE = 65_536
 # grid the two rows it only partly sums would otherwise be most of its
 # work (4x the time at 512 x 99,999 with the hinge)
 _TILE_ROWS = 8
-
-
-@dataclass
-class RiskReport:
-    """Value of a risk plus, for the BER and CER risks, its two class
-    terms ``pos_term`` and ``neg_term``."""
-
-    value: float
-    components: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass
@@ -114,7 +100,7 @@ def symmetric_excess_constant(loss: LossSpec, params: McdParams) -> float:
     return k * (1.0 - params.pi_corr_pos + params.pi_corr_neg) / 2.0
 
 
-def empirical_ber_risk(loss: LossSpec, scores_pos, scores_neg) -> RiskReport:
+def empirical_ber_risk(loss: LossSpec, scores_pos, scores_neg) -> float:
     """Balanced empirical risk of the scores of a positive and a negative
     sample: the mean of the two per-class mean losses.
 
@@ -124,7 +110,7 @@ def empirical_ber_risk(loss: LossSpec, scores_pos, scores_neg) -> RiskReport:
     scores_pos, scores_neg = _scores(scores_pos), _scores(scores_neg)
     pos_term = float(np.mean(loss.value(scores_pos)))
     neg_term = float(np.mean(loss.value(-scores_neg)))
-    return RiskReport(0.5 * (pos_term + neg_term), {"pos_term": pos_term, "neg_term": neg_term})
+    return 0.5 * (pos_term + neg_term)
 
 
 @functools.cache
@@ -241,47 +227,35 @@ def pairwise_mean_loss(
     return total / (scores_pos.shape[0] * scores_neg.shape[0])
 
 
-def empirical_auc_risk(loss: LossSpec, scores_pos, scores_neg) -> RiskReport:
-    """Empirical pairwise ranking risk of ranking ``scores_pos`` above
-    ``scores_neg``.
-
-    Always exact: every pos x neg pair is visited, by
-    :func:`pairwise_mean_loss`, whose tiles bound the memory at any size.
-    """
-    return RiskReport(pairwise_mean_loss(loss, _scores(scores_pos), _scores(scores_neg)))
-
-
 def _class_terms(loss: LossSpec, s: np.ndarray, w_pos, w_neg) -> tuple[float, float]:
     """The weighted class terms sum w_pos * l(s) and sum w_neg * l(-s)."""
     return float(w_pos @ loss.value(s)), float(w_neg @ loss.value(-s))
 
 
-def exact_ber_risk(loss: LossSpec, dist: DiscreteBinaryDistribution, scores) -> RiskReport:
+def exact_ber_risk(loss: LossSpec, dist: DiscreteBinaryDistribution, scores) -> float:
     """Exact balanced risk over a finite support, given one score per
     support point."""
     pos_term, neg_term = _class_terms(loss, _scores(scores, dist.size), dist.p_pos, dist.p_neg)
-    return RiskReport(0.5 * (pos_term + neg_term), {"pos_term": pos_term, "neg_term": neg_term})
+    return 0.5 * (pos_term + neg_term)
 
 
-def exact_cer_risk(loss: LossSpec, dist: DiscreteBinaryDistribution, scores) -> RiskReport:
+def exact_cer_risk(loss: LossSpec, dist: DiscreteBinaryDistribution, scores) -> float:
     """Exact misclassification-style risk, prior-weighted per class, given
     one score per support point."""
     pos_term, neg_term = _class_terms(loss, _scores(scores, dist.size), dist.p_pos, dist.p_neg)
-    prior = dist.class_prior
-    return RiskReport(
-        prior * pos_term + (1.0 - prior) * neg_term, {"pos_term": pos_term, "neg_term": neg_term}
-    )
+    prior = float(dist.class_prior)
+    return prior * pos_term + (1.0 - prior) * neg_term
 
 
 def _pair_loss_matrix(loss: LossSpec, s: np.ndarray) -> np.ndarray:
     return loss.value(s[:, None] - s[None, :])
 
 
-def exact_auc_risk(loss: LossSpec, dist: DiscreteBinaryDistribution, scores) -> RiskReport:
+def exact_auc_risk(loss: LossSpec, dist: DiscreteBinaryDistribution, scores) -> float:
     """Exact pairwise ranking risk over a finite support, given one score
     per support point."""
     s = _scores(scores, dist.size)
-    return RiskReport(float(dist.p_pos @ _pair_loss_matrix(loss, s) @ dist.p_neg))
+    return float(dist.p_pos @ _pair_loss_matrix(loss, s) @ dist.p_neg)
 
 
 def ber_decomposition_check(

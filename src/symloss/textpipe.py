@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -471,16 +471,8 @@ def pseudo_label(
     labels = None
     if hidden_labels is not None and None not in hidden_labels:
         labels = np.array(hidden_labels, dtype=int)
-    pos = SampleSet(
-        points=matrix[mask],
-        origin="pseudo_pos",
-        hidden_labels=None if labels is None else labels[mask],
-    )
-    neg = SampleSet(
-        points=matrix[~mask],
-        origin="pseudo_neg",
-        hidden_labels=None if labels is None else labels[~mask],
-    )
+    pos = SampleSet(matrix[mask], None if labels is None else labels[mask])
+    neg = SampleSet(matrix[~mask], None if labels is None else labels[~mask])
     return pos, neg
 
 
@@ -532,7 +524,7 @@ class PipelineReport:
             "n_pseudo_neg": self.n_pseudo_neg,
             "empirical_pi_pos": self.empirical_pi_pos,
             "empirical_pi_neg": self.empirical_pi_neg,
-            "threshold": self.threshold.to_dict(),
+            "threshold": asdict(self.threshold),
             "test_metrics": metrics,
             "test_auc": self.test_auc,
             "warnings": self.warnings,

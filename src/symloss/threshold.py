@@ -56,14 +56,6 @@ class ThresholdResult:
         if self.method not in THRESHOLD_METHODS:
             raise ValueError(f"method must be one of {THRESHOLD_METHODS}")
 
-    def to_dict(self) -> dict:
-        return {
-            "beta": self.beta,
-            "achieved_positive_fraction": self.achieved_positive_fraction,
-            "method": self.method,
-            "degenerate": self.degenerate,
-        }
-
 
 def _validated_scores(scores: Sequence[float]) -> np.ndarray:
     scores = np.asarray(scores, dtype=float).reshape(-1)

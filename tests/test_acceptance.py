@@ -145,12 +145,12 @@ def test_criterion_2_minimizer_identity():
             for risk_fn in (exact_ber_risk, exact_auc_risk):
                 clean_arg = set(
                     brute_force_minimizer(
-                        lambda m: risk_fn(loss, dist, np.array(m)).value, family
+                        lambda m: risk_fn(loss, dist, np.array(m)), family
                     )
                 )
                 corr_arg = set(
                     brute_force_minimizer(
-                        lambda m: risk_fn(loss, corr, np.array(m)).value, family
+                        lambda m: risk_fn(loss, corr, np.array(m)), family
                     )
                 )
                 identical = identical and (clean_arg == corr_arg)
@@ -164,12 +164,12 @@ def test_criterion_2_minimizer_identity():
     hinge_family = list(itertools.product((-2.0, -0.5, 0.0, 1.0, 2.0), repeat=2))
     clean_arg = set(
         brute_force_minimizer(
-            lambda m: exact_ber_risk(hinge, dist, np.array(m)).value, hinge_family
+            lambda m: exact_ber_risk(hinge, dist, np.array(m)), hinge_family
         )
     )
     corr_arg = set(
         brute_force_minimizer(
-            lambda m: exact_ber_risk(hinge, corr, np.array(m)).value, hinge_family
+            lambda m: exact_ber_risk(hinge, corr, np.array(m)), hinge_family
         )
     )
     hinge_differs = clean_arg != corr_arg
@@ -229,7 +229,7 @@ def test_criterion_4_robustness_experiment():
         return empirical_ber_risk(
             zero_one, trace.scorer(sampler_pos(test_rng, 2000)),
             trace.scorer(sampler_neg(test_rng, 2000)),
-        ).value
+        )
 
     noisy = McdParams(0.8, 0.3)
     clean = McdParams(1.0, 0.0)

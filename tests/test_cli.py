@@ -1013,6 +1013,20 @@ def test_an_output_directory_that_cannot_be_made_is_a_configuration_error(tmp_pa
         run_experiment(config)
 
 
+@pytest.mark.parametrize("name", ["residuals.csv", "manifest.json"])
+def test_an_artifact_that_cannot_be_written_exits_two(tmp_path, capsys, name):
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    path = write_config(
+        tmp_path,
+        "[experiment]\nname = verify_identities\n\n"
+        "[losses]\nnames = sigmoid\n\n[identities]\ninstances = 1\n",
+    )
+    assert main(["verify-identities", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"symloss: error: {out / name}: cannot write (")
+
+
 @pytest.mark.parametrize(
     "experiment, text, section",
     [

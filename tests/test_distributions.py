@@ -127,7 +127,6 @@ class TestSampleMcd:
         pos, neg = sample_mcd(*gaussian_samplers, McdParams(1.0, 0.0), 50, 60, seed=3)
         assert np.all(pos.hidden_labels == 1)
         assert np.all(neg.hidden_labels == -1)
-        assert pos.origin == "corr_pos" and neg.origin == "corr_neg"
         assert len(pos) == 50 and len(neg) == 60
 
     def test_mixture_proportion_concentrates(self, gaussian_samplers):
@@ -160,11 +159,7 @@ class TestSampleMcd:
 class TestSampleSet:
     def test_label_length_checked(self):
         with pytest.raises(ValueError, match="length"):
-            SampleSet(points=np.zeros((3, 2)), origin="unlabeled", hidden_labels=[1, -1])
-
-    def test_origin_checked(self):
-        with pytest.raises(ValueError, match="origin"):
-            SampleSet(points=np.zeros((2, 2)), origin="mystery")
+            SampleSet(points=np.zeros((3, 2)), hidden_labels=[1, -1])
 
 
 class TestGaussianPairConfig:

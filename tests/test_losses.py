@@ -57,9 +57,6 @@ class TestCatalogMetadata:
             "unhinged",
         }
 
-    def test_all_classification_calibrated(self):
-        assert all(LOSSES[n].classification_calibrated for n in LOSS_NAMES)
-
     def test_auc_consistency_tristate(self):
         assert LOSSES["sigmoid"].auc_consistent == "yes"
         assert LOSSES["ramp"].auc_consistent == "yes"

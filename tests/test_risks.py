@@ -34,7 +34,6 @@ from symloss.risks import (
     auc_score,
     ber_decomposition_check,
     classification_metrics,
-    empirical_auc_risk,
     empirical_ber_risk,
     exact_auc_risk,
     exact_ber_risk,
@@ -82,40 +81,30 @@ def pair_enumeration_auc(scores_pos, scores_neg):
 
 class TestEmpiricalBer:
     def test_perfect_separation_zero_one(self):
-        pos = SampleSet(np.array([[1.0], [2.0]]), "corr_pos")
-        neg = SampleSet(np.array([[-1.0], [-2.0]]), "corr_neg")
+        pos = SampleSet(np.array([[1.0], [2.0]]))
+        neg = SampleSet(np.array([[-1.0], [-2.0]]))
         g = lambda X: X[:, 0]
-        report = empirical_ber_risk(get_loss("zero_one"), g(pos.points), g(neg.points))
-        assert report.value == 0.0
+        risk = empirical_ber_risk(get_loss("zero_one"), g(pos.points), g(neg.points))
+        assert risk == 0.0
 
     def test_trivial_constant_scorer_is_half(self):
-        pos = SampleSet(np.array([[1.0], [2.0]]), "corr_pos")
-        neg = SampleSet(np.array([[-1.0], [-2.0]]), "corr_neg")
+        pos = SampleSet(np.array([[1.0], [2.0]]))
+        neg = SampleSet(np.array([[-1.0], [-2.0]]))
         g = lambda X: np.full(X.shape[0], 3.7)
-        report = empirical_ber_risk(get_loss("zero_one"), g(pos.points), g(neg.points))
-        assert report.value == 0.5
+        risk = empirical_ber_risk(get_loss("zero_one"), g(pos.points), g(neg.points))
+        assert risk == 0.5
 
     def test_sigmoid_hand_value(self):
         # both classes scored 1: (1/(1+e) + e/(1+e)) / 2 = 1/2
-        pos = SampleSet(np.array([[0.0]]), "corr_pos")
-        neg = SampleSet(np.array([[0.0]]), "corr_neg")
+        pos = SampleSet(np.array([[0.0]]))
+        neg = SampleSet(np.array([[0.0]]))
         g = lambda X: np.ones(X.shape[0])
-        report = empirical_ber_risk(get_loss("sigmoid"), g(pos.points), g(neg.points))
-        assert report.value == pytest.approx(0.5, abs=1e-12)
-        assert report.components["pos_term"] == pytest.approx(0.2689414213699951, abs=1e-12)
-        assert report.components["neg_term"] == pytest.approx(0.7310585786300049, abs=1e-12)
-
-    def test_value_combines_components(self):
-        pos = SampleSet(np.array([[0.3], [0.9]]), "corr_pos")
-        neg = SampleSet(np.array([[-0.2]]), "corr_neg")
-        g = lambda X: X[:, 0]
-        report = empirical_ber_risk(get_loss("logistic"), g(pos.points), g(neg.points))
-        rebuilt = 0.5 * (report.components["pos_term"] + report.components["neg_term"])
-        assert abs(report.value - rebuilt) <= 1e-12
+        risk = empirical_ber_risk(get_loss("sigmoid"), g(pos.points), g(neg.points))
+        assert risk == pytest.approx(0.5, abs=1e-12)
 
     def test_empty_set_rejected(self):
-        pos = SampleSet(np.zeros((0, 1)), "corr_pos")
-        neg = SampleSet(np.array([[1.0]]), "corr_neg")
+        pos = SampleSet(np.zeros((0, 1)))
+        neg = SampleSet(np.array([[1.0]]))
         g = lambda X: X[:, 0]
         with pytest.raises(ValueError, match="empty"):
             empirical_ber_risk(get_loss("sigmoid"), g(pos.points), g(neg.points))
@@ -123,74 +112,62 @@ class TestEmpiricalBer:
 
 class TestEmpiricalAuc:
     def test_zero_one_pair_enumeration(self):
-        pos = SampleSet(np.array([[0.9], [0.4]]), "corr_pos")
-        neg = SampleSet(np.array([[0.4], [0.1]]), "corr_neg")
+        pos = SampleSet(np.array([[0.9], [0.4]]))
+        neg = SampleSet(np.array([[0.4], [0.1]]))
         g = lambda X: X[:, 0]
-        report = empirical_auc_risk(get_loss("zero_one"), g(pos.points), g(neg.points))
+        risk = pairwise_mean_loss(get_loss("zero_one"), g(pos.points), g(neg.points))
         # 3 wins, 1 tie at half: (0 + 0 + 0.5 + 0) / 4
-        assert report.value == pytest.approx(0.125, abs=1e-15)
+        assert risk == pytest.approx(0.125, abs=1e-15)
 
     @pytest.mark.parametrize("name", SYMMETRIC_LOSS_NAMES)
     def test_constant_scorer_gives_half_k(self, name):
         loss = get_loss(name)
-        pos = SampleSet(np.array([[1.0], [2.0]]), "corr_pos")
-        neg = SampleSet(np.array([[3.0]]), "corr_neg")
+        pos = SampleSet(np.array([[1.0], [2.0]]))
+        neg = SampleSet(np.array([[3.0]]))
         g = lambda X: np.zeros(X.shape[0])
-        report = empirical_auc_risk(loss, g(pos.points), g(neg.points))
-        assert report.value == pytest.approx(loss.symmetry_constant / 2.0, abs=1e-12)
+        risk = pairwise_mean_loss(loss, g(pos.points), g(neg.points))
+        assert risk == pytest.approx(loss.symmetry_constant / 2.0, abs=1e-12)
 
     def test_sigmoid_single_pair(self):
-        pos = SampleSet(np.array([[0.0]]), "corr_pos")
-        neg = SampleSet(np.array([[1.0]]), "corr_neg")
+        pos = SampleSet(np.array([[0.0]]))
+        neg = SampleSet(np.array([[1.0]]))
         g = lambda X: 1.0 - X[:, 0]  # pos scores 1, neg scores 0
-        report = empirical_auc_risk(get_loss("sigmoid"), g(pos.points), g(neg.points))
-        assert report.value == pytest.approx(0.2689414213699951, abs=1e-12)
-
-    def test_large_grid_is_exact(self):
-        # 3,163 x 3,163 = 10,004,569 pairs, just past any 10^7-pair cutoff
-        rng = np.random.default_rng(5)
-        pos = SampleSet(rng.normal(1.0, 1.0, size=(3163, 1)), "corr_pos")
-        neg = SampleSet(rng.normal(-1.0, 1.0, size=(3163, 1)), "corr_neg")
-        g = lambda X: X[:, 0]
-        loss = get_loss("sigmoid")
-        report = empirical_auc_risk(loss, g(pos.points), g(neg.points))
-        assert report.value == pairwise_mean_loss(loss, g(pos.points), g(neg.points))
+        risk = pairwise_mean_loss(get_loss("sigmoid"), g(pos.points), g(neg.points))
+        assert risk == pytest.approx(0.2689414213699951, abs=1e-12)
 
 
 class TestExactRisks:
     def test_sigmoid_two_point(self, two_point_dist):
-        report = exact_ber_risk(get_loss("sigmoid"), two_point_dist, np.array([1.0, -1.0]))
+        risk = exact_ber_risk(get_loss("sigmoid"), two_point_dist, np.array([1.0, -1.0]))
         # frozen from the exact-expectation oracle: (0.36136485 + 0.40757657) / 2
-        assert report.value == pytest.approx(0.38447071068499755, abs=1e-12)
-        assert report.components["pos_term"] == pytest.approx(0.36136485282199704, abs=1e-12)
-        assert report.components["neg_term"] == pytest.approx(0.40757656854799806, abs=1e-12)
+        assert risk == pytest.approx(0.38447071068499755, abs=1e-12)
 
     def test_zero_one_two_point(self, two_point_dist):
-        report = exact_ber_risk(get_loss("zero_one"), two_point_dist, np.array([1.0, -1.0]))
-        assert report.value == pytest.approx(0.25, abs=1e-15)
+        risk = exact_ber_risk(get_loss("zero_one"), two_point_dist, np.array([1.0, -1.0]))
+        assert risk == pytest.approx(0.25, abs=1e-15)
 
     def test_all_ties_scorer(self, two_point_dist):
-        report = exact_ber_risk(get_loss("zero_one"), two_point_dist, np.zeros(2))
-        assert report.value == 0.5
+        risk = exact_ber_risk(get_loss("zero_one"), two_point_dist, np.zeros(2))
+        assert risk == 0.5
 
     def test_cer_equals_ber_when_balanced(self, two_point_dist):
         scores = np.array([0.4, -1.3])
         loss = get_loss("logistic")
-        assert exact_cer_risk(loss, two_point_dist, scores).value == pytest.approx(
-            exact_ber_risk(loss, two_point_dist, scores).value, abs=1e-15
+        assert exact_cer_risk(loss, two_point_dist, scores) == pytest.approx(
+            exact_ber_risk(loss, two_point_dist, scores), abs=1e-15
         )
 
     def test_cer_two_point_zero_one(self, two_point_dist):
-        report = exact_cer_risk(get_loss("zero_one"), two_point_dist, np.array([1.0, -1.0]))
-        assert report.value == pytest.approx(0.25, abs=1e-15)
+        risk = exact_cer_risk(get_loss("zero_one"), two_point_dist, np.array([1.0, -1.0]))
+        assert risk == pytest.approx(0.25, abs=1e-15)
 
     def test_cer_always_positive_scorer_with_skewed_prior(self):
         # always-positive prediction on a 99%-positive population
         dist = DiscreteBinaryDistribution(
             [[0.0], [1.0]], [0.5, 0.5], [0.5, 0.5], class_prior=0.99
         )
-        report = exact_cer_risk(get_loss("zero_one"), dist, np.array([1.0, 1.0]))
-        assert report.value == pytest.approx(0.01, abs=1e-15)
+        risk = exact_cer_risk(get_loss("zero_one"), dist, np.array([1.0, 1.0]))
+        assert risk == pytest.approx(0.01, abs=1e-15)
 
     @pytest.mark.parametrize(
         "risk", [exact_ber_risk, exact_cer_risk, exact_auc_risk,
@@ -225,7 +202,7 @@ class TestBerDecomposition:
         scores = np.array([0.7, -0.4])
         loss = get_loss("sigmoid")
         check = ber_decomposition_check(loss, two_point_dist, scores, McdParams(1.0, 0.0))
-        clean = exact_ber_risk(loss, two_point_dist, scores).value
+        clean = exact_ber_risk(loss, two_point_dist, scores)
         assert check.lhs == pytest.approx(clean, abs=1e-15)
         assert check.rhs == pytest.approx(clean, abs=1e-15)
 
@@ -267,7 +244,7 @@ class TestAucDecomposition:
         scores = np.array([0.9, -0.3])
         loss = get_loss("sigmoid")
         check = auc_decomposition_check(loss, two_point_dist, scores, McdParams(1.0, 0.0))
-        clean = exact_auc_risk(loss, two_point_dist, scores).value
+        clean = exact_auc_risk(loss, two_point_dist, scores)
         assert check.lhs == pytest.approx(clean, abs=1e-15)
 
     @pytest.mark.parametrize("name", LOSS_NAMES)
@@ -354,8 +331,8 @@ class TestAffineLinkAndMinimizers:
             corr_pos, corr_neg = corrupt_distribution(dist, params)
             corr = DiscreteBinaryDistribution(dist.support, corr_pos, corr_neg)
             for risk_fn in (exact_ber_risk, exact_auc_risk):
-                clean_vals = [risk_fn(loss, dist, np.array(m)).value for m in family]
-                corr_vals = [risk_fn(loss, corr, np.array(m)).value for m in family]
+                clean_vals = [risk_fn(loss, dist, np.array(m)) for m in family]
+                corr_vals = [risk_fn(loss, corr, np.array(m)) for m in family]
                 clean_best = min(clean_vals)
                 corr_best = min(corr_vals)
                 clean_arg = {m for m, v in zip(family, clean_vals) if v <= clean_best + 1e-12}
@@ -395,8 +372,8 @@ class TestAucScore:
         rng = np.random.default_rng(707)
         pos = rng.normal(1.0, 1.0, size=40)
         neg = rng.normal(0.0, 1.0, size=30)
-        report = empirical_auc_risk(get_loss("zero_one"), pos, neg)
-        assert auc_score(pos, neg) == pytest.approx(1.0 - report.value, abs=1e-12)
+        risk = pairwise_mean_loss(get_loss("zero_one"), pos, neg)
+        assert auc_score(pos, neg) == pytest.approx(1.0 - risk, abs=1e-12)
 
     # a coarse grid of values gives many ties, within and across the classes
     GRID_SCORES = st.lists(
@@ -621,13 +598,13 @@ class TestEmpiricalConvergence:
         loss = get_loss("sigmoid")
         scores = np.array([0.8, -1.1])
         g = lambda X: np.where(X[:, 0] < 0.5, scores[0], scores[1])
-        exact = exact_ber_risk(loss, two_point_dist, scores).value
+        exact = exact_ber_risk(loss, two_point_dist, scores)
 
         n = 100_000
         rng = np.random.default_rng(808)
-        pos = SampleSet(self._sample_class(rng, two_point_dist, two_point_dist.p_pos, n), "corr_pos")
-        neg = SampleSet(self._sample_class(rng, two_point_dist, two_point_dist.p_neg, n), "corr_neg")
-        empirical = empirical_ber_risk(loss, g(pos.points), g(neg.points)).value
+        pos = SampleSet(self._sample_class(rng, two_point_dist, two_point_dist.p_pos, n))
+        neg = SampleSet(self._sample_class(rng, two_point_dist, two_point_dist.p_neg, n))
+        empirical = empirical_ber_risk(loss, g(pos.points), g(neg.points))
 
         # exact per-class loss variances from the distribution itself
         lp = loss.value(scores)
@@ -641,13 +618,13 @@ class TestEmpiricalConvergence:
         loss = get_loss("sigmoid")
         scores = np.array([0.8, -1.1])
         g = lambda X: np.where(X[:, 0] < 0.5, scores[0], scores[1])
-        exact = exact_auc_risk(loss, two_point_dist, scores).value
+        exact = exact_auc_risk(loss, two_point_dist, scores)
 
         n = 3000
         rng = np.random.default_rng(909)
-        pos = SampleSet(self._sample_class(rng, two_point_dist, two_point_dist.p_pos, n), "corr_pos")
-        neg = SampleSet(self._sample_class(rng, two_point_dist, two_point_dist.p_neg, n), "corr_neg")
-        empirical = empirical_auc_risk(loss, g(pos.points), g(neg.points)).value
+        pos = SampleSet(self._sample_class(rng, two_point_dist, two_point_dist.p_pos, n))
+        neg = SampleSet(self._sample_class(rng, two_point_dist, two_point_dist.p_neg, n))
+        empirical = pairwise_mean_loss(loss, g(pos.points), g(neg.points))
 
         # exact variance of the mean-over-all-pairs statistic
         h = loss.value(scores[:, None] - scores[None, :])
@@ -660,6 +637,58 @@ class TestEmpiricalConvergence:
         zeta_neg = float(q @ col_means**2) - mean_h**2
         var_u = (var_h + (n - 1) * zeta_pos + (n - 1) * zeta_neg) / (n * n)
         assert abs(empirical - exact) <= 5.0 * math.sqrt(var_u)
+
+
+def empirical_measure(scores_pos, scores_neg):
+    """The finite-support distribution that puts count / n on each distinct
+    score of each class, and its support as one score per point."""
+    support, inverse = np.unique(np.concatenate([scores_pos, scores_neg]), return_inverse=True)
+    m, n_pos = support.size, scores_pos.size
+    p_pos = np.bincount(inverse[:n_pos], minlength=m) / n_pos
+    p_neg = np.bincount(inverse[n_pos:], minlength=m) / scores_neg.size
+    return DiscreteBinaryDistribution(support, p_pos, p_neg), support
+
+
+class TestExactRisksOfTheEmpiricalMeasure:
+    """On the empirical measure of two score samples the exact risks are
+    the empirical risks, up to the order of summation."""
+
+    @pytest.mark.parametrize("name", LOSS_NAMES)
+    def test_exact_equals_empirical(self, name):
+        loss = get_loss(name)
+        rng = np.random.default_rng(1111)
+        for _ in range(200):
+            n_pos, n_neg = rng.integers(1, 40, size=2)
+            if rng.random() < 0.5:
+                scores_pos, scores_neg = rng.normal(0.0, 2.0, size=n_pos), rng.normal(size=n_neg)
+            else:
+                # ties within and across the classes
+                scores_pos = rng.integers(-3, 4, size=n_pos) / 2.0
+                scores_neg = rng.integers(-3, 4, size=n_neg) / 2.0
+            dist, scores = empirical_measure(scores_pos, scores_neg)
+            margins = scores_pos[:, None] - scores_neg[None, :]
+            # relative to the mean loss magnitude, which bounds the roundoff
+            # of a sum even where signed losses (unhinged) cancel
+            pairs = [
+                (
+                    exact_ber_risk(loss, dist, scores),
+                    empirical_ber_risk(loss, scores_pos, scores_neg),
+                    0.5 * (np.abs(loss.value(scores_pos)).mean()
+                           + np.abs(loss.value(-scores_neg)).mean()),
+                ),
+                (
+                    exact_auc_risk(loss, dist, scores),
+                    pairwise_mean_loss(loss, scores_pos, scores_neg),
+                    np.abs(loss.value(margins)).mean(),
+                ),
+            ]
+            for exact, empirical, magnitude in pairs:
+                assert type(exact) is float and type(empirical) is float
+                assert abs(exact - empirical) <= 1e-12 * magnitude
+
+    def test_cer_is_a_float_for_a_numpy_prior(self, two_point_dist):
+        dist = dataclasses.replace(two_point_dist, class_prior=np.float64(0.3))
+        assert type(exact_cer_risk(get_loss("sigmoid"), dist, np.array([0.5, -0.5]))) is float
 
 
 class TestClassificationMetrics:

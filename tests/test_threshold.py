@@ -1,5 +1,6 @@
 """Threshold selection, tie handling, and the breakeven property."""
 
+import dataclasses
 import math
 import sys
 
@@ -186,7 +187,7 @@ class TestBreakevenProperty:
 
     def test_result_serializes(self):
         result = select_threshold([3.0, 2.0, 1.0], 0.4)
-        data = result.to_dict()
+        data = dataclasses.asdict(result)
         assert set(data) == {"beta", "achieved_positive_fraction", "method", "degenerate"}
 
 

@@ -120,7 +120,7 @@ class TestTrainBer:
         test_pos, test_neg = clean_sets(1000, seed=99)
         ber = empirical_ber_risk(
             get_loss("zero_one"), trace.scorer(test_pos.points), trace.scorer(test_neg.points)
-        ).value
+        )
         assert ber <= 0.05
 
     def test_zero_step_size_is_a_no_op(self):
@@ -491,10 +491,10 @@ class TestBruteForceMinimizer:
         family = list(itertools.product((-1.0, -0.5, 0.0, 0.5, 1.0), repeat=2))
 
         clean_arg = brute_force_minimizer(
-            lambda m: exact_ber_risk(loss, dist, np.array(m)).value, family
+            lambda m: exact_ber_risk(loss, dist, np.array(m)), family
         )
         corr_arg = brute_force_minimizer(
-            lambda m: exact_ber_risk(loss, corr, np.array(m)).value, family
+            lambda m: exact_ber_risk(loss, corr, np.array(m)), family
         )
         assert set(clean_arg) == set(corr_arg)
 
@@ -509,10 +509,10 @@ class TestBruteForceMinimizer:
         family = list(itertools.product((-2.0, -0.5, 0.0, 1.0, 2.0), repeat=2))
 
         clean_arg = brute_force_minimizer(
-            lambda m: exact_ber_risk(loss, dist, np.array(m)).value, family
+            lambda m: exact_ber_risk(loss, dist, np.array(m)), family
         )
         corr_arg = brute_force_minimizer(
-            lambda m: exact_ber_risk(loss, corr, np.array(m)).value, family
+            lambda m: exact_ber_risk(loss, corr, np.array(m)), family
         )
         assert set(clean_arg) != set(corr_arg)
         assert set(clean_arg) == {(1.0, -2.0)}

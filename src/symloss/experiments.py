@@ -696,7 +696,8 @@ def run_experiment(config: ExperimentConfig) -> int:
     """Run ``config``'s experiment, then write its artifacts and manifest
     into ``config.output_dir``; the exit status is the runner's.  A directory
     that cannot be made, or a file that cannot be written, is a
-    ConfigurationError naming it."""
+    ConfigurationError naming it; the artifacts already written are deleted
+    first, so none is left without its manifest."""
     artifacts, status = _EXPERIMENTS[config.experiment][0](config)
     try:
         config.output_dir.mkdir(parents=True, exist_ok=True)
@@ -705,13 +706,17 @@ def run_experiment(config: ExperimentConfig) -> int:
             f"{config.output_dir}: cannot make the output directory ({exc.strerror})"
         ) from None
     paths = [config.output_dir / name for name in artifacts]
+    written = []
     try:
         for path, content in zip(paths, artifacts.values()):
             if isinstance(content, str):
                 path.write_text(content)
             else:
                 write_csv(path, content)
+            written.append(path)
         write_manifest(config, paths)
     except OSError as exc:
+        for path in written:
+            path.unlink()
         raise ConfigurationError(f"{exc.filename}: cannot write ({exc.strerror})") from None
     return status

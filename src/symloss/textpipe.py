@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -59,7 +60,9 @@ _ASCII_TOKEN_BYTES = bytes(
     ord(char.lower()) if char.lower() in "0123456789abcdefghijklmnopqrstuvwxyz" else 0x20
     for char in map(chr, range(256))
 )
-# documents counted per bincount in Vectorizer.transform; bounds its scratch memory
+# documents counted per bincount in Vectorizer.transform, and transformed and
+# scored per block by _score_texts; bounds both one's scratch memory.  Keep it a
+# multiple of 4: blocks of 2, 3, 5 or 7 rows change a linear score's last bits
 _ROW_BLOCK = 256
 # _LOW_BYTES[k] keeps the low k bytes of a uint64
 _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
@@ -337,6 +340,17 @@ class Vectorizer:
     def size(self) -> int:
         return len(self.vocabulary)
 
+    @cached_property
+    def _by_bytes(self) -> dict[bytes, int]:
+        """The vocabulary's columns by word bytes, and spare column
+        ``size + 1`` for ``|``; built on the first transform."""
+        # a word outside ASCII gets a ``?``, which no token holds
+        by_bytes = {
+            word.encode("ascii", "replace"): column for word, column in self.vocabulary.items()
+        }
+        by_bytes[b"|"] = self.size + 1
+        return by_bytes
+
     def _idf(self) -> np.ndarray:
         return np.log((1.0 + self.n_documents) / (1.0 + self.document_frequency)) + 1.0
 
@@ -351,8 +365,9 @@ class Vectorizer:
         one little-endian integer and masked to its length, which is the
         token itself when it is at most 8 bytes long, as no token holds a NUL.
         The block's distinct keys are looked up once each, by their bytes, in
-        a dict of the vocabulary's words and ``|``, and mapped back to the
-        tokens; a token longer than 8 bytes is looked up alone by its bytes.
+        a dict of the vocabulary's words and ``|`` (built once per vectorizer),
+        and mapped back to the tokens; a token longer than 8 bytes is looked
+        up alone by its bytes.
         Unknown tokens go to spare column ``size`` and separators to spare
         column ``size + 1``.  A token's row is the count of separators up to
         it, taken by one ``cumsum``, and the block's (row, column) cells go
@@ -364,15 +379,11 @@ class Vectorizer:
         separator = size + 1
         width = size + 2
         matrix = np.empty((len(texts), size))
-        # a word outside ASCII gets a ``?``, which no token holds
-        by_bytes = {
-            word.encode("ascii", "replace"): column for word, column in self.vocabulary.items()
-        }
-        by_bytes[b"|"] = separator
+        column_of = self._by_bytes.get
         for start in range(0, len(texts), _ROW_BLOCK):
             block = texts[start:start + _ROW_BLOCK]
             rows = len(block)
-            columns = _token_columns(block, by_bytes.get, size)
+            columns = _token_columns(block, column_of, size)
             cells = np.cumsum(columns == separator) * width + columns
             counts = np.bincount(cells, minlength=rows * width).reshape(rows, width)
             matrix[start:start + rows] = counts[:, :size]
@@ -418,6 +429,24 @@ def build_vectorizer(texts, scheme: str = "tf_idf", min_doc_freq: int = 1) -> Ve
         scheme=scheme,
         n_documents=len(texts),
     )
+
+
+def _score_texts(vectorizer: Vectorizer, scorer: Scorer, texts: Sequence[str]) -> np.ndarray:
+    """``scorer(vectorizer.transform(texts))``, transformed and scored
+    ``_ROW_BLOCK`` rows at a time, so no (len(texts), size) matrix is held.
+
+    A lone last row joins the block before it: numpy scores a one-row matrix
+    by a dot product, whose summation order differs from BLAS's matrix-vector
+    product.  So a linear scorer's scores equal whole-matrix scoring bit for
+    bit, while an ``mlp`` scorer's matrix product rounds per block.
+    """
+    stops = list(range(_ROW_BLOCK, len(texts), _ROW_BLOCK))
+    if stops and stops[-1] == len(texts) - 1:
+        stops.pop()
+    scores = np.empty(len(texts))
+    for start, stop in zip([0, *stops], [*stops, len(texts)]):
+        scores[start:stop] = scorer(vectorizer.transform(texts[start:stop]))
+    return scores
 
 
 def _cosine_rows(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
@@ -540,11 +569,14 @@ def run_pipeline(corpus: Corpus, keywords: KeywordSet, config: PipelineConfig) -
     """Pseudo-label, train the ranker, pick a threshold, evaluate.
 
     The vectorizer is fit on the training slice only; each slice is then
-    transformed once with the fitted vocabulary.  All three slices are
-    read from the corpus as text and label lists (``Corpus.columns``), so
-    no ``Document`` is built.  A non-symmetric
-    training loss is allowed (for comparison experiments) but warned
-    about, since the noisy-split guarantee needs symmetry.
+    transformed once with the fitted vocabulary.  Only the training slice
+    is held as a matrix: validation and test are transformed and scored in
+    256-row blocks (:func:`_score_texts`), so each costs O(256 * vocabulary)
+    memory beyond the corpus rows.  All three slices are read from the
+    corpus as text and label lists (``Corpus.columns``), so no ``Document``
+    is built.
+    A non-symmetric training loss is allowed (for comparison experiments)
+    but warned about, since the noisy-split guarantee needs symmetry.
     """
     notes: list[str] = []
     loss = get_loss(config.train.loss)
@@ -584,15 +616,16 @@ def run_pipeline(corpus: Corpus, keywords: KeywordSet, config: PipelineConfig) -
     scorer = trace.scorer
 
     if config.threshold_method == "default_zero":
-        threshold = default_threshold(scorer(
-            vectorizer.transform(validation_texts) if validation_texts else train_matrix
-        ))
+        threshold = default_threshold(
+            _score_texts(vectorizer, scorer, validation_texts) if validation_texts
+            else scorer(train_matrix)
+        )
     else:
         if not validation_texts:
             raise ConfigurationError(
                 "threshold selection needs validation_unlabeled documents"
             )
-        validation_scores = scorer(vectorizer.transform(validation_texts))
+        validation_scores = _score_texts(vectorizer, scorer, validation_texts)
         if config.threshold_method == "breakeven_known_prior":
             threshold = select_threshold(validation_scores, config.known_prior)
         else:
@@ -604,8 +637,7 @@ def run_pipeline(corpus: Corpus, keywords: KeywordSet, config: PipelineConfig) -
     test_metrics = None
     test_auc = None
     if test_texts:
-        test_matrix = vectorizer.transform(test_texts)
-        test_scores = scorer(test_matrix)
+        test_scores = _score_texts(vectorizer, scorer, test_texts)
         truth = np.array(test_labels, dtype=int)
         predicted = classify_scores(test_scores, threshold.beta)
         test_metrics = classification_metrics(predicted, truth)

@@ -1025,6 +1025,8 @@ def test_an_artifact_that_cannot_be_written_exits_two(tmp_path, capsys, name):
     assert main(["verify-identities", "--config", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"symloss: error: {out / name}: cannot write (")
+    # no residuals.csv is left behind without its manifest
+    assert [path.name for path in out.iterdir()] == [name]
 
 
 @pytest.mark.parametrize(

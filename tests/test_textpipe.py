@@ -32,7 +32,7 @@ from symloss.textpipe import (
     run_pipeline,
     tokenize,
 )
-from symloss.training import TrainConfig, train_auc
+from symloss.training import Scorer, TrainConfig, train_auc
 
 
 @pytest.fixture(scope="module")
@@ -440,6 +440,18 @@ def _long_token_texts(draw):
 _PREFIXED = ["abcdefgh", "abcdefghi", "abcdefghij"]
 
 
+def _wide_vocabulary_texts():
+    """A tf-idf vectorizer of 120 tokens and 5,000 short documents of its
+    tokens and 40 strangers."""
+    rng = np.random.default_rng(9)
+    words = np.array([f"w{i}" for i in range(160)])
+    vectorizer = build_vectorizer(
+        [" ".join(words[i:i + 4]) for i in range(0, 120, 4)], scheme="tf_idf"
+    )
+    assert vectorizer.size == 120
+    return vectorizer, [" ".join(rng.choice(words, size=8)) for _ in range(5000)]
+
+
 class TestTransform:
     FIT = ["alpha beta gamma", "beta delta 42", "gamma K x2 beta", "alpha alpha zeta"]
 
@@ -474,15 +486,9 @@ class TestTransform:
         assert vectorizer.transform(texts).tobytes() == loop_transform(vectorizer, texts).tobytes()
 
     def test_scratch_memory_is_bounded_by_the_block(self):
-        # 5,000 short documents over a 120-token vocabulary: counting every row
-        # in one bincount would need 5,000 * 121 int64 counts (4.8 MB) of scratch
-        rng = np.random.default_rng(9)
-        words = np.array([f"w{i}" for i in range(160)])
-        vectorizer = build_vectorizer(
-            [" ".join(words[i:i + 4]) for i in range(0, 120, 4)], scheme="tf_idf"
-        )
-        assert vectorizer.size == 120
-        texts = [" ".join(rng.choice(words, size=8)) for _ in range(5000)]
+        # counting every row in one bincount would need 5,000 * 121 int64
+        # counts (4.8 MB) of scratch
+        vectorizer, texts = _wide_vocabulary_texts()
         tracemalloc.start()
         try:
             matrix = vectorizer.transform(texts)
@@ -513,6 +519,70 @@ class TestTransform:
         with mock.patch.object(symloss.textpipe, "_ROW_BLOCK", block):
             matrix = vectorizer.transform(texts)
         assert matrix.tobytes() == loop_transform(vectorizer, texts).tobytes()
+
+
+# 62 vocabulary words, so a one-row dot product and BLAS's matrix-vector
+# product sum a row in different orders
+_SCORED_WORDS = [f"v{i}" for i in range(62)]
+_SCORED_TEXTS = st.lists(
+    st.lists(st.sampled_from([*_SCORED_WORDS, "stranger"]), max_size=40).map(" ".join)
+    | st.text(max_size=20),
+    min_size=1, max_size=12,
+)
+
+
+def _random_texts(words, count, seed):
+    """``count`` documents of 0 to 39 words drawn from ``words``."""
+    rng = np.random.default_rng(seed)
+    return [" ".join(rng.choice(words, size=int(rng.integers(0, 40)))) for _ in range(count)]
+
+
+class TestScoreTexts:
+    VECTORIZER = build_vectorizer(
+        [" ".join(_SCORED_WORDS[i:i + 5]) for i in range(0, 62, 2)], scheme="tf_idf"
+    )
+    TEXTS = _random_texts([*_SCORED_WORDS, "stranger"], 600, seed=11)
+    # without the lone-row fold these parameters change the score at n = 257 and 513
+    LINEAR = Scorer("linear", 62, np.random.default_rng(13).normal(size=63))
+
+    def test_scratch_memory_is_bounded_by_the_block(self):
+        # the 5,000 * 120 tf-idf matrix alone would be 4.8 MB
+        vectorizer, texts = _wide_vocabulary_texts()
+        scorer = Scorer("linear", 120, np.random.default_rng(3).normal(size=121))
+        tracemalloc.start()
+        try:
+            symloss.textpipe._score_texts(vectorizer, scorer, texts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+
+    # one block, a lone row after one or two full blocks, and its neighbours
+    @pytest.mark.parametrize("n", [*range(0, 41), *range(250, 271), *range(508, 521)])
+    def test_linear_scores_equal_the_whole_matrix(self, n):
+        assert self.VECTORIZER.size == 62
+        texts = self.TEXTS[:n]
+        scores = symloss.textpipe._score_texts(self.VECTORIZER, self.LINEAR, texts)
+        assert scores.tobytes() == self.LINEAR(self.VECTORIZER.transform(texts)).tobytes()
+
+    @given(_SCORED_TEXTS, st.integers(1, 600))
+    @example(["v0 v1 v2 v3 v4 v5"], 257)  # a lone row of six words
+    @settings(max_examples=60, deadline=None)
+    def test_drawn_texts_score_as_the_whole_matrix(self, drawn, n):
+        texts = [drawn[i % len(drawn)] for i in range(n)]
+        scores = symloss.textpipe._score_texts(self.VECTORIZER, self.LINEAR, texts)
+        assert scores.tobytes() == self.LINEAR(self.VECTORIZER.transform(texts)).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 258, 513, 600])
+    def test_mlp_scores_round_per_block(self, n):
+        # the hidden layer's matrix product rounds per block, not row by row
+        scorer = Scorer.mlp(62, 8, np.random.default_rng(14))
+        texts = self.TEXTS[:n]
+        scores = symloss.textpipe._score_texts(self.VECTORIZER, scorer, texts)
+        whole = scorer(self.VECTORIZER.transform(texts))
+        bound = 8 * np.finfo(float).eps * np.max(np.abs(whole))
+        assert scores.shape == whole.shape
+        assert np.max(np.abs(scores - whole)) <= bound
 
 
 class TestPseudoLabel:

@@ -34,11 +34,7 @@ from .losses import (
     LOSSES,
     SYMMETRIC_LOSS_NAMES,
     LossSpec,
-    check_symmetry,
-    eval_grad,
-    eval_loss,
     get_loss,
-    symmetry_gap,
 )
 from .risks import (
     DecompositionCheck,

@@ -5,7 +5,7 @@ key = value config file (a bundled default is used when --config is
 omitted) and writes CSV/JSON artifacts plus a manifest to the output
 directory.  The exit status is 0 on success, 1 when an acceptance
 assertion inside the experiment fails, and 2 on bad input (config,
-corpus or keyword file, or flag).
+corpus or keyword file, flag, or a config too big for memory).
 """
 
 from __future__ import annotations
@@ -70,7 +70,9 @@ def main(argv=None) -> int:
         }
         config = parse_config(config_path, args.experiment, overrides)
         status = run_experiment(config)
-    except (ConfigurationError, FileNotFoundError) as exc:
+    except (ConfigurationError, FileNotFoundError, MemoryError) as exc:
+        if isinstance(exc, MemoryError):
+            exc = f"{config_path}: needs more memory than is available ({str(exc) or 'MemoryError'})"
         print(f"symloss: error: {exc}", file=sys.stderr)
         return 2
     if status == 0:

@@ -8,8 +8,7 @@ symmetry.
 
 A loss is *symmetric* when l(z) + l(-z) = K for a constant K independent
 of z.  Symmetric losses are the reason corrupted-label risks share their
-minimizers with clean risks, so the symmetry constant is stored explicitly
-and checkable to machine precision via :func:`check_symmetry`.
+minimizers with clean risks, so the symmetry constant is stored explicitly.
 """
 
 from __future__ import annotations
@@ -17,24 +16,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.special import expit
 
-from .errors import NonDifferentiableLossError
-
 __all__ = [
     "LossSpec",
-    "SymmetryReport",
     "LOSSES",
     "LOSS_NAMES",
     "SYMMETRIC_LOSS_NAMES",
     "get_loss",
-    "eval_loss",
-    "eval_grad",
-    "symmetry_gap",
-    "check_symmetry",
 ]
 
 # exp() overflows just above exp(709); clamping at +-700 keeps every loss
@@ -79,19 +71,6 @@ class LossSpec:
     @property
     def differentiable(self) -> bool:
         return self.grad is not None
-
-
-@dataclass(frozen=True)
-class SymmetryReport:
-    """Result of a grid check of |l(z) + l(-z) - l(0) - l(-0)|."""
-
-    passed: bool
-    max_deviation: float
-    worst_z: float
-    reference_value: float
-
-    def __bool__(self) -> bool:
-        return self.passed
 
 
 def _zero_one(z):
@@ -260,63 +239,3 @@ def get_loss(name: str) -> LossSpec:
         raise ValueError(
             f"unknown loss {name!r}; choose from {', '.join(LOSS_NAMES)}"
         ) from None
-
-
-def _as_finite_scalar(z) -> float:
-    try:
-        z = float(z)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"margin must be a real scalar, got {z!r}") from exc
-    if not math.isfinite(z):
-        raise ValueError(f"margin must be finite, got {z!r}")
-    return z
-
-
-def eval_loss(loss: LossSpec, z: float) -> float:
-    """Evaluate l(z) at a finite scalar margin."""
-    return float(loss.value(_as_finite_scalar(z)))
-
-
-def eval_grad(loss: LossSpec, z: float) -> float:
-    """Evaluate dl/dz at a finite scalar margin.
-
-    The zero-one loss has a gradient of zero almost everywhere, which is
-    useless for optimization, so asking for it is an error: pick a
-    surrogate instead.  Kinked losses (hinge, squared hinge, ramp) return
-    the right-hand derivative at their kinks.
-    """
-    if loss.grad is None:
-        raise NonDifferentiableLossError(
-            f"loss {loss.name!r} has no usable gradient; pick a surrogate loss"
-        )
-    return float(loss.grad(_as_finite_scalar(z)))
-
-
-def symmetry_gap(loss: LossSpec, z: float) -> float:
-    """The pair sum l(z) + l(-z); constant iff the loss is symmetric."""
-    z = _as_finite_scalar(z)
-    return float(loss.value(z) + loss.value(-z))
-
-
-def check_symmetry(
-    loss: LossSpec, grid: Sequence[float], tol: float
-) -> SymmetryReport:
-    """Check whether l(z) + l(-z) is constant over a grid.
-
-    The reference value is the pair sum at z = 0; the report records the
-    largest deviation from it and where that deviation occurs.
-    """
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise ValueError("symmetry check needs a non-empty grid")
-    reference = float(loss.value(0.0) + loss.value(-0.0))
-    gaps = loss.value(grid) + loss.value(-grid)
-    deviations = np.abs(gaps - reference)
-    worst = int(np.argmax(deviations))
-    max_dev = float(deviations[worst])
-    return SymmetryReport(
-        passed=max_dev <= tol,
-        max_deviation=max_dev,
-        worst_z=float(grid[worst]),
-        reference_value=reference,
-    )

@@ -241,6 +241,23 @@ class TestNoiseSweepCommand:
         )
         assert main(["noise-sweep", "--config", str(config)]) == 2
 
+    def test_a_config_too_big_for_memory_exits_two(self, tmp_path, capsys, monkeypatch):
+        # stands in for e.g. n_test_per_class = 100000000000, which asks
+        # numpy for terabytes
+        def runner(config):
+            raise MemoryError("Unable to allocate 1.46 TiB for an array")
+
+        experiments = symloss.experiments._EXPERIMENTS
+        _, reads, one_seed = experiments["noise_sweep"]
+        monkeypatch.setitem(experiments, "noise_sweep", (runner, reads, one_seed))
+        config = sweep_config(tmp_path)
+        assert main(["noise-sweep", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            f"symloss: error: {config}: needs more memory than is available "
+            "(Unable to allocate 1.46 TiB for an array)\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_clean_cell_reaches_low_ber_for_both_losses(self, tmp_path):
         config = write_config(
             tmp_path,

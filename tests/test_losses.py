@@ -9,17 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from symloss.errors import NonDifferentiableLossError
-from symloss.losses import (
-    LOSS_NAMES,
-    LOSSES,
-    SYMMETRIC_LOSS_NAMES,
-    check_symmetry,
-    eval_grad,
-    eval_loss,
-    get_loss,
-    symmetry_gap,
-)
+from symloss.losses import LOSS_NAMES, LOSSES, SYMMETRIC_LOSS_NAMES, get_loss
 
 DIFFERENTIABLE = [n for n in LOSS_NAMES if LOSSES[n].differentiable]
 # kinks where one-sided derivatives disagree; sampled z stay clear of them
@@ -32,7 +22,11 @@ def hook_pairs(spec, scores_pos, scores_neg):
 
 
 def central_difference(loss, z, h=1e-5):
-    return (eval_loss(loss, z + h) - eval_loss(loss, z - h)) / (2.0 * h)
+    return float(loss.value(z + h) - loss.value(z - h)) / (2.0 * h)
+
+
+def pair_sum(loss, z):
+    return loss.value(z) + loss.value(-z)
 
 
 class TestCatalogMetadata:
@@ -191,18 +185,12 @@ class TestEvalLoss:
         ],
     )
     def test_values(self, name, z, expected):
-        assert eval_loss(get_loss(name), z) == pytest.approx(expected, abs=1e-12)
+        assert float(get_loss(name).value(z)) == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("name", LOSS_NAMES)
     @pytest.mark.parametrize("z", [-700.0, -100.0, 0.0, 100.0, 700.0])
     def test_no_overflow_up_to_700(self, name, z):
-        value = eval_loss(get_loss(name), z)
-        assert math.isfinite(value)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_rejected(self, bad):
-        with pytest.raises(ValueError, match="finite"):
-            eval_loss(get_loss("sigmoid"), bad)
+        assert math.isfinite(get_loss(name).value(z))
 
     def test_vectorized_value(self):
         z = np.linspace(-5, 5, 11)
@@ -225,22 +213,25 @@ class TestEvalGrad:
         ],
     )
     def test_values(self, name, z, expected):
-        assert eval_grad(get_loss(name), z) == pytest.approx(expected, abs=1e-12)
+        assert float(get_loss(name).grad(z)) == pytest.approx(expected, abs=1e-12)
 
     def test_kink_uses_right_hand_derivative(self):
-        assert eval_grad(get_loss("hinge"), 1.0) == 0.0
-        assert eval_grad(get_loss("squared_hinge"), 1.0) == 0.0
-        assert eval_grad(get_loss("ramp"), 1.0) == 0.0
-        assert eval_grad(get_loss("ramp"), -1.0) == -0.5
+        assert get_loss("hinge").grad(1.0) == 0.0
+        assert get_loss("squared_hinge").grad(1.0) == 0.0
+        assert get_loss("ramp").grad(1.0) == 0.0
+        assert get_loss("ramp").grad(-1.0) == -0.5
 
-    def test_zero_one_grad_is_an_error(self):
-        with pytest.raises(NonDifferentiableLossError):
-            eval_grad(get_loss("zero_one"), 0.3)
+    def test_zero_one_has_no_gradient(self):
+        # the trainer rejects it (tests/test_training.py): zero almost
+        # everywhere is useless for optimization
+        loss = get_loss("zero_one")
+        assert loss.grad is None
+        assert not loss.differentiable
 
     def test_logistic_matches_central_difference_closely(self):
         loss = get_loss("logistic")
         fd = central_difference(loss, 0.3)
-        assert abs(eval_grad(loss, 0.3) - fd) <= 1e-8
+        assert abs(loss.grad(0.3) - fd) <= 1e-8
 
     @pytest.mark.parametrize("name", DIFFERENTIABLE)
     def test_matches_central_differences(self, name):
@@ -254,7 +245,7 @@ class TestEvalGrad:
             z = float(rng.uniform(-20.0, 20.0))
             if any(abs(z - k) < 1e-2 for k in KINKS.get(name, ())):
                 continue
-            analytic = eval_grad(loss, z)
+            analytic = float(loss.grad(z))
             fd = central_difference(loss, z)
             rel = abs(analytic - fd) / max(abs(analytic), abs(fd), 1e-12)
             assert rel <= 1e-5 or abs(analytic - fd) <= 1e-10, (
@@ -265,55 +256,56 @@ class TestEvalGrad:
 
 class TestSymmetry:
     def test_gap_examples(self):
-        assert symmetry_gap(get_loss("sigmoid"), 1.7) == pytest.approx(1.0, abs=1e-12)
-        assert symmetry_gap(get_loss("logistic"), 0.0) == pytest.approx(
+        assert pair_sum(get_loss("sigmoid"), 1.7) == pytest.approx(1.0, abs=1e-12)
+        assert pair_sum(get_loss("logistic"), 0.0) == pytest.approx(
             2.0 * math.log(2.0), abs=1e-12
         )
         # log(1 + e^-1) + log(1 + e), frozen from direct evaluation
-        assert symmetry_gap(get_loss("logistic"), 1.0) == pytest.approx(
+        assert pair_sum(get_loss("logistic"), 1.0) == pytest.approx(
             1.6265233750364456, abs=1e-12
         )
+
+    grid = np.linspace(-50.0, 50.0, 2001)
 
     @pytest.mark.parametrize("name", SYMMETRIC_LOSS_NAMES)
     def test_symmetric_losses_constant_gap(self, name):
         loss = get_loss(name)
-        grid = np.linspace(-50.0, 50.0, 2001)
-        report = check_symmetry(loss, grid, tol=1e-12)
-        assert report.passed, f"{name}: max dev {report.max_deviation} at {report.worst_z}"
-        assert report.reference_value == pytest.approx(
-            loss.symmetry_constant, abs=1e-12
-        )
+        at_zero = pair_sum(loss, 0.0)
+        assert at_zero == loss.symmetry_constant
+        assert np.max(np.abs(pair_sum(loss, self.grid) - at_zero)) <= 1e-12
 
-    def test_check_symmetry_flags_squared(self):
-        grid = np.arange(-5.0, 5.0 + 1e-9, 0.1)
-        report = check_symmetry(get_loss("squared"), grid, tol=1e-6)
-        assert not report.passed
-        # gap(z) = 2 + 2 z^2, largest deviation at the grid edge
-        assert report.max_deviation == pytest.approx(50.0, rel=1e-9)
+    @pytest.mark.parametrize("name", [n for n in LOSS_NAMES if not LOSSES[n].symmetric])
+    def test_non_symmetric_losses_vary(self, name):
+        loss = get_loss(name)
+        assert np.max(np.abs(pair_sum(loss, self.grid) - pair_sum(loss, 0.0))) > 1e-6
 
     def test_check_symmetry_zero_one(self):
         grid = np.arange(-5.0, 5.0 + 1e-9, 0.1)
-        report = check_symmetry(get_loss("zero_one"), grid, tol=1e-12)
-        assert report.passed
-        assert report.reference_value == 1.0
+        sums = pair_sum(get_loss("zero_one"), grid)
+        assert np.max(np.abs(sums - 1.0)) <= 1e-12
+        assert pair_sum(get_loss("zero_one"), 0.0) == 1.0
 
     def test_ramp_grid(self):
         grid = np.arange(-5.0, 5.0 + 1e-9, 0.1)
-        assert check_symmetry(get_loss("ramp"), grid, tol=1e-12).passed
+        loss = get_loss("ramp")
+        sums = pair_sum(loss, grid)
+        assert np.max(np.abs(sums - pair_sum(loss, 0.0))) <= 1e-12
 
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError, match="non-empty"):
-            check_symmetry(get_loss("sigmoid"), [], tol=1e-12)
+    def test_squared_gap_is_two_plus_two_z_squared(self):
+        grid = np.arange(-5.0, 5.0 + 1e-9, 0.1)
+        deviation = np.abs(pair_sum(get_loss("squared"), grid) - 2.0)
+        # largest at the grid edges, z = -5 and z = 5
+        assert np.max(deviation) == pytest.approx(50.0, rel=1e-9)
 
     @given(st.floats(min_value=-50.0, max_value=50.0, allow_nan=False))
     @settings(max_examples=200, deadline=None)
     def test_sigmoid_gap_is_one_everywhere(self, z):
-        assert abs(symmetry_gap(get_loss("sigmoid"), z) - 1.0) <= 1e-12
+        assert abs(pair_sum(get_loss("sigmoid"), z) - 1.0) <= 1e-12
 
     @given(st.floats(min_value=-50.0, max_value=50.0, allow_nan=False))
     @settings(max_examples=200, deadline=None)
     def test_unhinged_gap_is_two_everywhere(self, z):
-        assert abs(symmetry_gap(get_loss("unhinged"), z) - 2.0) <= 1e-12
+        assert abs(pair_sum(get_loss("unhinged"), z) - 2.0) <= 1e-12
 
 
 class TestShapeProperties:
@@ -332,7 +324,7 @@ class TestShapeProperties:
         # on z < 0, so the witness must sit there)
         loss = get_loss("sigmoid")
         a, b = -4.0, 0.0
-        assert eval_loss(loss, (a + b) / 2) > (eval_loss(loss, a) + eval_loss(loss, b)) / 2
+        assert loss.value((a + b) / 2) > (loss.value(a) + loss.value(b)) / 2
 
     @pytest.mark.parametrize("name", [n for n in LOSS_NAMES if n != "unhinged"])
     def test_non_negative(self, name):
@@ -343,4 +335,4 @@ class TestShapeProperties:
     def test_unhinged_goes_negative(self):
         # the one symmetric convex loss; it escapes the symmetric ->
         # non-convex constraint by taking negative values past z = 1
-        assert eval_loss(get_loss("unhinged"), 2.0) == -1.0
+        assert get_loss("unhinged").value(2.0) == -1.0

@@ -45,13 +45,11 @@ from .risks import (
     empirical_ber_risk,
     exact_auc_risk,
     exact_ber_risk,
-    exact_cer_risk,
 )
 from .textpipe import (
     Corpus,
     KeywordSet,
     PipelineConfig,
-    PipelineReport,
     build_vectorizer,
     pseudo_label,
     run_pipeline,

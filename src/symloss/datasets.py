@@ -15,7 +15,7 @@ from importlib import resources
 
 import numpy as np
 
-from .textpipe import Corpus, Document, KeywordSet
+from .textpipe import SPLITS, Corpus, KeywordSet
 
 __all__ = [
     "generate_mini_corpus",
@@ -85,30 +85,26 @@ def generate_mini_corpus(
     n_test: int = 100,
     positive_fraction: float = 0.3,
 ) -> tuple[Corpus, KeywordSet]:
-    """Deterministically build the two-topic corpus and its keyword set."""
+    """Deterministically build the two-topic corpus and its keyword set.
+
+    Split after split, in ``SPLITS`` order, the positive flags are
+    shuffled and then each document's words drawn.  The records go to
+    ``Corpus`` as they are drawn, so no list of them is held beside the
+    corpus rows.
+    """
     rng = np.random.default_rng(seed)
-    documents: list[Document] = []
-    counter = 0
-    for split, count in (
-        ("train_unlabeled", n_train),
-        ("validation_unlabeled", n_validation),
-        ("test_labeled", n_test),
-    ):
-        n_pos = int(round(positive_fraction * count))
-        flags = np.zeros(count, dtype=bool)
-        flags[:n_pos] = True
-        rng.shuffle(flags)
-        for positive in flags:
-            documents.append(
-                Document(
-                    id=f"doc{counter:04d}",
-                    text=_draw_document(rng, bool(positive)),
-                    hidden_label=1 if positive else -1,
-                    split=split,
-                )
-            )
-            counter += 1
-    return Corpus(documents), KeywordSet(MINI_KEYWORDS)
+
+    def records():
+        counter = 0
+        for split, count in zip(SPLITS, (n_train, n_validation, n_test)):
+            flags = np.zeros(count, dtype=bool)
+            flags[: int(round(positive_fraction * count))] = True
+            rng.shuffle(flags)
+            for positive in flags.tolist():
+                yield f"doc{counter:04d}", _draw_document(rng, positive), 1 if positive else -1, split
+                counter += 1
+
+    return Corpus(records()), KeywordSet(MINI_KEYWORDS)
 
 
 def _asset(name: str):

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the error for a file that
-is not UTF-8."""
+"""Exception types shared across the package, and the errors for a file that
+cannot be read or is not UTF-8."""
 
 
 class NonDifferentiableLossError(ValueError):
@@ -21,6 +21,11 @@ class TrainingDivergedError(ConfigurationError):
     def __init__(self, message: str, run: int = 0):
         super().__init__(message)
         self.run = run
+
+
+def cannot_read(path, exc: OSError) -> ConfigurationError:
+    """The error for a file that exists but cannot be opened or read."""
+    return ConfigurationError(f"{path}: cannot read ({exc.strerror or exc})")
 
 
 def not_utf8(path) -> ConfigurationError:

@@ -42,7 +42,7 @@ from .distributions import (
     sample_mcd,
     uu_params,
 )
-from .errors import ConfigurationError, TrainingDivergedError, not_utf8
+from .errors import ConfigurationError, TrainingDivergedError, cannot_read, not_utf8
 from .losses import LOSS_NAMES, get_loss
 from .risks import (
     auc_decomposition_check,
@@ -258,11 +258,15 @@ def parse_config(
         raise FileNotFoundError(f"config file not found: {path}")
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        parser.read(path, encoding="utf-8")
+        # configparser.read would skip a file it cannot open
+        with open(path, encoding="utf-8") as fh:
+            parser.read_file(fh)
     except configparser.Error as exc:
         raise ConfigurationError(_read_error(path, exc)) from exc
     except UnicodeDecodeError:
         raise not_utf8(path) from None
+    except OSError as exc:
+        raise cannot_read(path, exc) from None
     flags = {}
     for flag, (section, key, text) in (overrides or {}).items():
         parser.read_dict({section: {key: text}})
@@ -599,29 +603,25 @@ def run_keywords(config: ExperimentConfig) -> tuple[dict, int]:
     report = run_pipeline(corpus, keywords, pipeline_config)
 
     # an absent or undefined value is None: an empty cell and JSON null
-    data = report.to_dict()
-    metrics = data["test_metrics"] or {}
+    metrics = report["test_metrics"] or {}
+    pi_pos, pi_neg, auc = report["empirical_pi_pos"], report["empirical_pi_neg"], report["test_auc"]
     row = {
-        "n_pseudo_pos": report.n_pseudo_pos,
-        "n_pseudo_neg": report.n_pseudo_neg,
-        "empirical_pi_pos": report.empirical_pi_pos,
-        "empirical_pi_neg": report.empirical_pi_neg,
-        "threshold_beta": report.threshold.beta,
-        "threshold_method": report.threshold.method,
-        "test_auc": report.test_auc,
+        "n_pseudo_pos": report["n_pseudo_pos"],
+        "n_pseudo_neg": report["n_pseudo_neg"],
+        "empirical_pi_pos": pi_pos,
+        "empirical_pi_neg": pi_neg,
+        "threshold_beta": report["threshold"]["beta"],
+        "threshold_method": report["threshold"]["method"],
+        "test_auc": auc,
         **{key: metrics.get(key) for key in ("cer", "ber", "precision", "recall", "f1")},
     }
     artifacts = {
-        "report.json": json.dumps(data, sort_keys=True, indent=2, allow_nan=False) + "\n",
+        "report.json": json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n",
         "metrics.csv": [row],
     }
 
-    informative = (
-        report.empirical_pi_pos is None
-        or report.empirical_pi_neg is None
-        or report.empirical_pi_pos > report.empirical_pi_neg
-    )
-    above_chance = report.test_auc is None or report.test_auc > 0.5
+    informative = pi_pos is None or pi_neg is None or pi_pos > pi_neg
+    above_chance = auc is None or auc > 0.5
     return artifacts, 0 if (informative and above_chance) else 1
 
 

@@ -48,10 +48,12 @@ class LossSpec:
     l(s - s') for the block rows ``rows`` (a slice) into ``out``, of shape
     (rows, negatives), and returns ``out``.  It lets
     :func:`~symloss.risks.pairwise_mean_loss` fill one small tile at a time
-    in a reused buffer and skip forming the margins.  Only the sigmoid has
-    one.  Its relative error against ``value`` on the margins is at most
-    (16 + max|s - s'|) * eps, with eps the float64 machine epsilon, and it
-    equals ``value`` bit for bit where it falls back.
+    in a reused buffer and skip forming the margins.  A hook returns None
+    for a grid it cannot fill, and that grid takes the margin path through
+    ``value``.  Only the sigmoid has one.  Its relative error against
+    ``value`` on the margins is at most (16 + max|s - s'|) * eps, with eps
+    the float64 machine epsilon; it returns None for a non-finite score or
+    a spread above 700.
     """
 
     name: str
@@ -61,7 +63,7 @@ class LossSpec:
     convex: bool
     auc_consistent: str = "unknown"
     pair_inplace: Optional[
-        Callable[[np.ndarray, np.ndarray], Callable[[slice, np.ndarray], np.ndarray]]
+        Callable[[np.ndarray, np.ndarray], Optional[Callable[[slice, np.ndarray], np.ndarray]]]
     ] = None
 
     @property
@@ -154,14 +156,14 @@ def _sigmoid_pairs(scores_pos, scores_neg):
     # l(s - s') = 1 / (1 + e^(s-c) * e^(c-s')) for any centre c, so the grid
     # needs one exp per score, not one per pair.  With c mid-range and a
     # spread of at most _EXP_CLAMP, every product lies in e^[-700, 700].
-    # Non-finite scores and wider grids take the margin path, the oracle.
+    # Non-finite scores and wider grids get None: the margin path, the oracle.
     # The bounds are Python floats, so the guard itself never warns.
     bounds = [float(f(x)) for x in (scores_pos, scores_neg) for f in (np.min, np.max)]
     lo, hi = min(bounds), max(bounds)
-    if all(map(math.isfinite, bounds)) and hi - lo <= _EXP_CLAMP:
-        centre = lo + (hi - lo) / 2.0
-        return partial(_sigmoid_factors, np.exp(scores_pos - centre), np.exp(centre - scores_neg))
-    return partial(_sigmoid_margins, scores_pos, scores_neg)
+    if not (all(map(math.isfinite, bounds)) and hi - lo <= _EXP_CLAMP):
+        return None
+    centre = lo + (hi - lo) / 2.0
+    return partial(_sigmoid_factors, np.exp(scores_pos - centre), np.exp(centre - scores_neg))
 
 
 def _sigmoid_factors(exp_pos, exp_neg, rows, out):
@@ -170,12 +172,6 @@ def _sigmoid_factors(exp_pos, exp_neg, rows, out):
     np.einsum("i,j->ij", exp_pos[rows], exp_neg, out=out)
     out += 1.0
     return np.reciprocal(out, out=out)
-
-
-def _sigmoid_margins(scores_pos, scores_neg, rows, out):
-    np.subtract(scores_pos[rows, None], scores_neg, out=out)
-    np.negative(out, out=out)
-    return expit(out, out=out)
 
 
 def _sigmoid_grad(z):

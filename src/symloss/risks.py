@@ -47,7 +47,6 @@ __all__ = [
     "empirical_ber_risk",
     "exact_ber_risk",
     "exact_auc_risk",
-    "exact_cer_risk",
     "ber_decomposition_check",
     "auc_decomposition_check",
     "auc_score",
@@ -162,22 +161,24 @@ def _chunk_sums(
     summed in tiles by :func:`_tree_sum` through one reused buffer that
     holds a tile's covering rows.
 
-    The loss's ``pair_inplace`` hook, when it has one, writes a tile of up
-    to ``_TILE`` losses there.  Else the tile's margins are formed there
-    and passed to ``value``, which makes up to two temporaries of their
-    size, so those tiles hold half as many.  Either way a tile may hold
-    ``_TILE_ROWS`` rows.
+    The loss's ``pair_inplace`` hook, when it has one and it fills the
+    chunk, writes a tile of up to ``_TILE`` losses there.  Else the tile's
+    margins are formed there and passed to ``value``, which makes up to
+    two temporaries of their size, so those tiles hold half as many.
+    Either way a tile may hold ``_TILE_ROWS`` rows.
     """
     width = scores_neg.shape[0]
-    tile = max(_TILE if loss.pair_inplace else _TILE // 2, _TILE_ROWS * width, 128)
-    buf = np.empty(min(min(_PAIR_CHUNK, scores_pos.shape[0]) * width, tile + 2 * width))
+    hook_tile, margin_tile = (max(size, _TILE_ROWS * width, 128) for size in (_TILE, _TILE // 2))
+    largest = hook_tile if loss.pair_inplace else margin_tile
+    buf = np.empty(min(min(_PAIR_CHUNK, scores_pos.shape[0]) * width, largest + 2 * width))
     sums = []
     for start in starts:
         block = scores_pos[start : start + _PAIR_CHUNK]
-        if loss.pair_inplace is None:
+        losses = loss.pair_inplace(block, scores_neg) if loss.pair_inplace else None
+        tile = hook_tile
+        if losses is None:
             losses = functools.partial(_margin_losses, loss.value, block, scores_neg)
-        else:
-            losses = loss.pair_inplace(block, scores_neg)
+            tile = margin_tile
         sums.append(float(_tree_sum(losses, tile, width, 0, block.shape[0] * width, buf)))
     return sums
 
@@ -191,16 +192,16 @@ def pairwise_mean_loss(
     and the chunk sums are added in chunk order.  With two or more chunks,
     a second worker thread sums the odd-numbered chunks.  Each chunk is
     filled and summed in tiles of at most ``_TILE`` = 65,536 losses (half
-    that for a loss without a pair hook) or 8 rows, whichever is more, so
-    a worker holds a tile's rows, never a whole chunk.  The tiles follow numpy's pairwise summation
-    tree, so each chunk sum equals ``np.sum`` of the whole chunk bit for
-    bit, as in the serial ``loss.value`` loop.  A loss without a
-    ``pair_inplace`` hook evaluates the same values, so the result equals
-    that loop bit for bit.  The sigmoid's hook factors each chunk into one
-    exponential per score.  It equals the loop bit for bit on chunks with
-    a non-finite score or a score spread above 700; elsewhere its relative
-    error is at most (16 + max|s - s'|) * eps, with eps the float64 machine
-    epsilon.
+    that on the margin path) or 8 rows, whichever is more, so a worker
+    holds a tile's rows, never a whole chunk.  The tiles follow numpy's
+    pairwise summation tree, so each chunk sum equals ``np.sum`` of the
+    whole chunk bit for bit, as in the serial ``loss.value`` loop.  A chunk
+    without a ``pair_inplace`` fill takes the margin path, which evaluates
+    the same values, so its sum equals that loop's bit for bit.  The
+    sigmoid's hook factors each chunk into one exponential per score, but
+    leaves a chunk with a non-finite score or a score spread above 700 to
+    the margin path; elsewhere its relative error is at most
+    (16 + max|s - s'|) * eps, with eps the float64 machine epsilon.
     """
     scores_pos = np.asarray(scores_pos, dtype=float).reshape(-1)
     scores_neg = np.asarray(scores_neg, dtype=float).reshape(-1)
@@ -227,24 +228,11 @@ def pairwise_mean_loss(
     return total / (scores_pos.shape[0] * scores_neg.shape[0])
 
 
-def _class_terms(loss: LossSpec, s: np.ndarray, w_pos, w_neg) -> tuple[float, float]:
-    """The weighted class terms sum w_pos * l(s) and sum w_neg * l(-s)."""
-    return float(w_pos @ loss.value(s)), float(w_neg @ loss.value(-s))
-
-
 def exact_ber_risk(loss: LossSpec, dist: DiscreteBinaryDistribution, scores) -> float:
     """Exact balanced risk over a finite support, given one score per
     support point."""
-    pos_term, neg_term = _class_terms(loss, _scores(scores, dist.size), dist.p_pos, dist.p_neg)
-    return 0.5 * (pos_term + neg_term)
-
-
-def exact_cer_risk(loss: LossSpec, dist: DiscreteBinaryDistribution, scores) -> float:
-    """Exact misclassification-style risk, prior-weighted per class, given
-    one score per support point."""
-    pos_term, neg_term = _class_terms(loss, _scores(scores, dist.size), dist.p_pos, dist.p_neg)
-    prior = float(dist.class_prior)
-    return prior * pos_term + (1.0 - prior) * neg_term
+    s = _scores(scores, dist.size)
+    return 0.5 * (float(dist.p_pos @ loss.value(s)) + float(dist.p_neg @ loss.value(-s)))
 
 
 def _pair_loss_matrix(loss: LossSpec, s: np.ndarray) -> np.ndarray:

@@ -18,19 +18,18 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .distributions import SampleSet
-from .errors import ConfigurationError, DegenerateSplitError, not_utf8
+from .errors import ConfigurationError, DegenerateSplitError, cannot_read, not_utf8
 from .losses import get_loss
 from .risks import auc_score, classification_metrics
 from .threshold import (
     THRESHOLD_METHODS,
-    ThresholdResult,
     classify_scores,
     default_threshold,
     heuristic_threshold,
@@ -39,12 +38,10 @@ from .threshold import (
 from .training import Scorer, TrainConfig, train_auc
 
 __all__ = [
-    "Document",
     "Corpus",
     "KeywordSet",
     "Vectorizer",
     "PipelineConfig",
-    "PipelineReport",
     "build_vectorizer",
     "check_tau",
     "pseudo_label",
@@ -122,23 +119,6 @@ def _record(
     return doc_id, text, label, split
 
 
-@dataclass(frozen=True)
-class Document:
-    """One corpus record, checked and normalized at construction by the
-    record rule (:func:`_record`) that ``Corpus.from_jsonl`` applies too."""
-
-    id: str
-    text: str
-    hidden_label: Optional[int] = None
-    split: str = "train_unlabeled"
-
-    def __post_init__(self) -> None:
-        doc_id, _, label, split = _record(self.id, self.text, self.hidden_label, self.split)
-        object.__setattr__(self, "id", doc_id)
-        object.__setattr__(self, "hidden_label", label)
-        object.__setattr__(self, "split", split)
-
-
 def _stripped_lines(path):
     """(line number, stripped line) for each non-blank line of a UTF-8 file."""
     try:
@@ -149,6 +129,8 @@ def _stripped_lines(path):
                     yield line_number, line
     except UnicodeDecodeError:
         raise not_utf8(path) from None
+    except OSError as exc:
+        raise cannot_read(path, exc) from None
 
 
 def _loads(line: str, where: str):
@@ -163,20 +145,22 @@ class Corpus:
     """Documents tagged with purpose splits; test documents carry labels.
 
     The corpus stores each record once, as the row ``(id, text, label,
-    split)`` of its normalized fields, in the order given.  ``Document``s
-    come in through ``Corpus(documents)`` and out through ``documents``;
-    everything downstream reads a split's texts and labels (``columns``).
+    split)`` of its normalized fields, in the order given (``rows``).
+    ``Corpus(records)`` takes ``(id, text[, label[, split]])`` tuples and
+    passes each through the record rule (:func:`_record`), as
+    :meth:`from_jsonl` does its lines; everything downstream reads a
+    split's texts and labels (``columns``).
     """
 
-    def __init__(self, documents: Iterable[Document]) -> None:
-        rows = [(doc.id, doc.text, doc.hidden_label, doc.split) for doc in documents]
+    def __init__(self, records: Iterable[tuple]) -> None:
+        rows = [_record(*record) for record in records]
         if len({row[0] for row in rows}) != len(rows):
             raise ValueError("document ids must be unique")
         self._rows = rows
 
     @property
-    def documents(self) -> list[Document]:
-        return [Document(*row) for row in self._rows]
+    def rows(self) -> list[tuple[str, str, Optional[int], str]]:
+        return list(self._rows)
 
     def columns(self, tag: str) -> tuple[list[str], list[Optional[int]]]:
         """The texts and the labels of the ``tag`` split, in corpus order."""
@@ -192,9 +176,6 @@ class Corpus:
         if not isinstance(other, Corpus):
             return NotImplemented
         return self._rows == other._rows
-
-    def __repr__(self) -> str:
-        return f"Corpus(documents={self.documents!r})"
 
     @classmethod
     def from_jsonl(cls, path) -> "Corpus":
@@ -213,7 +194,7 @@ class Corpus:
         ``path:line`` text is formatted only for a rejected line.
 
         Each record passes the record rule (:func:`_record`) and is stored
-        as its row of normalized fields; no ``Document`` is built.
+        as its row of normalized fields.
         """
         rows = []
         first_line: dict[str, int] = {}
@@ -525,56 +506,22 @@ class PipelineConfig:
             )
 
 
-@dataclass
-class PipelineReport:
-    """Everything measured in one pipeline run."""
-
-    n_pseudo_pos: int
-    n_pseudo_neg: int
-    empirical_pi_pos: Optional[float]
-    empirical_pi_neg: Optional[float]
-    scorer: Scorer
-    threshold: ThresholdResult
-    test_metrics: Optional[dict]
-    test_auc: Optional[float]
-    warnings: list[str] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        """The report as JSON-ready data; a metric listed as undefined is
-        None, not NaN."""
-        metrics = self.test_metrics
-        if metrics is not None:
-            metrics = {
-                key: None if key in metrics["undefined"] else value
-                for key, value in metrics.items()
-            }
-        return {
-            "n_pseudo_pos": self.n_pseudo_pos,
-            "n_pseudo_neg": self.n_pseudo_neg,
-            "empirical_pi_pos": self.empirical_pi_pos,
-            "empirical_pi_neg": self.empirical_pi_neg,
-            "threshold": asdict(self.threshold),
-            "test_metrics": metrics,
-            "test_auc": self.test_auc,
-            "warnings": self.warnings,
-            "scorer": {
-                "kind": self.scorer.kind,
-                "dimension": self.scorer.dimension,
-                "parameters": [float(p) for p in self.scorer.params],
-            },
-        }
-
-
-def run_pipeline(corpus: Corpus, keywords: KeywordSet, config: PipelineConfig) -> PipelineReport:
+def run_pipeline(corpus: Corpus, keywords: KeywordSet, config: PipelineConfig) -> dict:
     """Pseudo-label, train the ranker, pick a threshold, evaluate.
+
+    The result is the run's ``report.json`` object: the pseudo-split sizes,
+    the measured proportions ``empirical_pi_pos`` and ``empirical_pi_neg``
+    (None without hidden labels), the ``threshold``, the ``test_metrics``
+    (a metric listed as undefined is None, not NaN) and ``test_auc`` (None
+    without test documents of both classes), the ``warnings`` and the
+    ``scorer``'s kind, dimension and parameters.
 
     The vectorizer is fit on the training slice only; each slice is then
     transformed once with the fitted vocabulary.  Only the training slice
     is held as a matrix: validation and test are transformed and scored in
     256-row blocks (:func:`_score_texts`), so each costs O(256 * vocabulary)
     memory beyond the corpus rows.  All three slices are read from the
-    corpus as text and label lists (``Corpus.columns``), so no ``Document``
-    is built.
+    corpus as text and label lists (``Corpus.columns``).
     A non-symmetric training loss is allowed (for comparison experiments)
     but warned about, since the noisy-split guarantee needs symmetry.
     """
@@ -640,18 +587,25 @@ def run_pipeline(corpus: Corpus, keywords: KeywordSet, config: PipelineConfig) -
         test_scores = _score_texts(vectorizer, scorer, test_texts)
         truth = np.array(test_labels, dtype=int)
         predicted = classify_scores(test_scores, threshold.beta)
-        test_metrics = classification_metrics(predicted, truth)
+        metrics = classification_metrics(predicted, truth)
+        test_metrics = {
+            key: None if key in metrics["undefined"] else value for key, value in metrics.items()
+        }
         if (truth == 1).any() and (truth == -1).any():
             test_auc = auc_score(test_scores[truth == 1], test_scores[truth == -1])
 
-    return PipelineReport(
-        n_pseudo_pos=len(pseudo_pos),
-        n_pseudo_neg=len(pseudo_neg),
-        empirical_pi_pos=pi_pos,
-        empirical_pi_neg=pi_neg,
-        scorer=scorer,
-        threshold=threshold,
-        test_metrics=test_metrics,
-        test_auc=test_auc,
-        warnings=notes,
-    )
+    return {
+        "n_pseudo_pos": len(pseudo_pos),
+        "n_pseudo_neg": len(pseudo_neg),
+        "empirical_pi_pos": pi_pos,
+        "empirical_pi_neg": pi_neg,
+        "threshold": asdict(threshold),
+        "test_metrics": test_metrics,
+        "test_auc": test_auc,
+        "warnings": notes,
+        "scorer": {
+            "kind": scorer.kind,
+            "dimension": scorer.dimension,
+            "parameters": [float(p) for p in scorer.params],
+        },
+    }

@@ -302,7 +302,10 @@ def test_criterion_7_breakeven_threshold(bundled_corpus, pipeline_runs):
     vectorizer = build_vectorizer(corpus.columns("train_unlabeled")[0], "tf_idf", 1)
     test_texts, test_labels = corpus.columns("test_labeled")
     truth = np.array(test_labels)
-    scores = breakeven.scorer(vectorizer.transform(test_texts))
+    scorer = breakeven["scorer"]
+    scores = Scorer(scorer["kind"], scorer["dimension"], scorer["parameters"])(
+        vectorizer.transform(test_texts)
+    )
 
     n_positive = int((truth == 1).sum())
     threshold = select_threshold(scores, target_prior=n_positive / truth.size)
@@ -355,16 +358,16 @@ def test_criterion_8_estimation_error_trend():
 def test_criterion_9_keyword_pipeline_regression(pipeline_runs):
     breakeven, default, elapsed = pipeline_runs
     passed = (
-        breakeven.test_auc > 0.5
-        and breakeven.empirical_pi_pos > breakeven.empirical_pi_neg
-        and breakeven.test_metrics["f1"] >= default.test_metrics["f1"]
+        breakeven["test_auc"] > 0.5
+        and breakeven["empirical_pi_pos"] > breakeven["empirical_pi_neg"]
+        and breakeven["test_metrics"]["f1"] >= default["test_metrics"]["f1"]
         and elapsed < 60.0
     )
     report(
         9,
         "keyword pipeline regression",
         passed,
-        f"auc {breakeven.test_auc:.4f}, pi_pos {breakeven.empirical_pi_pos:.3f} > "
-        f"pi_neg {breakeven.empirical_pi_neg:.3f}, f1 {breakeven.test_metrics['f1']:.3f} "
-        f">= {default.test_metrics['f1']:.3f}, {elapsed:.1f}s",
+        f"auc {breakeven['test_auc']:.4f}, pi_pos {breakeven['empirical_pi_pos']:.3f} > "
+        f"pi_neg {breakeven['empirical_pi_neg']:.3f}, f1 {breakeven['test_metrics']['f1']:.3f} "
+        f">= {default['test_metrics']['f1']:.3f}, {elapsed:.1f}s",
     )

@@ -1,6 +1,8 @@
 """Config parsing, CLI subcommands, artifacts, and manifest reproducibility."""
 
+import builtins
 import csv
+import errno
 import json
 import os
 import re
@@ -543,6 +545,35 @@ batch_size = 64
         )
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("kind", ["corpus", "keywords", "config"])
+    def test_a_file_that_cannot_be_read_exits_two_naming_it(
+        self, tmp_path, capsys, monkeypatch, kind
+    ):
+        path = tmp_path / f"{kind}.txt"
+        files = {"corpus": "bundled", "keywords": "bundled"}
+        if kind in files:
+            files[kind] = str(path)
+            path.write_text("unread\n")
+        config = self.keywords_config(tmp_path, **files)
+        if kind == "config":
+            path = config
+        real_open = builtins.open
+
+        # root reads a file whatever its mode, so opening this one is made to fail
+        def refusing_open(file, *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)) and os.fspath(file) == str(path):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", refusing_open)
+        # the config's output_dir and the default ./out are one directory
+        monkeypatch.chdir(tmp_path)
+        assert main(["keywords", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            f"symloss: error: {path}: cannot read (Permission denied)\n"
+        )
+        assert not (tmp_path / "out").exists()
+
 
 @pytest.mark.parametrize("where", ["config", "flag"])
 def test_percent_sign_is_literal(tmp_path, where):
@@ -731,7 +762,7 @@ class TestSchema:
 
     def full_config(self, tmp_path, experiment):
         corpus = tmp_path / "corpus.jsonl"
-        Corpus(load_mini_corpus().documents[:50]).to_jsonl(corpus)
+        Corpus(load_mini_corpus().rows[:50]).to_jsonl(corpus)
         keywords = tmp_path / "keywords.txt"
         keywords.write_text("alpha\nbeta\n")
         values = dict(self.VALUES)

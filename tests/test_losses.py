@@ -17,8 +17,12 @@ KINKS = {"hinge": (1.0,), "squared_hinge": (1.0,), "ramp": (-1.0, 1.0)}
 
 
 def hook_pairs(spec, scores_pos, scores_neg):
-    out = np.empty((scores_pos.size, scores_neg.size))
-    return spec.pair_inplace(scores_pos, scores_neg)(slice(None), out)
+    """The pair grid as the loss's pair hook fills it, or None where the
+    hook leaves the grid to the margin path."""
+    fill = spec.pair_inplace(scores_pos, scores_neg)
+    if fill is None:
+        return None
+    return fill(slice(None), np.empty((scores_pos.size, scores_neg.size)))
 
 
 def central_difference(loss, z, h=1e-5):
@@ -99,7 +103,7 @@ class TestCatalogMetadata:
 def score_grids(draw):
     """Small pos and neg score lists around one offset.  Most stay within
     the factored form's spread of 700; a few exceed it or hold a
-    non-finite score, which take the margin path."""
+    non-finite score, which the hook leaves to the margin path."""
     offset = draw(st.sampled_from([0.0, 2000.0, -2000.0]) | st.floats(-1e6, 1e6))
     near = st.floats(-400.0, 400.0).map(lambda x: offset + x)
     pos = draw(st.lists(near, min_size=1, max_size=12))
@@ -119,7 +123,8 @@ def with_warnings(evaluate, *args):
 
 
 class TestSigmoidPairHook:
-    """The factored pair hook against the margin path it replaces."""
+    """The factored pair hook against the margin path it replaces, which it
+    leaves every grid it cannot factor."""
 
     sigmoid = LOSSES["sigmoid"]
 
@@ -131,7 +136,7 @@ class TestSigmoidPairHook:
     @given(score_grids())
     @example(([-350.0, 350.0], [0.0]))  # spread exactly 700: factored
     @example(([0.0], [700.0]))
-    @example(([0.0], [above_700]))  # just above: the margin path
+    @example(([0.0], [above_700]))  # just above: left to the margin path
     @example(([-350.0, 1.0], [350.0, above_700 - 350.0]))
     @example(([2000.0, 2000.5, 2003.0], [1999.25, 2001.0]))
     @example(([-2000.0, -2001.5], [-1999.0, -2000.0]))
@@ -149,17 +154,17 @@ class TestSigmoidPairHook:
         before = scores_pos.tobytes(), scores_neg.tobytes()
         expected, expected_warnings = with_warnings(self.margin_pairs, scores_pos, scores_neg)
         got, got_warnings = with_warnings(hook_pairs, self.sigmoid, scores_pos, scores_neg)
-        assert got_warnings == expected_warnings
         assert (scores_pos.tobytes(), scores_neg.tobytes()) == before
         scores = np.concatenate([scores_pos, scores_neg])
         if np.all(np.isfinite(scores)) and np.ptp(scores) <= 700.0:
+            assert got_warnings == expected_warnings
             # one exp per score: the rounding of s - c and c - s' grows
             # with the margin, so the bound does too
             margins = np.abs(scores_pos[:, None] - scores_neg[None, :])
             bound = (16.0 + margins.max()) * np.finfo(float).eps
             assert np.all(np.abs(got - expected) <= bound * expected)
         else:
-            assert got.tobytes() == expected.tobytes()
+            assert (got, got_warnings) == (None, [])
 
 
 class TestEvalLoss:

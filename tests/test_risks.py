@@ -37,7 +37,6 @@ from symloss.risks import (
     empirical_ber_risk,
     exact_auc_risk,
     exact_ber_risk,
-    exact_cer_risk,
     pairwise_mean_loss,
     symmetric_excess_constant,
 )
@@ -150,30 +149,11 @@ class TestExactRisks:
         risk = exact_ber_risk(get_loss("zero_one"), two_point_dist, np.zeros(2))
         assert risk == 0.5
 
-    def test_cer_equals_ber_when_balanced(self, two_point_dist):
-        scores = np.array([0.4, -1.3])
-        loss = get_loss("logistic")
-        assert exact_cer_risk(loss, two_point_dist, scores) == pytest.approx(
-            exact_ber_risk(loss, two_point_dist, scores), abs=1e-15
-        )
-
-    def test_cer_two_point_zero_one(self, two_point_dist):
-        risk = exact_cer_risk(get_loss("zero_one"), two_point_dist, np.array([1.0, -1.0]))
-        assert risk == pytest.approx(0.25, abs=1e-15)
-
-    def test_cer_always_positive_scorer_with_skewed_prior(self):
-        # always-positive prediction on a 99%-positive population
-        dist = DiscreteBinaryDistribution(
-            [[0.0], [1.0]], [0.5, 0.5], [0.5, 0.5], class_prior=0.99
-        )
-        risk = exact_cer_risk(get_loss("zero_one"), dist, np.array([1.0, 1.0]))
-        assert risk == pytest.approx(0.01, abs=1e-15)
-
     @pytest.mark.parametrize(
-        "risk", [exact_ber_risk, exact_cer_risk, exact_auc_risk,
+        "risk", [exact_ber_risk, exact_auc_risk,
                  functools.partial(ber_decomposition_check, params=McdParams(0.9, 0.2)),
                  functools.partial(auc_decomposition_check, params=McdParams(0.9, 0.2))],
-        ids=["ber", "cer", "auc", "ber-check", "auc-check"],
+        ids=["ber", "auc", "ber-check", "auc-check"],
     )
     def test_score_count_must_match_the_support(self, two_point_dist, risk):
         with pytest.raises(ValueError, match="^got 3 scores for 2 points$"):
@@ -407,18 +387,24 @@ def serial_pairwise_mean(loss, scores_pos, scores_neg):
 
 def hook_pairwise_mean(loss, scores_pos, scores_neg):
     """The serial 512-row chunk loop with each chunk filled whole by the
-    loss's pair hook, the oracle for the sigmoid's factored tiles."""
+    loss's pair hook, or by its margins where the hook returns None: the
+    oracle for the sigmoid's factored tiles."""
     total = 0.0
     for start in range(0, scores_pos.shape[0], 512):
         block = scores_pos[start : start + 512]
-        out = np.empty((block.shape[0], scores_neg.shape[0]))
-        total += float(loss.pair_inplace(block, scores_neg)(slice(None), out).sum())
+        fill = loss.pair_inplace(block, scores_neg)
+        if fill is None:
+            grid = loss.value(block[:, None] - scores_neg)
+        else:
+            grid = fill(slice(None), np.empty((block.shape[0], scores_neg.shape[0])))
+        total += float(grid.sum())
     return total / (scores_pos.shape[0] * scores_neg.shape[0])
 
 
 def takes_the_margin_path(scores_pos, scores_neg):
     """Whether every chunk's scores spread over more than 700, where the
-    sigmoid's pair hook forms the margins as the serial loop does."""
+    sigmoid's pair hook leaves the chunk to the margin path, as the serial
+    loop forms it."""
     return all(
         np.ptp(np.concatenate([scores_pos[start : start + 512], scores_neg])) > 700.0
         for start in range(0, scores_pos.shape[0], 512)
@@ -685,10 +671,6 @@ class TestExactRisksOfTheEmpiricalMeasure:
             for exact, empirical, magnitude in pairs:
                 assert type(exact) is float and type(empirical) is float
                 assert abs(exact - empirical) <= 1e-12 * magnitude
-
-    def test_cer_is_a_float_for_a_numpy_prior(self, two_point_dist):
-        dist = dataclasses.replace(two_point_dist, class_prior=np.float64(0.3))
-        assert type(exact_cer_risk(get_loss("sigmoid"), dist, np.array([0.5, -0.5]))) is float
 
 
 class TestClassificationMetrics:

@@ -24,7 +24,6 @@ import symloss.textpipe
 from symloss.textpipe import (
     SPLITS,
     Corpus,
-    Document,
     KeywordSet,
     PipelineConfig,
     build_vectorizer,
@@ -45,9 +44,8 @@ def regex_tokenize(text):
     return [token for token in re.split(r"[^0-9a-z]+", text.lower()) if token]
 
 
-def loop_transform(vectorizer, docs):
+def loop_transform(vectorizer, texts):
     """Oracle: the per-token counting loop that ``Vectorizer.transform`` replaced."""
-    texts = [doc.text if isinstance(doc, Document) else str(doc) for doc in docs]
     matrix = np.zeros((len(texts), vectorizer.size))
     for row, text in enumerate(texts):
         for token in regex_tokenize(text):
@@ -59,9 +57,10 @@ def loop_transform(vectorizer, docs):
     return matrix
 
 
-def _read_document(line, where):
+def _read_record(line, where):
     """Oracle: one JSONL record by ``json.loads``, as the reader did before
-    ``Corpus.from_jsonl`` moved to one ``raw_decode`` per line."""
+    ``Corpus.from_jsonl`` moved to one ``raw_decode`` per line, checked by
+    the record rule through a one-record ``Corpus``."""
     try:
         record = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -72,32 +71,34 @@ def _read_document(line, where):
         doc_id, text = record["id"], record["text"]
     except KeyError as exc:
         raise ConfigurationError(f"{where}: missing field {exc}") from None
+    fields = (doc_id, text, record.get("label"), record.get("split", "train_unlabeled"))
     try:
-        return Document(doc_id, text, record.get("label"), record.get("split", "train_unlabeled"))
+        return Corpus([fields]).rows[0]
     except ValueError as exc:
         raise ConfigurationError(f"{where}: {exc}") from None
 
 
 def loop_read(path):
     """Oracle: the per-line ``json.loads`` loop that ``Corpus.from_jsonl`` replaced."""
-    documents = []
+    rows = []
     first_line = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line_number, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            doc = _read_document(line, f"{path}:{line_number}")
-            if doc.id in first_line:
+            row = _read_record(line, f"{path}:{line_number}")
+            doc_id = row[0]
+            if doc_id in first_line:
                 raise ConfigurationError(
-                    f"{path}:{line_number}: duplicate document id {doc.id!r}, "
-                    f"first at {path}:{first_line[doc.id]}"
+                    f"{path}:{line_number}: duplicate document id {doc_id!r}, "
+                    f"first at {path}:{first_line[doc_id]}"
                 )
-            first_line[doc.id] = line_number
-            documents.append(doc)
-    if not documents:
+            first_line[doc_id] = line_number
+            rows.append(row)
+    if not rows:
         raise ConfigurationError(f"{path}: corpus is empty")
-    return Corpus(documents)
+    return Corpus(rows)
 
 
 def read_outcome(reader, path):
@@ -145,10 +146,11 @@ def _insert(lines, at, line):
 _JSONL = st.builds(
     _insert, st.lists(_CLEAN_LINES, max_size=8), st.integers(0, 8), st.none() | _DEFECT_LINES
 )
-# documents with unique ids; a test document always has a label
-_DOCUMENTS = st.lists(
+# records with unique ids, each a string or an integer; a test record always
+# has a label
+_RECORDS = st.lists(
     st.builds(
-        lambda doc_id, text, labeled: Document(doc_id, text, *labeled),
+        lambda doc_id, text, labeled: (doc_id, text, *labeled),
         st.text("ab7", min_size=1, max_size=3) | st.integers(0, 99),
         st.text(_CHARS, max_size=8),
         st.sampled_from([
@@ -157,20 +159,8 @@ _DOCUMENTS = st.lists(
         ]),
     ),
     max_size=8,
-    unique_by=lambda doc: doc.id,
+    unique_by=lambda record: str(record[0]),
 )
-
-
-def counting_documents():
-    """A patch of ``Document.__post_init__`` and the list of ids it was called for."""
-    built = []
-    check = Document.__post_init__
-
-    def counted(doc):
-        built.append(doc.id)
-        check(doc)
-
-    return mock.patch.object(Document, "__post_init__", counted), built
 
 
 class TestTokenize:
@@ -200,44 +190,32 @@ class TestTokenize:
 
 class TestCorpus:
     def test_unique_ids_enforced(self):
-        docs = [Document(id="a", text="x"), Document(id="a", text="y")]
         with pytest.raises(ValueError, match="unique"):
-            Corpus(docs)
+            Corpus([("a", "x"), ("a", "y")])
 
     def test_test_split_needs_labels(self):
         with pytest.raises(ValueError, match="label"):
-            Corpus([Document(id="a", text="x", split="test_labeled")])
+            Corpus([("a", "x", None, "test_labeled")])
 
-    @given(_DOCUMENTS)
+    @given(_RECORDS)
     @settings(max_examples=100, deadline=None)
-    def test_store_gives_back_its_documents(self, tmp_path_factory, docs):
-        corpus = Corpus(docs)
-        assert len(corpus) == len(docs)
-        assert corpus.documents == docs
+    def test_store_gives_back_its_documents(self, tmp_path_factory, records):
+        corpus = Corpus(records)
+        rows = [(str(doc_id), *fields) for doc_id, *fields in records]
+        assert len(corpus) == len(records)
+        assert corpus.rows == rows
         for tag in SPLITS:
-            kept = [doc for doc in docs if doc.split == tag]
-            assert corpus.columns(tag) == (
-                [doc.text for doc in kept], [doc.hidden_label for doc in kept]
-            )
-        if docs:
+            kept = [row for row in rows if row[3] == tag]
+            assert corpus.columns(tag) == ([row[1] for row in kept], [row[2] for row in kept])
+        if records:
             path = tmp_path_factory.mktemp("jsonl") / "corpus.jsonl"
             corpus.to_jsonl(path)
             assert Corpus.from_jsonl(path) == corpus
 
     def test_unknown_split_is_named(self):
-        corpus = Corpus([Document(id="a", text="x")])
+        corpus = Corpus([("a", "x")])
         with pytest.raises(ValueError, match="unknown split 'trian'"):
             corpus.columns("trian")
-
-    def test_reader_builds_no_document(self, tmp_path, bundled):
-        corpus, _ = bundled
-        path = tmp_path / "corpus.jsonl"
-        corpus.to_jsonl(path)
-        patch, built = counting_documents()
-        with patch:
-            again = Corpus.from_jsonl(path)
-        assert built == []
-        assert again == corpus
 
     def test_every_row_shares_a_split_constant(self, tmp_path, bundled):
         corpus, _ = bundled
@@ -245,7 +223,7 @@ class TestCorpus:
         corpus.to_jsonl(path)
         built = "".join(["validation", "_unlabeled"])  # equal to the constant, not it
         assert built is not SPLITS[1]
-        for rows in (Corpus.from_jsonl(path)._rows, Corpus([Document("a", "x", split=built)])._rows):
+        for rows in (Corpus.from_jsonl(path).rows, Corpus([("a", "x", None, built)]).rows):
             assert all(any(row[3] is tag for tag in SPLITS) for row in rows)
 
     def test_jsonl_round_trip(self, tmp_path, bundled):
@@ -254,7 +232,7 @@ class TestCorpus:
         corpus.to_jsonl(path)
         again = Corpus.from_jsonl(path)
         assert len(again) == len(corpus)
-        assert again.documents[0] == corpus.documents[0]
+        assert again.rows[0] == corpus.rows[0]
 
     @pytest.mark.parametrize(
         "record, message",
@@ -327,7 +305,7 @@ class TestCorpus:
     def test_integer_id_is_read_as_its_string(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         path.write_text('{"id": 7, "text": "a b"}\n')
-        assert Corpus.from_jsonl(path).documents[0].id == "7"
+        assert Corpus.from_jsonl(path).rows[0][0] == "7"
 
     @pytest.mark.parametrize(
         "first, again, doc_id",
@@ -349,6 +327,8 @@ class TestCorpus:
 
 
 class TestDocument:
+    """A record given to ``Corpus`` passes the record rule, as a JSONL line does."""
+
     @pytest.mark.parametrize(
         "fields, message",
         [
@@ -360,12 +340,13 @@ class TestDocument:
     )
     def test_bad_field_rejected_at_construction(self, fields, message):
         with pytest.raises(ValueError, match=message):
-            Document(*fields)
+            Corpus([fields])
 
     def test_integer_id_and_label_stored_as_str_and_int_and_read_back(self, tmp_path):
-        doc = Document(7, "x y", np.int64(-1), "test_labeled")
-        assert (doc.id, doc.hidden_label, type(doc.hidden_label)) == ("7", -1, int)
-        corpus = Corpus([doc, Document("b", "z", 1.0)])
+        corpus = Corpus([(7, "x y", np.int64(-1), "test_labeled"), ("b", "z", 1.0)])
+        rows = corpus.rows
+        assert rows == [("7", "x y", -1, "test_labeled"), ("b", "z", 1, "train_unlabeled")]
+        assert [type(label) for _, _, label, _ in rows] == [int, int]
         path = tmp_path / "corpus.jsonl"
         corpus.to_jsonl(path)
         assert Corpus.from_jsonl(path) == corpus
@@ -659,7 +640,7 @@ class TestBundledAssets:
         regenerated, regen_keywords = generate_mini_corpus(seed=MINI_CORPUS_SEED)
         assert regen_keywords.words == keywords.words
         assert len(regenerated) == len(corpus) == 400
-        assert regenerated.documents == corpus.documents
+        assert regenerated == corpus
 
     def test_split_sizes_and_prior(self, bundled):
         corpus, _ = bundled
@@ -687,18 +668,18 @@ class TestRunPipeline:
     def test_bundled_regression(self, bundled):
         corpus, keywords = bundled
         report = run_pipeline(corpus, keywords, pipeline_config(seed=0))
-        assert report.test_auc > 0.5
-        assert report.empirical_pi_pos > report.empirical_pi_neg
-        assert report.n_pseudo_pos + report.n_pseudo_neg == 200
+        assert report["test_auc"] > 0.5
+        assert report["empirical_pi_pos"] > report["empirical_pi_neg"]
+        assert report["n_pseudo_pos"] + report["n_pseudo_neg"] == 200
         # frozen at first build (fixed corpus, fixed seed)
-        assert report.test_auc == pytest.approx(0.979047619047619, rel=1e-6)
-        assert report.test_metrics["f1"] == pytest.approx(0.888888888888889, rel=1e-6)
+        assert report["test_auc"] == pytest.approx(0.979047619047619, rel=1e-6)
+        assert report["test_metrics"]["f1"] == pytest.approx(0.888888888888889, rel=1e-6)
 
     def test_pipeline_deterministic(self, bundled):
         corpus, keywords = bundled
         first = run_pipeline(corpus, keywords, pipeline_config(seed=3))
         second = run_pipeline(corpus, keywords, pipeline_config(seed=3))
-        assert first.to_dict() == second.to_dict()
+        assert first == second
 
     def test_nonsymmetric_loss_warns_but_runs(self, bundled):
         corpus, keywords = bundled
@@ -707,7 +688,7 @@ class TestRunPipeline:
         )
         with pytest.warns(UserWarning, match="not symmetric"):
             report = run_pipeline(corpus, keywords, config)
-        assert report.warnings
+        assert report["warnings"]
 
     def test_unknown_threshold_method_fails_before_training(self, bundled):
         corpus, keywords = bundled
@@ -715,13 +696,6 @@ class TestRunPipeline:
         with mock.patch.object(symloss.textpipe, "train_auc", side_effect=trained):
             with pytest.raises(ConfigurationError, match="unknown threshold method 'oracle'"):
                 run_pipeline(corpus, keywords, pipeline_config(threshold_method="oracle"))
-
-    def test_builds_no_document(self, bundled):
-        corpus, keywords = bundled
-        patch, built = counting_documents()
-        with patch:
-            run_pipeline(corpus, keywords, pipeline_config(seed=0))
-        assert built == []
 
     def test_missing_prior_for_breakeven(self, bundled):
         corpus, keywords = bundled
@@ -733,11 +707,11 @@ class TestRunPipeline:
         heuristic = run_pipeline(
             corpus, keywords, pipeline_config(threshold_method="heuristic_pseudo_ratio")
         )
-        assert heuristic.threshold.method == "heuristic_pseudo_ratio"
+        assert heuristic["threshold"]["method"] == "heuristic_pseudo_ratio"
         default = run_pipeline(
             corpus, keywords, pipeline_config(threshold_method="default_zero")
         )
-        assert default.threshold.beta == 0.0
+        assert default["threshold"]["beta"] == 0.0
 
     def test_breakeven_beats_default_f1(self, bundled):
         # the corpus prior (0.3) sits far from the ranker's natural
@@ -747,13 +721,13 @@ class TestRunPipeline:
         default = run_pipeline(
             corpus, keywords, pipeline_config(seed=0, threshold_method="default_zero")
         )
-        assert breakeven.test_metrics["f1"] > default.test_metrics["f1"]
+        assert breakeven["test_metrics"]["f1"] > default["test_metrics"]["f1"]
 
     def test_default_threshold_reuses_the_train_matrix(self, bundled):
         # without a validation split the default cutoff scores the train
         # slice, which pseudo-labeling has transformed already
         corpus, keywords = bundled
-        kept = Corpus(doc for doc in corpus.documents if doc.split != "validation_unlabeled")
+        kept = Corpus(row for row in corpus.rows if row[3] != "validation_unlabeled")
         rows, transform = [], symloss.textpipe.Vectorizer.transform
 
         def counted(self, texts):
@@ -764,15 +738,15 @@ class TestRunPipeline:
         with mock.patch.object(symloss.textpipe.Vectorizer, "transform", counted):
             report = run_pipeline(kept, keywords, config)
         assert rows == [200, 100]  # the train slice, then the test slice
-        assert report.threshold.beta == 0.0
+        assert report["threshold"]["beta"] == 0.0
 
     def test_guarantee_gate(self, bundled):
         # informative split plus symmetric loss implies an above-chance ranker
         corpus, keywords = bundled
         for seed in (0, 1):
             report = run_pipeline(corpus, keywords, pipeline_config(seed=seed))
-            assert report.empirical_pi_pos > report.empirical_pi_neg
-            assert report.test_auc > 0.5
+            assert report["empirical_pi_pos"] > report["empirical_pi_neg"]
+            assert report["test_auc"] > 0.5
 
 
 class TestTauSweepTrend:

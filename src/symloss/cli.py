@@ -70,7 +70,7 @@ def main(argv=None) -> int:
         }
         config = parse_config(config_path, args.experiment, overrides)
         status = run_experiment(config)
-    except (ConfigurationError, FileNotFoundError, MemoryError) as exc:
+    except (ConfigurationError, MemoryError) as exc:
         if isinstance(exc, MemoryError):
             exc = f"{config_path}: needs more memory than is available ({str(exc) or 'MemoryError'})"
         print(f"symloss: error: {exc}", file=sys.stderr)

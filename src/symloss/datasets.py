@@ -120,10 +120,7 @@ def keywords_path():
 
 
 def default_config_path(experiment: str):
-    path = _asset(f"configs/{experiment}.ini")
-    if not path.is_file():
-        raise FileNotFoundError(f"no bundled config for experiment {experiment!r}")
-    return path
+    return _asset(f"configs/{experiment}.ini")
 
 
 def load_mini_corpus() -> Corpus:

@@ -88,7 +88,7 @@ def uu_params(pi_u: float, pi_u_prime: float) -> McdParams:
 
 @dataclass(frozen=True)
 class DiscreteBinaryDistribution:
-    """Finite-support class conditionals plus a class prior.
+    """Finite-support class conditionals.
 
     This is the substrate for the exact-expectation oracles: with a finite
     support every risk and every decomposition term is a plain weighted
@@ -99,7 +99,6 @@ class DiscreteBinaryDistribution:
     support: np.ndarray
     p_pos: np.ndarray
     p_neg: np.ndarray
-    class_prior: float = 0.5
 
     def __post_init__(self) -> None:
         support = np.asarray(self.support, dtype=float)
@@ -124,8 +123,6 @@ class DiscreteBinaryDistribution:
                 raise ValueError(f"{label} sums to {p.sum()!r}, not 1")
         if np.unique(support, axis=0).shape[0] != m:
             raise ValueError("support points must be distinct")
-        if not (0.0 < self.class_prior < 1.0):
-            raise ValueError(f"class prior must be in (0, 1), got {self.class_prior}")
 
     @property
     def size(self) -> int:

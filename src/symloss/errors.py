@@ -24,7 +24,8 @@ class TrainingDivergedError(ConfigurationError):
 
 
 def cannot_read(path, exc: OSError) -> ConfigurationError:
-    """The error for a file that exists but cannot be opened or read."""
+    """The error for a file that cannot be opened or read: missing, a
+    directory, or refused."""
     return ConfigurationError(f"{path}: cannot read ({exc.strerror or exc})")
 
 

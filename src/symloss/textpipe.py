@@ -303,19 +303,18 @@ def _token_columns(texts: Sequence[str], column_of, unknown: int) -> np.ndarray:
 
 @dataclass
 class Vectorizer:
-    """Bag-of-words vectorizer with tf or smoothed tf-idf weighting.
+    """Bag-of-words vectorizer: a vocabulary and, under tf-idf, its column
+    weights ``idf`` (None under tf).
 
-    Vocabulary order is (document frequency descending, token ascending),
-    restricted to tokens appearing in at least ``min_doc_freq`` fit
-    documents, the threshold :func:`build_vectorizer` takes.  The idf is
-    log((1 + N) / (1 + df)) + 1, which keeps all weights positive so
-    cosines of non-negative vectors stay in [0, 1].
+    :func:`build_vectorizer` fits both.  Vocabulary order is (document
+    frequency descending, token ascending), restricted to tokens appearing
+    in at least ``min_doc_freq`` fit documents.  The idf is
+    log((1 + N) / (1 + df)) + 1 over the N fit documents, which keeps all
+    weights positive so cosines of non-negative vectors stay in [0, 1].
     """
 
     vocabulary: dict[str, int]
-    document_frequency: np.ndarray
-    scheme: str
-    n_documents: int
+    idf: Optional[np.ndarray]
 
     @property
     def size(self) -> int:
@@ -332,11 +331,8 @@ class Vectorizer:
         by_bytes[b"|"] = self.size + 1
         return by_bytes
 
-    def _idf(self) -> np.ndarray:
-        return np.log((1.0 + self.n_documents) / (1.0 + self.document_frequency)) + 1.0
-
     def transform(self, texts: Sequence[str]) -> np.ndarray:
-        """Row-per-text term matrix under the configured scheme.
+        """Row-per-text term matrix: counts, times ``idf`` when it is set.
 
         Documents are counted in blocks of 256 rows (``_ROW_BLOCK``), and no
         per-token Python object is made.  A block's documents pass the token
@@ -368,26 +364,13 @@ class Vectorizer:
             cells = np.cumsum(columns == separator) * width + columns
             counts = np.bincount(cells, minlength=rows * width).reshape(rows, width)
             matrix[start:start + rows] = counts[:, :size]
-        if self.scheme == "tf_idf":
-            matrix *= self._idf()
+        if self.idf is not None:
+            matrix *= self.idf
         return matrix
-
-    def keyword_vector(self, words: Sequence[str]) -> np.ndarray:
-        """Binary indicator of the keywords over the vocabulary.
-
-        Keywords arrive as a set and carry no counts, so the vector is an
-        unweighted indicator regardless of the document scheme.
-        """
-        vector = np.zeros(self.size)
-        for word in words:
-            column = self.vocabulary.get(word)
-            if column is not None:
-                vector[column] = 1.0
-        return vector
 
 
 def build_vectorizer(texts, scheme: str = "tf_idf", min_doc_freq: int = 1) -> Vectorizer:
-    """Fit the vocabulary and document frequencies on a slice of texts."""
+    """Fit the vocabulary and, under ``tf_idf``, its idf on a slice of texts."""
     if scheme not in ("tf", "tf_idf"):
         raise ConfigurationError(f"scheme must be 'tf' or 'tf_idf', got {scheme!r}")
     if not texts:
@@ -403,13 +386,10 @@ def build_vectorizer(texts, scheme: str = "tf_idf", min_doc_freq: int = 1) -> Ve
         )
     kept.sort(key=lambda item: (-item[1], item[0]))
     vocabulary = {token: index for index, (token, _) in enumerate(kept)}
+    if scheme == "tf":
+        return Vectorizer(vocabulary, None)
     frequencies = np.array([count for _, count in kept], dtype=float)
-    return Vectorizer(
-        vocabulary=vocabulary,
-        document_frequency=frequencies,
-        scheme=scheme,
-        n_documents=len(texts),
-    )
+    return Vectorizer(vocabulary, np.log((1.0 + len(texts)) / (1.0 + frequencies)) + 1.0)
 
 
 def _score_texts(vectorizer: Vectorizer, scorer: Scorer, texts: Sequence[str]) -> np.ndarray:
@@ -465,9 +445,12 @@ def pseudo_label(
         raise ConfigurationError("no documents to pseudo-label")
     if hidden_labels is not None and len(hidden_labels) != len(matrix):
         raise ValueError(f"{len(hidden_labels)} hidden labels for {len(matrix)} texts")
-    keyword_vec = vectorizer.keyword_vector(keywords.words)
-    overlap = int(np.count_nonzero(keyword_vec))
-    if overlap == 0:
+    # keywords arrive as a set and carry no counts, so their vector is an
+    # unweighted indicator over the vocabulary whatever the document scheme
+    vocabulary = vectorizer.vocabulary
+    keyword_vec = np.zeros(vectorizer.size)
+    keyword_vec[[vocabulary[word] for word in keywords.words if word in vocabulary]] = 1.0
+    if not keyword_vec.any():
         raise ConfigurationError(
             "keywords share no tokens with the vectorizer vocabulary"
         )

@@ -79,18 +79,13 @@ class Scorer:
         self.params = np.asarray(self.params, dtype=float)
         if self.kind not in ("linear", "mlp"):
             raise ValueError(f"scorer kind must be 'linear' or 'mlp', got {self.kind!r}")
-        expected = self.parameter_count(self.kind, self.dimension, self.hidden)
+        h, d = self.hidden, self.dimension
+        expected = d + 1 if self.kind == "linear" else h * d + 2 * h + 1
         if self.params.shape != (expected,):
             raise ValueError(
                 f"{self.kind} scorer of dimension {self.dimension} needs "
                 f"{expected} parameters, got {self.params.shape}"
             )
-
-    @staticmethod
-    def parameter_count(kind: str, dimension: int, hidden: int = 0) -> int:
-        if kind == "linear":
-            return dimension + 1
-        return hidden * dimension + 2 * hidden + 1
 
     @classmethod
     def linear(cls, dimension: int) -> "Scorer":
@@ -115,26 +110,22 @@ class Scorer:
             params=np.concatenate([w, c, v, b]),
         )
 
-    def score(self, x: np.ndarray, params: Optional[np.ndarray] = None) -> np.ndarray:
+    def score(self, x: np.ndarray) -> np.ndarray:
         """Scores for one point (d,) or a batch (n, d)."""
-        params = self.params if params is None else np.asarray(params, dtype=float)
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         X = x.reshape(1, -1) if single else x
         if X.shape[1] != self.dimension:
             raise ValueError(f"expected {self.dimension}-dimensional points, got {X.shape[1]}")
-        scores = _run_scores(self, params[None], X[None])[0]
+        scores = _run_scores(self, self.params[None], X[None])[0]
         return float(scores[0]) if single else scores
 
     __call__ = score
 
-    def score_with_jacobian(
-        self, X: np.ndarray, params: Optional[np.ndarray] = None
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def score_with_jacobian(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Scores (n,) and the Jacobian d score_i / d param_j, shape (n, P)."""
-        params = self.params if params is None else np.asarray(params, dtype=float)
         X = np.asarray(X, dtype=float)
-        scores, jac = _run_scores(self, params[None], X[None], jacobian=True)
+        scores, jac = _run_scores(self, self.params[None], X[None], jacobian=True)
         return scores[0], jac[0]
 
 

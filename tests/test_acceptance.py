@@ -64,8 +64,8 @@ def random_identity_instance(rng, max_support=5, score_range=3.0):
         np.arange(m, dtype=float).reshape(-1, 1),
         rng.dirichlet(np.ones(m)),
         rng.dirichlet(np.ones(m)),
-        float(rng.uniform(0.1, 0.9)),
     )
+    rng.uniform(0.1, 0.9)  # unused; dropping it would change every later draw
     scores = rng.uniform(-score_range, score_range, size=m)
     b = float(rng.uniform(0.0, 0.8))
     a = float(rng.uniform(b + 0.05, 1.0))

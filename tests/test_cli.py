@@ -112,8 +112,10 @@ class TestParseConfig:
             parse_config(path, experiment="noise_sweep")
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            parse_config(tmp_path / "nope.ini")
+        path = tmp_path / "nope.ini"
+        with pytest.raises(ConfigurationError) as caught:
+            parse_config(path)
+        assert str(caught.value) == f"{path}: cannot read (No such file or directory)"
 
     def test_bad_number_named(self, tmp_path):
         path = write_config(
@@ -333,9 +335,9 @@ names = sigmoid, logistic
         # Scorer.__call__ is an alias of Scorer.score, so both are counted
         sizes, score = [], Scorer.score
 
-        def counted(self, x, params=None):
+        def counted(self, x):
             sizes.append(len(x))
-            return score(self, x, params)
+            return score(self, x)
 
         monkeypatch.setattr(Scorer, "score", counted)
         monkeypatch.setattr(Scorer, "__call__", counted)
@@ -499,21 +501,33 @@ batch_size = 64
         assert values["ber"] == "" and values["cer"] != ""
 
     @pytest.mark.parametrize(
-        "corpus, flags, message",
+        "kind, flags, message",
         [
-            ("absent.jsonl", [], "corpus file not found"),
-            ("bundled", ["--tau", "0.99"], "pseudo-positive side empty"),
+            ("corpus", [], "{path}: cannot read (No such file or directory)"),
+            ("keywords", [], "{path}: cannot read (No such file or directory)"),
+            ("config", [], "{path}: cannot read (No such file or directory)"),
+            ("corpus-directory", [], "{path}: cannot read (Is a directory)"),
+            (None, ["--tau", "0.99"],
+             "tau=0.99 leaves the pseudo-positive side empty; adjust the threshold"),
         ],
-        ids=["missing-corpus", "tau-0.99"],
+        ids=["missing-corpus", "missing-keywords", "missing-config", "corpus-is-a-directory",
+             "tau-0.99"],
     )
     def test_failed_run_leaves_no_output_directory(
-        self, tmp_path, capsys, corpus, flags, message
+        self, tmp_path, capsys, monkeypatch, kind, flags, message
     ):
-        if corpus != "bundled":
-            corpus = str(tmp_path / corpus)
-        config = self.keywords_config(tmp_path, corpus=corpus)
+        path = tmp_path / "absent"
+        if kind == "corpus-directory":
+            path.mkdir()
+            kind = "corpus"
+        files = {"corpus": "bundled", "keywords": "bundled"}
+        if kind in files:
+            files[kind] = str(path)
+        config = path if kind == "config" else self.keywords_config(tmp_path, **files)
+        # the config's output_dir and the default ./out are one directory
+        monkeypatch.chdir(tmp_path)
         assert main(["keywords", "--config", str(config), *flags]) == 2
-        assert message in capsys.readouterr().err
+        assert capsys.readouterr().err == f"symloss: error: {message.format(path=path)}\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
@@ -986,6 +1000,12 @@ class TestSchema:
          "[identities] tolerance: must be at least 0"),
         ("verify_identities", "[identities]\nsymmetric_tolerance = -1e-12\n", [],
          "[identities] symmetric_tolerance: must be at least 0"),
+        ("loss_compare", "[noise]\npi_corr_pos = 0.8\npi_corr_neg = 0.3\n\n"
+         "[losses]\nnames = sigmoid, logistic, sigmoid\n", [],
+         "[losses] names: 'sigmoid' appears more than once"),
+        ("noise_sweep", "[noise]\npi_corr_pos = 0.8\npi_corr_neg = 0.3\n\n"
+         "[losses]\nnames = sigmoid, logistic\n\n[assertions]\nloss_order = sigmoid <= sigmoid\n",
+         [], "[assertions] loss_order: 'sigmoid' is on both sides"),
     ],
     ids=["pu-prior", "uu-order", "tau", "tau-flag", "prior", "prior-flag", "max-support",
          "zero-one-train", "zero-one-flag", "zero-one-names", "seed-flag", "method-flag",
@@ -995,7 +1015,8 @@ class TestSchema:
          "covariance-nan", "mean-inf", "sweep-train-loss", "compare-train-loss",
          "repeated-noise-cell", "breakeven-no-prior", "breakeven-flag-no-prior",
          "repeated-seed", "repeated-seed-flag", "min-doc-freq-negative",
-         "tolerance-negative", "symmetric-tolerance-negative"],
+         "tolerance-negative", "symmetric-tolerance-negative", "repeated-loss-name",
+         "loss-order-one-loss"],
 )
 def test_out_of_range_value_exits_two_before_any_output(
     tmp_path, capsys, experiment, text, flags, location

@@ -23,7 +23,6 @@ def two_point_dist():
         support=np.array([[0.0], [1.0]]),
         p_pos=np.array([0.8, 0.2]),
         p_neg=np.array([0.3, 0.7]),
-        class_prior=0.5,
     )
 
 

@@ -48,7 +48,6 @@ def two_point_dist():
         support=np.array([[0.0], [1.0]]),
         p_pos=np.array([0.8, 0.2]),
         p_neg=np.array([0.3, 0.7]),
-        class_prior=0.5,
     )
 
 
@@ -58,8 +57,8 @@ def random_instance(rng, max_support=5, score_range=3.0):
     support = np.arange(m, dtype=float).reshape(-1, 1)
     p_pos = rng.dirichlet(np.ones(m))
     p_neg = rng.dirichlet(np.ones(m))
-    prior = float(rng.uniform(0.1, 0.9))
-    dist = DiscreteBinaryDistribution(support, p_pos, p_neg, prior)
+    rng.uniform(0.1, 0.9)  # unused; dropping it would change every later draw
+    dist = DiscreteBinaryDistribution(support, p_pos, p_neg)
     scores = rng.uniform(-score_range, score_range, size=m)
     b = float(rng.uniform(0.0, 0.8))
     a = float(rng.uniform(b + 0.05, 1.0))
@@ -258,8 +257,7 @@ def mixture_instances(draw):
     ).filter(lambda w: sum(w) > 0.0)
     p_pos, p_neg = np.array(draw(weights)), np.array(draw(weights))
     dist = DiscreteBinaryDistribution(
-        np.array(support), p_pos / p_pos.sum(), p_neg / p_neg.sum(),
-        class_prior=draw(st.floats(0.05, 0.95)),
+        np.array(support), p_pos / p_pos.sum(), p_neg / p_neg.sum()
     )
     scores = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=m, max_size=m)))
     a = draw(st.floats(0.0, 1.0, exclude_min=True))

@@ -44,16 +44,23 @@ def regex_tokenize(text):
     return [token for token in re.split(r"[^0-9a-z]+", text.lower()) if token]
 
 
-def loop_transform(vectorizer, texts):
-    """Oracle: the per-token counting loop that ``Vectorizer.transform`` replaced."""
+def loop_transform(vectorizer, texts, scheme, fit_texts):
+    """Oracle: the per-token counting loop that ``Vectorizer.transform``
+    replaced, weighted under ``tf_idf`` by the smoothed idf of the vocabulary's
+    document frequencies, counted here over the ``fit_texts``."""
     matrix = np.zeros((len(texts), vectorizer.size))
     for row, text in enumerate(texts):
         for token in regex_tokenize(text):
             column = vectorizer.vocabulary.get(token)
             if column is not None:
                 matrix[row, column] += 1.0
-    if vectorizer.scheme == "tf_idf":
-        matrix *= vectorizer._idf()
+    if scheme == "tf_idf":
+        df = np.zeros(vectorizer.size)
+        for text in fit_texts:
+            for token in set(regex_tokenize(text)):
+                if token in vectorizer.vocabulary:
+                    df[vectorizer.vocabulary[token]] += 1.0
+        matrix *= np.log((1.0 + len(fit_texts)) / (1.0 + df)) + 1.0
     return matrix
 
 
@@ -394,6 +401,22 @@ class TestBuildVectorizer:
         second = build_vectorizer(texts, scheme="tf")
         assert first.vocabulary == second.vocabulary
 
+    def test_idf_by_hand(self):
+        # a is in all 3 documents: log(4 / 4) + 1; b and c in one: log(4 / 2) + 1
+        vec = build_vectorizer(["a b", "a c", "a"], scheme="tf_idf")
+        assert vec.vocabulary == {"a": 0, "b": 1, "c": 2}
+        np.testing.assert_allclose(vec.idf, [1.0, 1.0 + np.log(2.0), 1.0 + np.log(2.0)])
+        np.testing.assert_allclose(
+            vec.transform(["b a b", "z"]), [[1.0, 2.0 * (1.0 + np.log(2.0)), 0.0], [0.0] * 3]
+        )
+
+    def test_tf_keeps_raw_counts(self):
+        vec = build_vectorizer(["a b", "a c", "a"], scheme="tf")
+        assert vec.idf is None
+        assert vec.transform(["b a b", "c c c", ""]).tolist() == [
+            [1.0, 2.0, 0.0], [0.0, 0.0, 3.0], [0.0, 0.0, 0.0]
+        ]
+
 
 _WORDS = ("alpha", "Beta", "gamma", "delta", "x2", "42", "\u212a", "zeta", "caf\u00e9", "...")
 
@@ -453,7 +476,7 @@ class TestTransform:
         vectorizer = build_vectorizer(self.FIT, scheme=scheme)
         with mock.patch.object(symloss.textpipe, "_ROW_BLOCK", block):
             matrix = vectorizer.transform(texts)
-        expected = loop_transform(vectorizer, texts)
+        expected = loop_transform(vectorizer, texts, scheme, self.FIT)
         assert matrix.shape == (len(texts), vectorizer.size)
         assert matrix.dtype == expected.dtype
         assert matrix.tobytes() == expected.tobytes()
@@ -464,7 +487,8 @@ class TestTransform:
         texts = [" ".join(rng.choice(_WORDS, size=int(rng.integers(0, 9)))) for _ in range(1100)]
         vectorizer = build_vectorizer(self.FIT, scheme=scheme)
         assert len(texts) > 2 * symloss.textpipe._ROW_BLOCK
-        assert vectorizer.transform(texts).tobytes() == loop_transform(vectorizer, texts).tobytes()
+        expected = loop_transform(vectorizer, texts, scheme, self.FIT)
+        assert vectorizer.transform(texts).tobytes() == expected.tobytes()
 
     def test_scratch_memory_is_bounded_by_the_block(self):
         # counting every row in one bincount would need 5,000 * 121 int64
@@ -499,7 +523,7 @@ class TestTransform:
         vectorizer = build_vectorizer(words, scheme=scheme)
         with mock.patch.object(symloss.textpipe, "_ROW_BLOCK", block):
             matrix = vectorizer.transform(texts)
-        assert matrix.tobytes() == loop_transform(vectorizer, texts).tobytes()
+        assert matrix.tobytes() == loop_transform(vectorizer, texts, scheme, words).tobytes()
 
 
 # 62 vocabulary words, so a one-row dot product and BLAS's matrix-vector
@@ -630,7 +654,9 @@ class TestPseudoLabel:
         vec = build_vectorizer(train, "tf_idf", 1)
         from symloss.textpipe import _cosine_rows
 
-        cosines = _cosine_rows(vec.transform(train), vec.keyword_vector(keywords.words))
+        keyword_vec = np.zeros(vec.size)
+        keyword_vec[[vec.vocabulary[word] for word in keywords.words if word in vec.vocabulary]] = 1
+        cosines = _cosine_rows(vec.transform(train), keyword_vec)
         assert np.all(cosines >= 0.0) and np.all(cosines <= 1.0)
 
 

@@ -96,7 +96,9 @@ class TestScorer:
         for j in range(scorer.params.size):
             bump = np.zeros_like(scorer.params)
             bump[j] = h
-            numeric = (scorer.score(X, scorer.params + bump) - scorer.score(X, scorer.params - bump)) / (2 * h)
+            plus = replace(scorer, params=scorer.params + bump)
+            minus = replace(scorer, params=scorer.params - bump)
+            numeric = (plus(X) - minus(X)) / (2 * h)
             np.testing.assert_allclose(jac[:, j], numeric, atol=1e-8)
 
 
@@ -482,9 +484,7 @@ class TestBruteForceMinimizer:
 
     def test_symmetric_loss_identical_argmins(self):
         loss = get_loss("sigmoid")
-        dist = DiscreteBinaryDistribution(
-            [[0.0], [1.0]], [0.8, 0.2], [0.3, 0.7], class_prior=0.5
-        )
+        dist = DiscreteBinaryDistribution([[0.0], [1.0]], [0.8, 0.2], [0.3, 0.7])
         params = McdParams(0.8, 0.3)
         corr_pos, corr_neg = corrupt_distribution(dist, params)
         corr = DiscreteBinaryDistribution(dist.support, corr_pos, corr_neg)

@@ -86,7 +86,7 @@ def uu_params(pi_u: float, pi_u_prime: float) -> McdParams:
     return McdParams(pi_corr_pos=a, pi_corr_neg=b)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteBinaryDistribution:
     """Finite-support class conditionals.
 
@@ -144,7 +144,7 @@ def corrupt_distribution(
     return corr_pos, corr_neg
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleSet:
     """Points and, for evaluation only, hidden labels.
 
@@ -224,7 +224,7 @@ def sample_mcd(
     return corr_pos, corr_neg
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianPairConfig:
     """Two spherical-or-diagonal Gaussians, one per class."""
 

@@ -548,7 +548,8 @@ def _run_sweep(config: ExperimentConfig, cells: Optional[int]) -> tuple[dict, in
 
 
 def _run_reduction_demo(config: ExperimentConfig, reduction: str) -> tuple[dict, int]:
-    """PU/UU route vs. the generic corrupted route: traces must match."""
+    """PU/UU route vs. the generic corrupted route: their trained parameters
+    and final objectives must match."""
     if reduction == "pu":
         prior = config.sections["pu"]["class_prior_unlabeled"]
         reduced = pu_params(prior)
@@ -562,7 +563,7 @@ def _run_reduction_demo(config: ExperimentConfig, reduction: str) -> tuple[dict,
     rows = []
     n = len(config.seeds)
     for (trace, ber, auc), (generic_trace, _, _) in zip(runs[:n], runs[n:]):
-        identical = trace.objectives == generic_trace.objectives and np.array_equal(
+        identical = trace.objective == generic_trace.objective and np.array_equal(
             trace.scorer.params, generic_trace.scorer.params
         )
         rows.append({
@@ -570,8 +571,8 @@ def _run_reduction_demo(config: ExperimentConfig, reduction: str) -> tuple[dict,
             "reduction": reduction,
             "pi_corr_pos": reduced.pi_corr_pos,
             "pi_corr_neg": reduced.pi_corr_neg,
-            "final_objective_reduction": trace.final_objective(),
-            "final_objective_generic": generic_trace.final_objective(),
+            "final_objective_reduction": trace.objective,
+            "final_objective_generic": generic_trace.objective,
             "clean_test_ber": ber,
             "clean_test_auc": auc,
             "trace_check": "identical" if identical else "MISMATCH",

@@ -301,7 +301,7 @@ def _token_columns(texts: Sequence[str], column_of, unknown: int) -> np.ndarray:
     return columns
 
 
-@dataclass
+@dataclass(eq=False)
 class Vectorizer:
     """Bag-of-words vectorizer: a vocabulary and, under tf-idf, its column
     weights ``idf`` (None under tf).

@@ -9,19 +9,19 @@ The balanced objective draws equal-size positive/negative mini-batches
 each step (resampled with replacement) so every step is an unbiased
 estimate of the half-and-half risk regardless of the class counts.  The
 pairwise objective draws a batch of (positive, negative) pairs uniformly
-with replacement.  The recorded per-epoch trace always evaluates the
-full-data objective, and a non-finite value ends the run with
-:class:`~symloss.errors.TrainingDivergedError`.
+with replacement.  A run evaluates its full-data objective after epochs
+1, 2, 4, 8, ... and the last, and a non-finite value at any of them ends
+it with :class:`~symloss.errors.TrainingDivergedError`.
 
 :func:`train_many` trains R runs that share every :class:`TrainConfig`
 field but ``seed``, and their point counts and dimension, as one step
 loop on an (R, P) parameter array.  Each run keeps its own generator and
-makes every matrix product a run trained alone makes, so its trace equals
-that run's bit for bit on this numpy/OpenBLAS build; the serial loop is
-the oracle in ``tests/test_training.py``.  :func:`train_ber` and
-:func:`train_auc` are batches of one, and the gradients of
-:func:`make_ber_objective` and :func:`make_auc_objective` are the same
-rules at R = 1.
+makes every matrix product a run trained alone makes, so its parameters
+and objective equal that run's bit for bit on this numpy/OpenBLAS build;
+the serial loop is the oracle in ``tests/test_training.py``.
+:func:`train_ber` and :func:`train_auc` are batches of one, and the
+gradients of :func:`make_ber_objective` and :func:`make_auc_objective`
+are the same rules at R = 1.
 
 A brute-force minimizer over enumerated scorer families and a central
 finite-difference gradient check are included as oracles for the
@@ -62,7 +62,7 @@ MOMENT_DECAY2 = 0.999
 EPSILON = 1e-8
 
 
-@dataclass
+@dataclass(eq=False)
 class Scorer:
     """A parametric prediction function g: R^d -> R with a flat parameter vector.
 
@@ -198,14 +198,11 @@ class TrainConfig:
 
 @dataclass
 class TrainTrace:
-    """Per-epoch full-data objective values plus the final scorer."""
+    """The trained scorer and its full-data objective after the last epoch."""
 
-    objectives: list[float]
+    objective: float
     scorer: Scorer
     config: TrainConfig
-
-    def final_objective(self) -> float:
-        return self.objectives[-1]
 
 
 def _resolve_loss(config: TrainConfig) -> LossSpec:
@@ -316,7 +313,7 @@ def make_auc_objective(
     return _value(False, loss, scorer, X_pos, X_neg, weight_decay), gradient
 
 
-# overflow is not warned about: a run that overflows ends with a non-finite
+# overflow is not warned about: a run that overflows reaches a non-finite
 # objective, which raises TrainingDivergedError once every run has finished
 @np.errstate(over="ignore", invalid="ignore")
 def _run_steps(
@@ -334,16 +331,16 @@ def _run_steps(
     ``draw(steps)`` gives an epoch's batches, one per step;
     ``batch_gradient(theta, batch, step_gradient)`` the (R, P) gradients,
     calling ``step_gradient`` once per run; ``full_objective(theta)`` the
-    (R,) objectives after each epoch.  Returns the (epochs, R) objectives
-    and, for each run whose objective stopped being finite, its first such
-    epoch and value.
+    (R,) objectives, called after epochs 1, 2, 4, 8, ... and the last.
+    Returns the last epoch's objectives and, for each run whose objective
+    was not finite at one of those epochs, the first such epoch and value.
     """
     first_moment = np.zeros_like(theta)
     second_moment = np.zeros_like(theta)
     lr = config.step_size
     b1, b2, eps = MOMENT_DECAY1, MOMENT_DECAY2, EPSILON
     step = 0
-    objectives, diverged = [], {}
+    diverged = {}
     for epoch in range(1, config.epochs + 1):
         for batch in draw(steps_per_epoch):
             grad = batch_gradient(theta, batch, step_gradient)
@@ -356,16 +353,16 @@ def _run_steps(
                 theta -= lr * m_hat / (np.sqrt(v_hat) + eps)
             else:
                 theta -= lr * grad
-        values = full_objective(theta)
-        for run in np.flatnonzero(~np.isfinite(values)):
-            diverged.setdefault(int(run), (epoch, float(values[run])))
-        # as floats: an array kept per epoch can pin the heap chunk a freed
-        # pair-grid buffer leaves, and the next buffer then grows the heap
-        objectives.append(values.tolist())
-    return np.array(objectives), diverged
+        # doubling checkpoints: O(log epochs) full-data evaluations, and a
+        # divergence is named within a factor of two of its first epoch
+        if epoch & (epoch - 1) == 0 or epoch == config.epochs:
+            values = full_objective(theta)
+            for run in np.flatnonzero(~np.isfinite(values)):
+                diverged.setdefault(int(run), (epoch, float(values[run])))
+    return values, diverged
 
 
-@dataclass
+@dataclass(eq=False)
 class _Run:
     """One run declared by :func:`train_ber` or :func:`train_auc`: its
     points and generator, and the trace its training fills in."""
@@ -408,7 +405,9 @@ def _train(objective: str, set_pos, set_neg, config: TrainConfig) -> TrainTrace:
         scorer = Scorer.linear(X_pos.shape[1])
     else:
         scorer = Scorer.mlp(X_pos.shape[1], config.hidden_units, rng)
-    run = _Run(X_pos, X_neg, rng, TrainTrace([], scorer, replace(config, objective=objective)))
+    # the objective stays nan until the run has trained
+    trace = TrainTrace(math.nan, scorer, replace(config, objective=objective))
+    run = _Run(X_pos, X_neg, rng, trace)
     declared = _declared.get()
     if declared is None:
         _train_stack([run])
@@ -475,7 +474,7 @@ def _train_stack(runs: list[_Run]) -> None:
                 run=position,
             )
         run.trace.scorer.params = theta[position].copy()
-        run.trace.objectives.extend(objectives[:, position].tolist())
+        run.trace.objective = float(objectives[position])
 
 
 def train_ber(set_pos, set_neg, config: TrainConfig) -> TrainTrace:
@@ -491,8 +490,8 @@ def train_auc(set_pos, set_neg, config: TrainConfig) -> TrainTrace:
     """Minimize the pairwise empirical risk by sampled-pair gradient steps.
 
     Each step draws ``config.pair_batch`` (positive, negative) pairs
-    uniformly with replacement; the per-epoch trace evaluates the full
-    pairwise objective.
+    uniformly with replacement; the trace holds the full pairwise objective
+    after the last epoch.
     """
     return _train("auc", set_pos, set_neg, config)
 

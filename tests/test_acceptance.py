@@ -5,7 +5,6 @@ in captured output).  Criteria with runtime budgets assert them.
 """
 
 import itertools
-import math
 import time
 
 import numpy as np
@@ -266,7 +265,7 @@ def test_criterion_5_pu_uu_equivalence():
             trace_reduced = trainer(*data_reduced, config)
             trace_generic = trainer(*data_generic, config)
             all_identical = all_identical and (
-                trace_reduced.objectives == trace_generic.objectives
+                trace_reduced.objective == trace_generic.objective
                 and np.array_equal(
                     trace_reduced.scorer.params, trace_generic.scorer.params
                 )

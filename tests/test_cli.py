@@ -15,6 +15,7 @@ import pytest
 
 import symloss.experiments
 import symloss.textpipe
+import symloss.training
 from symloss.cli import main
 from symloss.datasets import default_config_path, load_mini_corpus, mini_corpus_path
 from symloss.errors import ConfigurationError
@@ -386,6 +387,42 @@ pi_u_prime = 0.3
         assert main(["uu-demo", "--config", str(config)]) == 0
         rows = read_csv(tmp_path / "out" / "results.csv")
         assert rows[1][rows[0].index("trace_check")] == "identical"
+
+    def test_uu_demo_evaluates_pair_objectives_at_doubling_epochs(self, tmp_path, monkeypatch):
+        # a run's full pairwise objective sums all n+ x n- pairs, so it is
+        # evaluated after epochs 1, 2, 4, 8, ... and the last, not every epoch
+        calls = []
+        pairwise = symloss.training.pairwise_mean_loss
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return pairwise(*args, **kwargs)
+
+        monkeypatch.setattr(symloss.training, "pairwise_mean_loss", counted)
+        config = write_config(
+            tmp_path,
+            f"""
+[experiment]
+name = uu_demo
+output_dir = {tmp_path / 'out'}
+seeds = 0, 1
+
+[uu]
+pi_u = 0.7
+pi_u_prime = 0.3
+{SMALL_DATASET}
+[train]
+objective = auc
+epochs = 12
+batch_size = 64
+pair_batch = 32
+model = linear
+""",
+        )
+        assert main(["uu-demo", "--config", str(config)]) == 0
+        # each seed trains on the reduced and on the generic mixture, and
+        # each run evaluates after epochs 1, 2, 4, 8 and 12
+        assert len(calls) == 2 * 2 * 5
 
 
 class TestKeywordsCommand:

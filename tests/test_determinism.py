@@ -16,16 +16,13 @@ known-good commit rather than loosening the comparison.
 The CSV artifacts round to 12 digits, which can hide a last-bit change
 in a short linear run, so the trainers are also checked directly: the
 sha256 of the raw float64 bytes of the trained parameters and the
-per-epoch objectives of small ``train_ber``/``train_auc`` runs.
+final full-data objective of small ``train_ber``/``train_auc`` runs.
 
-The AUC runs' objectives are exact sigmoid pair traces, which
-``pairwise_mean_loss`` evaluates from one numpy ``exp`` per score rather
-than one scipy ``expit`` per pair.  That moved one objective of the
-``auc-linear-decay`` run by 2 ulps, so its digest, alone of the recorded
-hashes, was re-recorded then; the trained parameters and every artifact
-hash stayed as they were.  numpy picks its ``exp`` kernel by
-the CPU's SIMD level, so the AUC digests hold per SIMD level as well as
-per BLAS build.
+The AUC runs' objective is the exact sigmoid pair risk over all
+n+ x n- training pairs, which ``pairwise_mean_loss`` evaluates from one
+numpy ``exp`` per score.  numpy picks its ``exp`` kernel by the CPU's
+SIMD level, so the AUC digests hold per SIMD level as well as per BLAS
+build.
 
 The Gaussian configs are shrunk copies of the bundled defaults (a few
 epochs, a few hundred points) so the whole module runs in a few seconds.
@@ -201,12 +198,12 @@ TRAINERS = {
 }
 
 EXPECTED_TRAINED = {
-    "ber-linear": "461eb511e2f5aa2b6d4ceb881d0d47dd70ae9f714bd4996f045f609a5e99568d",
-    "ber-mlp": "3be925a8b6a74993f76625e88d2639a3f7f72734254d097f59dd4cd2f9e63f24",
-    "auc-linear": "177495ab8b5a973b98a20827ffe278888bedbe496a5c8c21d0187387d5849f6e",
-    "auc-mlp": "792dcea8ac53288fba10a4a24a967dc859dca8c4021a8070f62daf84cc7fbaf1",
-    "auc-linear-decay": "78ad27e1d8dcfd64a94e46601b4a18a93f07ab3d6cd625422d4e2597d820f9a4",
-    "ber-linear-plain": "01094cf4e6c7d26c334c6bce5ae78d222663de31fda4122d97c97a3638a9c11e",
+    "ber-linear": "ca92b657731deba48f4e2dc0f5687c0a00eef1cbdceb7d92e2d08f2596ea2df0",
+    "ber-mlp": "cf1816e6d3248740f84503bad0b6bb913e2e6fa7acd0c3c44685df42df3c3eaf",
+    "auc-linear": "1aa3902c35e05860d93ed3fe2c7323d56d129e7fca0d93e7da03636668e0765d",
+    "auc-mlp": "c10b26da0a2ce54982cfb75e507d403b74809ddf353766f6ad605161faa8d2fe",
+    "auc-linear-decay": "5bd6ca615500b5975003e5697071814cf63d60b2fdd567f5fbf47f339f06d05b",
+    "ber-linear-plain": "1400da40f74948b6a825017e1e0a7201b80063c95df5fc46ec752fd118835914",
 }
 
 
@@ -217,7 +214,7 @@ def trained_digest(case):
     ).samplers()
     set_pos, set_neg = sample_mcd(sampler_pos, sampler_neg, McdParams(0.8, 0.3), 150, 150, seed=3)
     trace = trainer(set_pos, set_neg, TrainConfig(epochs=5, seed=1, **overrides))
-    blob = np.concatenate([trace.scorer.params, trace.objectives])
+    blob = np.concatenate([trace.scorer.params, [trace.objective]])
     return hashlib.sha256(blob.astype("<f8").tobytes()).hexdigest()
 
 

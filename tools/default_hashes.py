@@ -36,16 +36,22 @@ from symloss.cli import main  # noqa: E402
 from symloss.experiments import EXPERIMENTS  # noqa: E402
 
 
+def run_default(experiment: str, out: Path) -> None:
+    """Run ``experiment`` with its bundled default config into ``out``,
+    its "ok" line kept off standard output; a nonzero exit is an error."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        status = main([experiment.replace("_", "-"), "--out", str(out)])
+    if status != 0:
+        raise SystemExit(f"{experiment}: exited {status}")
+
+
 def default_hashes() -> dict:
     """experiment -> its default run's ``artifacts`` map."""
     hashes = {}
     with tempfile.TemporaryDirectory() as scratch:
         for experiment in EXPERIMENTS:
             out = Path(scratch) / experiment
-            with contextlib.redirect_stdout(io.StringIO()):
-                status = main([experiment.replace("_", "-"), "--out", str(out)])
-            if status != 0:
-                raise SystemExit(f"{experiment}: exited {status}")
+            run_default(experiment, out)
             manifest = json.loads((out / "manifest.json").read_text())
             hashes[experiment] = manifest["artifacts"]
     return hashes

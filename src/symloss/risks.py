@@ -29,11 +29,8 @@ algebraic identities, so the checks demand residuals at roundoff scale.
 
 from __future__ import annotations
 
-import concurrent.futures
-import contextvars
 import functools
 import math
-import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -112,18 +109,6 @@ def empirical_ber_risk(loss: LossSpec, scores_pos, scores_neg) -> float:
     return 0.5 * (pos_term + neg_term)
 
 
-@functools.cache
-def _pair_pool() -> concurrent.futures.ThreadPoolExecutor:
-    # the second of at most two workers; created, and its module imported,
-    # on the first call that needs it
-    return concurrent.futures.ThreadPoolExecutor(max_workers=1)
-
-
-# a forked child inherits the pool but not its thread, so a submit there
-# would wait forever; the child builds its own pool instead
-os.register_at_fork(after_in_child=_pair_pool.cache_clear)
-
-
 def _margin_losses(value, block, scores_neg, rows, out):
     np.subtract(block[rows, None], scores_neg, out=out)
     return value(out)
@@ -154,78 +139,48 @@ def _tree_sum(losses, tile: int, width: int, start: int, size: int, buf: np.ndar
     return grid.reshape(-1)[offset : offset + size].sum()
 
 
-def _chunk_sums(
-    loss: LossSpec, scores_pos: np.ndarray, scores_neg: np.ndarray, starts
-) -> list[float]:
-    """Loss sums of the pair-grid chunks that begin at ``starts``, each
-    summed in tiles by :func:`_tree_sum` through one reused buffer that
-    holds a tile's covering rows.
-
-    The loss's ``pair_inplace`` hook, when it has one and it fills the
-    chunk, writes a tile of up to ``_TILE`` losses there.  Else the tile's
-    margins are formed there and passed to ``value``, which makes up to
-    two temporaries of their size, so those tiles hold half as many.
-    Either way a tile may hold ``_TILE_ROWS`` rows.
-    """
-    width = scores_neg.shape[0]
-    hook_tile, margin_tile = (max(size, _TILE_ROWS * width, 128) for size in (_TILE, _TILE // 2))
-    largest = hook_tile if loss.pair_inplace else margin_tile
-    buf = np.empty(min(min(_PAIR_CHUNK, scores_pos.shape[0]) * width, largest + 2 * width))
-    sums = []
-    for start in starts:
-        block = scores_pos[start : start + _PAIR_CHUNK]
-        losses = loss.pair_inplace(block, scores_neg) if loss.pair_inplace else None
-        tile = hook_tile
-        if losses is None:
-            losses = functools.partial(_margin_losses, loss.value, block, scores_neg)
-            tile = margin_tile
-        sums.append(float(_tree_sum(losses, tile, width, 0, block.shape[0] * width, buf)))
-    return sums
-
-
 def pairwise_mean_loss(
     loss: LossSpec, scores_pos: np.ndarray, scores_neg: np.ndarray
 ) -> float:
     """Mean of l(s - s') over the full pos x neg score grid.
 
     The grid is cut into chunks of ``_PAIR_CHUNK`` = 512 positive rows,
-    and the chunk sums are added in chunk order.  With two or more chunks,
-    a second worker thread sums the odd-numbered chunks.  Each chunk is
-    filled and summed in tiles of at most ``_TILE`` = 65,536 losses (half
-    that on the margin path) or 8 rows, whichever is more, so a worker
-    holds a tile's rows, never a whole chunk.  The tiles follow numpy's
-    pairwise summation tree, so each chunk sum equals ``np.sum`` of the
-    whole chunk bit for bit, as in the serial ``loss.value`` loop.  A chunk
-    without a ``pair_inplace`` fill takes the margin path, which evaluates
-    the same values, so its sum equals that loop's bit for bit.  The
-    sigmoid's hook factors each chunk into one exponential per score, but
-    leaves a chunk with a non-finite score or a score spread above 700 to
-    the margin path; elsewhere its relative error is at most
+    summed one after another on the calling thread and added in chunk
+    order.  Each chunk is filled and summed in tiles of at most ``_TILE``
+    = 65,536 losses or 8 rows, whichever is more, through one reused
+    buffer, so a call holds a tile's rows, never a whole chunk.  The
+    loss's ``pair_inplace`` hook, when it has one and it fills the chunk,
+    writes a tile's losses there.  Else the tile's margins are formed
+    there and passed to ``value``, which makes up to two temporaries of
+    their size, so those tiles hold half as many losses.  The tiles follow
+    numpy's pairwise summation tree, so each chunk sum equals ``np.sum``
+    of the whole chunk bit for bit, as in the serial ``loss.value`` loop.
+    A chunk without a ``pair_inplace`` fill takes the margin path, which
+    evaluates the same values, so its sum equals that loop's bit for bit.
+    The sigmoid's hook factors each chunk into one exponential per score,
+    but leaves a chunk with a non-finite score or a score spread above 700
+    to the margin path; elsewhere its relative error is at most
     (16 + max|s - s'|) * eps, with eps the float64 machine epsilon.
     """
     scores_pos = np.asarray(scores_pos, dtype=float).reshape(-1)
     scores_neg = np.asarray(scores_neg, dtype=float).reshape(-1)
     if scores_pos.size == 0 or scores_neg.size == 0:
         raise ValueError("pairwise_mean_loss needs non-empty score lists")
-    starts = range(0, scores_pos.shape[0], _PAIR_CHUNK)
-    args = (loss, scores_pos, scores_neg)
-    if len(starts) <= 1:
-        sums = _chunk_sums(*args, starts)
-    else:
-        # the worker runs in a copy of this context, so numpy's errstate
-        # (a context variable) holds there as it does here
-        odd = _pair_pool().submit(contextvars.copy_context().run, _chunk_sums, *args, starts[1::2])
-        try:
-            even = _chunk_sums(*args, starts[0::2])
-        finally:
-            odd.exception()  # the worker is done with the inputs before we return
-        sums = [0.0] * len(starts)
-        sums[0::2] = even
-        sums[1::2] = odd.result()
+    width = scores_neg.shape[0]
+    hook_tile, margin_tile = (max(size, _TILE_ROWS * width, 128) for size in (_TILE, _TILE // 2))
+    largest = hook_tile if loss.pair_inplace else margin_tile
+    buf = np.empty(min(min(_PAIR_CHUNK, scores_pos.shape[0]) * width, largest + 2 * width))
+    # not sum(): from Python 3.12 it compensates float sums, which changes the bits
     total = 0.0
-    for chunk_sum in sums:
-        total += chunk_sum
-    return total / (scores_pos.shape[0] * scores_neg.shape[0])
+    for start in range(0, scores_pos.shape[0], _PAIR_CHUNK):
+        block = scores_pos[start : start + _PAIR_CHUNK]
+        losses = loss.pair_inplace(block, scores_neg) if loss.pair_inplace else None
+        tile = hook_tile
+        if losses is None:
+            losses = functools.partial(_margin_losses, loss.value, block, scores_neg)
+            tile = margin_tile
+        total += float(_tree_sum(losses, tile, width, 0, block.shape[0] * width, buf))
+    return total / (scores_pos.shape[0] * width)
 
 
 def exact_ber_risk(loss: LossSpec, dist: DiscreteBinaryDistribution, scores) -> float:

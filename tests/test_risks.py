@@ -11,7 +11,6 @@ import dataclasses
 import functools
 import itertools
 import math
-import multiprocessing
 import threading
 import tracemalloc
 import warnings
@@ -481,7 +480,7 @@ class TestPairwiseMeanLoss:
     def test_a_trace_holds_tiles_not_chunks(self, name):
         rng = np.random.default_rng(0)
         scores_pos, scores_neg = rng.normal(size=1000), rng.normal(size=1000)
-        pairwise_mean_loss(get_loss(name), scores_pos, scores_neg)  # the worker now exists
+        pairwise_mean_loss(get_loss(name), scores_pos, scores_neg)  # a warm-up call
         tracemalloc.start()
         try:
             pairwise_mean_loss(get_loss(name), scores_pos, scores_neg)
@@ -491,9 +490,10 @@ class TestPairwiseMeanLoss:
         assert peak < 2 * 2**20
 
     @pytest.mark.parametrize("name", LOSS_NAMES)
-    def test_every_loss_uses_the_worker_for_two_chunks(self, name, monkeypatch):
+    def test_every_loss_uses_the_worker_for_two_chunks(self, name):
+        """The calling thread is the only worker: it evaluates each chunk once."""
         loss = LOSSES[name]
-        calls, pool_calls = [], []
+        calls = []
 
         def counted(kind, evaluate):
             def evaluate_counted(*args):
@@ -507,20 +507,18 @@ class TestPairwiseMeanLoss:
         if loss.pair_inplace is not None:
             changes["pair_inplace"] = lambda *args: counted("pairs", loss.pair_inplace(*args))
         spy = dataclasses.replace(loss, **changes)
-        pool = symloss.risks._pair_pool
-        monkeypatch.setattr(symloss.risks, "_pair_pool", lambda: pool_calls.append(1) or pool())
         rng = np.random.default_rng(0)
+        threads = threading.active_count()
         pairwise_mean_loss(spy, rng.normal(size=512), rng.normal(size=5))
-        assert pool_calls == []
         pairwise_mean_loss(spy, rng.normal(size=1024), rng.normal(size=5))
-        assert pool_calls == [1]
-        # one evaluation per chunk: the pair hook where there is one, else
-        # value; the odd-numbered chunk of the second call runs off the main thread
+        # one evaluation per chunk, the pair hook where there is one, else
+        # value, and every one on the main thread
         kind = "value" if loss.pair_inplace is None else "pairs"
-        assert sorted(calls) == [(kind, (512, 5), False)] + [(kind, (512, 5), True)] * 2
+        assert calls == [(kind, (512, 5), True)] * 3
+        assert threading.active_count() == threads
 
     # +inf - +inf is NaN, which numpy flags as an invalid subtraction; the
-    # +inf row sits in a chunk the caller sums (0) or the worker sums (600)
+    # +inf row sits in the first or the second chunk
     # (sigmoid has a pair hook, hinge has none)
     @pytest.mark.parametrize("row", [0, 600])
     def test_non_finite_scores_warn_as_the_serial_loop(self, row):
@@ -542,33 +540,6 @@ class TestPairwiseMeanLoss:
     def test_empty_scores_rejected(self, name, n_pos, n_neg):
         with pytest.raises(ValueError, match="non-empty"):
             pairwise_mean_loss(get_loss(name), np.zeros(n_pos), np.zeros(n_neg))
-
-    def test_worker_exception_reaches_the_caller(self):
-        class WorkerError(Exception):
-            pass
-
-        sigmoid = get_loss("sigmoid")
-
-        def hook(scores_pos, scores_neg):
-            if threading.current_thread() is not threading.main_thread():
-                raise WorkerError("raised in the worker")
-            return sigmoid.pair_inplace(scores_pos, scores_neg)
-
-        failing = dataclasses.replace(sigmoid, pair_inplace=hook)
-        scores_pos, scores_neg = np.linspace(-1.0, 1.0, 1024), np.linspace(-2.0, 2.0, 7)
-        expected = pairwise_mean_loss(sigmoid, scores_pos, scores_neg)
-        with pytest.raises(WorkerError, match="raised in the worker"):
-            pairwise_mean_loss(failing, scores_pos, scores_neg)
-        # the worker outlives its exception and sums the next call's chunks
-        assert pairwise_mean_loss(sigmoid, scores_pos, scores_neg) == expected
-
-    def test_forked_child_gets_its_own_worker(self):
-        sigmoid = get_loss("sigmoid")
-        scores = np.linspace(-1.0, 1.0, 1024)
-        expected = pairwise_mean_loss(sigmoid, scores, scores)  # the worker thread now exists
-        with multiprocessing.get_context("fork").Pool(1) as pool:
-            child = pool.apply_async(pairwise_mean_loss, (sigmoid, scores, scores))
-            assert child.get(timeout=60) == expected
 
 
 class TestEmpiricalConvergence:

@@ -42,7 +42,7 @@ from .distributions import (
     sample_mcd,
     uu_params,
 )
-from .errors import ConfigurationError, TrainingDivergedError, cannot_read, not_utf8
+from .errors import ConfigurationError, cannot_read, not_utf8
 from .losses import LOSS_NAMES, get_loss
 from .risks import (
     auc_decomposition_check,
@@ -476,31 +476,30 @@ def _trainer(config: ExperimentConfig):
 def _run_grid(config: ExperimentConfig, grid: list[McdParams], losses: list[str]) -> dict:
     """loss -> the (trace, clean-test BER, clean-test AUC) of every (noise
     cell, seed) run of ``grid``, cell-major; both metrics read one scoring
-    of each test set.  Each loss's runs train as one stack.  A divergence
-    is raised once all stacks have run: the one the cell-by-cell order of
+    of each test set.  The grid trains as one stack, listed (cell, loss,
+    seed), and every loss trains on each (cell, seed) sample.  A divergence
+    is raised once the stack has run: the one the cell-by-cell order of
     single runs would meet first."""
-    runs = [(params, seed) for params in grid for seed in config.seeds]
     sampler_pos, sampler_neg = config.gaussians.samplers()
     n = config.sections["dataset"]["n_train_per_class"]
-    sets = [sample_mcd(sampler_pos, sampler_neg, params, n, n, seed=seed) for params, seed in runs]
+    sets = {
+        (cell, seed): sample_mcd(sampler_pos, sampler_neg, params, n, n, seed=seed)
+        for cell, params in enumerate(grid)
+        for seed in config.seeds
+    }
+    runs = [(cell, loss, seed) for cell in range(len(grid)) for loss in losses
+            for seed in config.seeds]
+    traces = train_many(
+        _trainer(config),
+        [sets[cell, seed] for cell, _, seed in runs],
+        [replace(config.train, loss=loss, seed=seed) for _, loss, seed in runs],
+    )
     tests, zero_one = _test_sets(config), get_loss("zero_one")
-    results, diverged = {}, []
-    for position, loss_name in enumerate(losses):
-        configs = [replace(config.train, loss=loss_name, seed=seed) for _, seed in runs]
-        try:
-            traces = train_many(_trainer(config), sets, configs)
-        except TrainingDivergedError as exc:
-            cell, seed = divmod(exc.run, len(config.seeds))
-            diverged.append(((cell, position, seed), exc))
-            continue
-        results[loss_name] = []
-        for trace in traces:
-            scores_pos, scores_neg = (trace.scorer(test) for test in tests[trace.config.seed])
-            ber = empirical_ber_risk(zero_one, scores_pos, scores_neg)
-            auc = auc_score(scores_pos, scores_neg)
-            results[loss_name].append((trace, ber, auc))
-    if diverged:
-        raise min(diverged, key=lambda item: item[0])[1]
+    results = {loss: [] for loss in losses}
+    for (_, loss, seed), trace in zip(runs, traces):
+        scores_pos, scores_neg = (trace.scorer(test) for test in tests[seed])
+        ber = empirical_ber_risk(zero_one, scores_pos, scores_neg)
+        results[loss].append((trace, ber, auc_score(scores_pos, scores_neg)))
     return results
 
 

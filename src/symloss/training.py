@@ -14,11 +14,14 @@ with replacement.  A run evaluates its full-data objective after epochs
 it with :class:`~symloss.errors.TrainingDivergedError`.
 
 :func:`train_many` trains R runs that share every :class:`TrainConfig`
-field but ``seed``, and their point counts and dimension, as one step
-loop on an (R, P) parameter array.  Each run keeps its own generator and
-makes every matrix product a run trained alone makes, so its parameters
-and objective equal that run's bit for bit on this numpy/OpenBLAS build;
-the serial loop is the oracle in ``tests/test_training.py``.
+field but ``seed`` and ``loss``, and their point counts and dimension, as
+one step loop on an (R, P) parameter array.  The stack holds each loss's
+runs as one slice and each distinct point set once, with a linear
+scorer's Jacobian ones column written there, so a step's gathered batch
+is its Jacobian.  Each run keeps its own generator and makes every matrix
+product a run trained alone makes, so its parameters and objective equal
+that run's bit for bit on this numpy/OpenBLAS build; the serial loop is
+the oracle in ``tests/test_training.py``.
 :func:`train_ber` and :func:`train_auc` are batches of one, and the
 gradients of :func:`make_ber_objective` and :func:`make_auc_objective`
 are the same rules at R = 1.
@@ -124,24 +127,33 @@ class Scorer:
 
     def score_with_jacobian(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Scores (n,) and the Jacobian d score_i / d param_j, shape (n, P)."""
-        X = np.asarray(X, dtype=float)
+        X = _jacobian_rows(self, np.asarray(X, dtype=float))
         scores, jac = _run_scores(self, self.params[None], X[None], jacobian=True)
         return scores[0], jac[0]
+
+
+def _jacobian_rows(scorer: Scorer, X: np.ndarray) -> np.ndarray:
+    """The points ``X`` (..., n, d) as :func:`_run_scores` takes them with
+    ``jacobian``: for a linear scorer with the Jacobian's ones column
+    appended, for an mlp as they are."""
+    if scorer.kind != "linear":
+        return X
+    return np.concatenate([X, np.ones(X.shape[:-1] + (1,))], axis=-1)
 
 
 def _run_scores(scorer: Scorer, theta: np.ndarray, X: np.ndarray, jacobian: bool = False):
     """Scores (R, ..., n) of R runs of ``scorer``'s shape, with parameters
     ``theta`` (R, P), each on its own points ``X`` (R, ..., n, d); with
-    ``jacobian`` also d score / d param, (R, ..., n, P).  Every matrix
-    product is one BLAS call per run and (n, d) block: the call of a run
-    scoring that block alone."""
+    ``jacobian`` also d score / d param, (R, ..., n, P).  With ``jacobian``
+    a linear scorer's ``X`` carries the ones column (:func:`_jacobian_rows`)
+    and is itself the Jacobian.  Every matrix product is one BLAS call per
+    run and (n, d) block: the call of a run scoring that block alone."""
     p = theta.reshape(len(theta), *[1] * (X.ndim - 3), -1)   # broadcasts over X's blocks
     b = p[..., -1:]
     if scorer.kind == "linear":
-        scores = (X @ p[..., :-1, None])[..., 0] + b
         if not jacobian:
-            return scores
-        return scores, np.concatenate([X, np.ones(X.shape[:-1] + (1,))], axis=-1)
+            return (X @ p[..., :-1, None])[..., 0] + b
+        return (X[..., :-1] @ p[..., :-1, None])[..., 0] + b, X
     h, d = scorer.hidden, scorer.dimension
     w = p[..., : h * d].reshape(*p.shape[:-1], h, d)
     c = p[..., None, h * d : h * d + h]
@@ -225,20 +237,23 @@ def _contract(weights: np.ndarray, jac: np.ndarray) -> np.ndarray:
 _CLASS_SIGNS = np.array([[1.0], [-1.0]])
 
 
-def _class_sums(loss: LossSpec, scorer: Scorer, theta, X, signs, contract=_contract):
+def _class_sums(grad, scorer: Scorer, theta, X, signs, contract=_contract):
     """Sums (R, G, P), over each of R runs' G point blocks X (R, G, n, d),
-    of sign * l'(sign * s) * ds/dparam: the balanced risk's gradient sums,
-    with sign +1 for positives and -1 for negatives."""
+    taken as :func:`_run_scores` takes them with ``jacobian``, of
+    sign * l'(sign * s) * ds/dparam: the balanced risk's gradient sums,
+    with sign +1 for positives and -1 for negatives.  ``grad`` maps the
+    (R, ...) margins to their l'."""
     scores, jac = _run_scores(scorer, theta, X, jacobian=True)
-    weights = signs * loss.grad(signs * scores)
+    weights = signs * grad(signs * scores)
     return np.array([contract(*run) for run in zip(weights[..., None, :], jac)])[..., 0, :]
 
 
-def _pair_sums(loss: LossSpec, scorer: Scorer, theta, X, divisor, contract=_contract):
+def _pair_sums(grad, scorer: Scorer, theta, X, divisor, contract=_contract):
     """Sums (R, P), over each of R runs' pairs (X[:, 0, i], X[:, 1, i]), of
-    l'(s_pos - s_neg) / divisor * d(s_pos - s_neg)/dparam."""
+    l'(s_pos - s_neg) / divisor * d(s_pos - s_neg)/dparam; ``X`` and
+    ``grad`` as for :func:`_class_sums`."""
     scores, jac = _run_scores(scorer, theta, X, jacobian=True)
-    weights = loss.grad(scores[:, 0] - scores[:, 1]) / divisor
+    weights = grad(scores[:, 0] - scores[:, 1]) / divisor
     return np.array([contract(*run) for run in zip(weights, jac[:, 0] - jac[:, 1])])
 
 
@@ -277,11 +292,12 @@ def make_ber_objective(
     """Full-data balanced objective and its analytic parameter gradient:
     the rules training runs, at R = 1."""
     X_pos, X_neg = np.asarray(X_pos, dtype=float), np.asarray(X_neg, dtype=float)
+    J_pos, J_neg = _jacobian_rows(scorer, X_pos), _jacobian_rows(scorer, X_neg)
 
     def gradient(theta: np.ndarray) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)[None]
-        grad_pos = _class_sums(loss, scorer, theta, X_pos[None, None], 1.0)[:, 0] / len(X_pos)
-        grad_neg = _class_sums(loss, scorer, theta, X_neg[None, None], -1.0)[:, 0] / len(X_neg)
+        grad_pos = _class_sums(loss.grad, scorer, theta, J_pos[None, None], 1.0)[:, 0] / len(X_pos)
+        grad_neg = _class_sums(loss.grad, scorer, theta, J_neg[None, None], -1.0)[:, 0] / len(X_neg)
         return _ber_gradient(grad_pos, grad_neg, theta, weight_decay)[0]
 
     return _value(True, loss, scorer, X_pos, X_neg, weight_decay), gradient
@@ -299,6 +315,7 @@ def make_auc_objective(
     positives, with weights 1 / (n+ n-)."""
     X_pos, X_neg = np.asarray(X_pos, dtype=float), np.asarray(X_neg, dtype=float)
     n_pos, n_neg = len(X_pos), len(X_neg)
+    J_pos, J_neg = _jacobian_rows(scorer, X_pos), _jacobian_rows(scorer, X_neg)
 
     def gradient(theta: np.ndarray) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)[None]
@@ -306,8 +323,8 @@ def make_auc_objective(
         for start in range(0, n_pos, _PAIR_CHUNK):
             chunk = np.arange(start, min(start + _PAIR_CHUNK, n_pos))
             pos, neg = np.repeat(chunk, n_neg), np.tile(np.arange(n_neg), len(chunk))
-            pairs = np.stack([X_pos[pos], X_neg[neg]])[None]
-            total = total + _pair_sums(loss, scorer, theta, pairs, n_pos * n_neg)
+            pairs = np.stack([J_pos[pos], J_neg[neg]])[None]
+            total = total + _pair_sums(loss.grad, scorer, theta, pairs, n_pos * n_neg)
         return total[0]
 
     return _value(False, loss, scorer, X_pos, X_neg, weight_decay), gradient
@@ -416,65 +433,110 @@ def _train(objective: str, set_pos, set_neg, config: TrainConfig) -> TrainTrace:
     return run.trace
 
 
+def _take(points: np.ndarray, sets: np.ndarray) -> np.ndarray:
+    """``points[sets]``, as a view when the set numbers count up by one, as
+    they do for each loss's runs of a grid."""
+    if np.all(np.diff(sets) == 1):
+        return points[sets[0] : sets[-1] + 1]
+    return points[sets]
+
+
 def _train_stack(runs: list[_Run]) -> None:
-    """Train ``runs`` as one stacked step loop and fill in their traces."""
+    """Train ``runs`` as one stacked step loop and fill in their traces.
+
+    The stack orders the runs by loss (a stable sort), so each loss's runs
+    form one slice, whose l' and objectives are taken together.  Runs given
+    the same point arrays share their rows."""
     first = runs[0]
     config = first.trace.config
     for run in runs[1:]:
         if (
-            replace(run.trace.config, seed=config.seed) != config
+            replace(run.trace.config, seed=config.seed, loss=config.loss) != config
             or run.X_pos.shape != first.X_pos.shape
             or run.X_neg.shape != first.X_neg.shape
         ):
             raise ValueError(
                 "runs trained together must share every TrainConfig field except "
-                "seed, and their point counts and dimension"
+                "seed and loss, and their point counts and dimension"
             )
-    loss, scorer = get_loss(config.loss), first.trace.scorer
-    n_pos, n_neg = len(first.X_pos), len(first.X_neg)
+    order = sorted(range(len(runs)), key=lambda position: runs[position].trace.config.loss)
+    stack = [runs[position] for position in order]
+    names = [run.trace.config.loss for run in stack]
+    slices = [
+        (get_loss(name), slice(names.index(name), names.index(name) + names.count(name)))
+        for name in dict.fromkeys(names)
+    ]
+    scorer = first.trace.scorer
+    (n_pos, d), n_neg = first.X_pos.shape, len(first.X_neg)
     ber = config.objective == "ber"
     k = config.batch_size if ber else config.pair_batch
-    # each run's positives, then its negatives
-    points = np.array([np.concatenate([run.X_pos, run.X_neg]) for run in runs])
-    X_pos, X_neg, rows = points[:, :n_pos], points[:, n_pos:], points.reshape(-1, points.shape[2])
-    first_row = np.arange(len(runs))[:, None, None] * (n_pos + n_neg) + [[0], [n_pos]]
+    # each distinct point set's positives, then its negatives, once, and for
+    # a linear scorer the Jacobian's ones column after their d features
+    distinct = {}
+    sets = np.array([
+        distinct.setdefault((id(run.X_pos), id(run.X_neg)), (len(distinct), run))[0]
+        for run in stack
+    ])
+    points = np.ones((len(distinct), n_pos + n_neg, d + (scorer.kind == "linear")))
+    for number, run in distinct.values():
+        points[number, :n_pos, :d], points[number, n_pos:, :d] = run.X_pos, run.X_neg
+    rows = points.reshape(-1, points.shape[2])
+    X_pos, X_neg = points[:, :n_pos, :d], points[:, n_pos:, :d]
+    first_row = sets[:, None, None] * (n_pos + n_neg) + [[0], [n_pos]]
     # equal bounds take numpy's faster scalar-bound path, which draws the same
     high = n_pos if n_pos == n_neg else np.array([[n_pos], [n_neg]])
+    steps_per_epoch = max(1, math.ceil(max(n_pos, n_neg) / config.batch_size))
+    drawn = np.empty((steps_per_epoch, len(stack), 2, k), dtype=np.int64)
 
     def draw(steps: int) -> np.ndarray:
         """Row numbers (steps, R, 2, k) in ``rows`` of an epoch's batches,
         from one draw per run: the indices its per-step draws would give."""
-        drawn = [run.rng.integers(0, high, size=(steps, 2, k)) for run in runs]
-        return np.stack(drawn, axis=1) + first_row
+        for place, run in enumerate(stack):
+            drawn[:steps, place] = run.rng.integers(0, high, size=(steps, 2, k))
+        drawn[:steps] += first_row
+        return drawn[:steps]
+
+    def grad(margins):
+        """l' of the (R, ...) margins, each slice's by its own loss."""
+        weights = np.empty_like(margins)
+        for loss, part in slices:
+            weights[part] = loss.grad(margins[part])
+        return weights
 
     def batch_gradient(theta, batch, contract):
-        gathered = np.take(rows, batch, axis=0)   # (R, 2, k, d)
+        gathered = np.take(rows, batch, axis=0)   # (R, 2, k, width of rows)
         if ber:
-            sums = _class_sums(loss, scorer, theta, gathered, _CLASS_SIGNS, contract)
+            sums = _class_sums(grad, scorer, theta, gathered, _CLASS_SIGNS, contract)
             return _ber_gradient(sums[:, 0] / k, sums[:, 1] / k, theta, config.weight_decay)
-        sums = _pair_sums(loss, scorer, theta, gathered, k, contract)
+        sums = _pair_sums(grad, scorer, theta, gathered, k, contract)
         return sums + 2.0 * config.weight_decay * theta
 
     def full_objective(theta):
-        return _objectives(ber, loss, scorer, theta, X_pos, X_neg, config.weight_decay)
+        return np.concatenate([
+            _objectives(
+                ber, loss, scorer, theta[part], _take(X_pos, sets[part]),
+                _take(X_neg, sets[part]), config.weight_decay,
+            )
+            for loss, part in slices
+        ])
 
-    theta = np.array([run.trace.scorer.params for run in runs])
-    steps_per_epoch = max(1, math.ceil(max(n_pos, n_neg) / config.batch_size))
+    theta = np.array([run.trace.scorer.params for run in stack])
     objectives, diverged = _run_steps(
         config, theta, draw, batch_gradient, _contract, full_objective, steps_per_epoch
     )
-    for position, run in enumerate(runs):
-        if position in diverged:
-            epoch, value = diverged[position]
-            raise TrainingDivergedError(
-                f"training diverged: the full-data objective is {value} after epoch "
-                f"{epoch} of {config.epochs} (loss {config.loss!r}, seed "
-                f"{run.trace.config.seed}, step_size {config.step_size}); try a "
-                "smaller step_size",
-                run=position,
-            )
-        run.trace.scorer.params = theta[position].copy()
-        run.trace.objective = float(objectives[position])
+    if diverged:
+        place = min(diverged, key=order.__getitem__)   # the first in list order
+        (epoch, value), run = diverged[place], stack[place]
+        raise TrainingDivergedError(
+            f"training diverged: the full-data objective is {value} after epoch "
+            f"{epoch} of {config.epochs} (loss {run.trace.config.loss!r}, seed "
+            f"{run.trace.config.seed}, step_size {config.step_size}); try a "
+            "smaller step_size",
+            run=order[place],
+        )
+    for run, params, objective in zip(stack, theta, objectives):
+        run.trace.scorer.params = params.copy()
+        run.trace.objective = float(objective)
 
 
 def train_ber(set_pos, set_neg, config: TrainConfig) -> TrainTrace:
@@ -503,10 +565,11 @@ def train_many(trainer, sets, configs) -> list[TrainTrace]:
     ``trainer`` is :func:`train_ber` or :func:`train_auc`, or a function
     that calls one of them once; each call declares its run, and the
     declared runs then train together.  They must share every TrainConfig
-    field except ``seed``, and their point counts and dimension; any
-    other mix is a ValueError.  Every run trains to the end; if some
+    field except ``seed`` and ``loss``, and their point counts and
+    dimension; any other mix is a ValueError.  Runs given the same point
+    arrays share one copy of them.  Every run trains to the end; if some
     diverged, the TrainingDivergedError of the first of them in list
-    order is raised, with its position as ``run``.
+    order is raised, naming its loss, with its position as ``run``.
     """
     token = _declared.set([])
     try:

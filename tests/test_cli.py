@@ -878,10 +878,11 @@ class TestSchema:
         stacks = self.record(monkeypatch, "train_many")
         tests = self.record(monkeypatch, "_test_sets")
         status = run_experiment(sweep)
-        assert [configs for (_, _, configs), _ in stacks] == [
-            [replace(self.TRAIN, loss=loss, seed=seed) for _ in range(2) for seed in (3, 4)]
-            for loss in ("hinge", "ramp")
-        ]
+        # one stack, cell-major: (cell, loss, seed)
+        assert [configs for (_, _, configs), _ in stacks] == [[
+            replace(self.TRAIN, loss=loss, seed=seed)
+            for _ in range(2) for loss in ("hinge", "ramp") for seed in (3, 4)
+        ]]
         assert all(trainer is symloss.experiments.train_auc for (trainer, _, _), _ in stacks)
         for (_, sets, _), _ in stacks:
             assert {side.points.shape for pair in sets for side in pair} == {(77, 3)}

@@ -341,7 +341,6 @@ def test_train_many_equals_serial_runs(data):
     dimension = data.draw(st.integers(1, 3), label="dimension")
     config = TrainConfig(
         objective=objective,
-        loss=data.draw(st.sampled_from(DIFFERENTIABLE), label="loss"),
         step_size=data.draw(st.sampled_from([0.01, 0.1, 2.0]), label="step_size"),
         adaptive_moments=data.draw(st.booleans(), label="adaptive_moments"),
         epochs=data.draw(st.integers(1, 3), label="epochs"),
@@ -352,12 +351,15 @@ def test_train_many_equals_serial_runs(data):
         hidden_units=data.draw(st.integers(1, 4), label="hidden_units"),
     )
     seeds = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=runs, max_size=runs))
+    losses = data.draw(st.lists(st.sampled_from(DIFFERENTIABLE), min_size=runs, max_size=runs))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="data_seed"))
-    sets = [
+    pool = [
         (rng.normal(0.5, 1.0, size=(n_pos, dimension)), rng.normal(-0.5, 1.0, size=(n_neg, dimension)))
         for _ in seeds
     ]
-    configs = [replace(config, seed=seed) for seed in seeds]
+    # runs may be given the same point arrays, as a grid's losses are
+    sets = [pool[data.draw(st.integers(0, position), label="set")] for position in range(runs)]
+    configs = [replace(config, seed=seed, loss=loss) for seed, loss in zip(seeds, losses)]
 
     expected, first_error = [], None
     for (X_pos, X_neg), run_config in zip(sets, configs):
@@ -389,17 +391,37 @@ class TestTrainMany:
 
     @pytest.mark.parametrize(
         "change, n_neg",
-        [(dict(loss="logistic"), 30), (dict(step_size=0.1), 30), (dict(model="mlp"), 30),
-         ({}, 31)],
-        ids=["loss", "step_size", "model", "point-count"],
+        [(dict(step_size=0.1), 30), (dict(model="mlp"), 30), ({}, 31)],
+        ids=["step_size", "model", "point-count"],
     )
     def test_runs_must_share_all_but_the_seed(self, change, n_neg):
         rng = np.random.default_rng(41)
         config = TrainConfig(epochs=1, seed=1)
         sets = [(rng.normal(size=(30, 2)), rng.normal(size=(30, 2))),
                 (rng.normal(size=(30, 2)), rng.normal(size=(n_neg, 2)))]
-        with pytest.raises(ValueError, match="except seed"):
-            train_many(train_ber, sets, [config, replace(config, seed=2, **change)])
+        with pytest.raises(ValueError, match="except seed and loss"):
+            train_many(
+                train_ber, sets, [config, replace(config, seed=2, loss="logistic", **change)]
+            )
+
+    @pytest.mark.parametrize("model", ["linear", "mlp"])
+    @pytest.mark.parametrize("trainer", [train_ber, train_auc])
+    def test_a_mixed_loss_batch_equals_each_loss_batch(self, trainer, model):
+        # listed (set, loss, seed), as a grid lists them: every loss trains
+        # on the same point arrays
+        sets = [gaussian_sets(McdParams(0.8, 0.3), 50, seed=seed) for seed in range(3)]
+        config = TrainConfig(epochs=3, batch_size=16, pair_batch=16, model=model)
+        losses = ("sigmoid", "logistic")
+        runs = [(pair, replace(config, loss=loss, seed=seed))
+                for seed, pair in enumerate(sets) for loss in losses]
+        mixed = train_many(trainer, *zip(*runs))
+        for loss in losses:
+            configs = [replace(config, loss=loss, seed=seed) for seed in range(3)]
+            alone = train_many(trainer, sets, configs)
+            for trace, own in zip([t for t in mixed if t.config.loss == loss], alone):
+                assert trace.config == own.config
+                assert trace.scorer.params.tobytes() == own.scorer.params.tobytes()
+                assert trace.objective == own.objective
 
     def test_empty_batch(self):
         assert train_many(train_ber, [], []) == []
@@ -440,6 +462,25 @@ class TestTrainMany:
             assert f"after epoch {epoch} of 25 (loss 'exponential', seed {order[0]}," in str(
                 caught.value
             )
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_divergence_names_the_diverged_run_own_loss(self):
+        # the sigmoid run stays finite, the squared run at position 1 diverges
+        # after epoch 25 and the exponential run at position 2 after epoch 1;
+        # ordered by loss, the stack holds the exponential run first, yet the
+        # error is position 1's
+        sets = [gaussian_sets(McdParams(0.7, 0.4), 120, seed=seed) for seed in (0, 1)]
+        config = TrainConfig(adaptive_moments=False, step_size=1000.0, epochs=25, batch_size=64)
+        runs = [(sets[0], replace(config, loss="sigmoid", seed=0)),
+                (sets[1], replace(config, loss="squared", seed=1)),
+                (sets[0], replace(config, loss="exponential", seed=0))]
+        with pytest.raises(TrainingDivergedError) as caught:
+            train_many(train_ber, *zip(*runs))
+        with pytest.raises(TrainingDivergedError) as alone:
+            train_ber(*runs[1][0], runs[1][1])
+        assert str(caught.value) == str(alone.value)
+        assert caught.value.run == 1
+        assert "after epoch 25 of 25 (loss 'squared', seed 1," in str(caught.value)
 
 
 # a dataclass holding an array compares by identity: its generated __eq__

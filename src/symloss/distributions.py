@@ -116,6 +116,9 @@ class DiscreteBinaryDistribution:
             raise ValueError(
                 f"density vectors must have length {m} to match the support"
             )
+        # a NaN passes every comparison below
+        if not all(np.all(np.isfinite(x)) for x in (support, p_pos, p_neg)):
+            raise ValueError("support and densities must be finite")
         for label, p in (("p_pos", p_pos), ("p_neg", p_neg)):
             if np.any(p < 0):
                 raise ValueError(f"{label} has negative entries")
@@ -247,6 +250,8 @@ class GaussianPairConfig:
             raise ValueError(f"means must have length {d}")
         if cov.shape != (d,):
             raise ValueError(f"diagonal covariance must have length {d}")
+        if not np.all(np.isfinite([mean_pos, mean_neg, cov])):
+            raise ValueError("means and covariance must be finite")
         if np.any(cov <= 0):
             raise ValueError("covariance entries must be positive")
 

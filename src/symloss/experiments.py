@@ -145,7 +145,7 @@ def _unknown(where: str, what: str, name: str, known) -> ConfigurationError:
     return ConfigurationError(f"{where}: unknown {what}; {hint}")
 
 
-def _convert(where: str, text: str, kind):
+def _convert(where: str, text: str, kind, rule=None):
     if isinstance(kind, list):
         items = [item.strip() for item in text.split(",")]
         return [_convert(where, item, kind[0]) for item in items if item]
@@ -159,25 +159,27 @@ def _convert(where: str, text: str, kind):
         raise ConfigurationError(f"{where}: {text!r} is not {_LABELS[kind]}") from None
     if kind is float and not math.isfinite(value):
         raise ConfigurationError(f"{where}: {text!r} is not a finite number")
+    if rule is not None:
+        check_value(where, rule, value)
     return value
 
 
-# (section, key) -> the least value a numeric key may take
-_AT_LEAST = {
-    ("dataset", "n_train_per_class"): 1,
-    ("dataset", "n_test_per_class"): 1,
-    ("identities", "instances"): 1,
-    ("identities", "max_support"): 2,
-    ("identities", "tolerance"): 0,
-    ("identities", "symmetric_tolerance"): 0,
-    ("corpus", "min_doc_freq"): 1,
-}
+def _at_least(least):
+    def check(value):
+        if value < least:
+            raise ValueError(f"must be at least {least}")
+    return check
+
+
+def _check_score_range(value: float) -> None:
+    if not (value > 0 and math.isfinite(2 * value)):
+        raise ValueError(f"must be positive with 2 * score_range finite, got {value}")
 
 
 def _read_sections(parser: configparser.ConfigParser, at) -> dict[str, dict]:
-    """Every schema key of every section, converted or defaulted; any
-    section or key outside the schema is a ConfigurationError.  ``at(section,
-    key)`` names a key in conversion errors."""
+    """Every schema key of every section, converted and range-checked, or
+    defaulted; any section or key outside the schema is a ConfigurationError.
+    ``at(section, key)`` names a key in conversion and range errors."""
     for name in parser.sections():
         if name not in _SCHEMA:
             raise _unknown(f"[{name}]", "section", name, _SCHEMA)
@@ -186,9 +188,9 @@ def _read_sections(parser: configparser.ConfigParser, at) -> dict[str, dict]:
                 raise _unknown(f"[{name}] {key}", "key", key, _SCHEMA[name])
     return {
         name: {
-            key: _convert(at(name, key), parser[name][key], kind)
+            key: _convert(at(name, key), parser[name][key], kind, *rule)
             if parser.has_option(name, key) else copy.copy(default)
-            for key, (kind, default) in keys.items()
+            for key, (kind, default, *rule) in keys.items()
         }
         for name, keys in _SCHEMA.items()
     }
@@ -316,9 +318,6 @@ def parse_config(
     nearest = next((p for p in (output_dir, *output_dir.parents) if os.path.exists(p)), None)
     if nearest is not None and not os.path.isdir(nearest):
         raise ConfigurationError(f"{at('experiment', 'output_dir')}: {nearest} is not a directory")
-    for (section, key), least in _AT_LEAST.items():
-        if sections[section][key] < least:
-            raise ConfigurationError(f"[{section}] {key}: must be at least {least}")
 
     dataset = sections["dataset"]
     for key, value in (("mean_pos", 1.5), ("mean_neg", -1.5), ("covariance", 1.0)):
@@ -363,23 +362,13 @@ def parse_config(
         raise ConfigurationError("[train] objective: the keywords pipeline trains only 'auc'")
     train = check_value("[train]", TrainConfig, **sections["train"])
 
-    score_range = sections["identities"]["score_range"]
-    if not (score_range > 0 and math.isfinite(2 * score_range)):
-        raise ConfigurationError(
-            f"[identities] score_range: must be positive with 2 * score_range finite, "
-            f"got {score_range}"
-        )
-    pu, uu = sections["pu"], sections["uu"]
-    check_value("[pu] class_prior_unlabeled", pu_params, pu["class_prior_unlabeled"])
+    uu = sections["uu"]
     check_value("[uu] pi_u, pi_u_prime", uu_params, uu["pi_u"], uu["pi_u_prime"])
 
     corpus = sections["corpus"]
-    method = corpus["threshold_method"]
-    corpus["threshold_method"] = THRESHOLD_ALIASES.get(method, method)
-    check_value(at("corpus", "tau"), check_tau, corpus["tau"])
-    if corpus["prior"] is not None:
-        check_value(at("corpus", "prior"), check_prior, corpus["prior"])
-    elif "corpus" in reads and corpus["threshold_method"] == "breakeven_known_prior":
+    method = THRESHOLD_ALIASES.get(corpus["threshold_method"], corpus["threshold_method"])
+    corpus["threshold_method"] = method
+    if "corpus" in reads and method == "breakeven_known_prior" and corpus["prior"] is None:
         raise ConfigurationError(
             "[corpus] prior: breakeven thresholding needs the known positive-class prior; "
             "set it, or pick another threshold_method"
@@ -469,17 +458,13 @@ def _test_sets(config: ExperimentConfig) -> dict:
     return tests
 
 
-def _trainer(config: ExperimentConfig):
-    return train_ber if config.train.objective == "ber" else train_auc
-
-
-def _run_grid(config: ExperimentConfig, grid: list[McdParams], losses: list[str]) -> dict:
-    """loss -> the (trace, clean-test BER, clean-test AUC) of every (noise
-    cell, seed) run of ``grid``, cell-major; both metrics read one scoring
-    of each test set.  The grid trains as one stack, listed (cell, loss,
-    seed), and every loss trains on each (cell, seed) sample.  A divergence
-    is raised once the stack has run: the one the cell-by-cell order of
-    single runs would meet first."""
+def _run_grid(config: ExperimentConfig, grid: list[McdParams], losses: list[str]) -> list[tuple]:
+    """One record (params, loss, seed, trace, clean-test BER, clean-test
+    AUC) per run of ``grid``, listed (noise cell, loss, seed): the order in
+    which the grid trains, as one stack.  Every loss trains on each (cell,
+    seed) sample, and both metrics read one scoring of each test set.  A
+    divergence is raised once the stack has run: the one the cell-by-cell
+    order of single runs would meet first."""
     sampler_pos, sampler_neg = config.gaussians.samplers()
     n = config.sections["dataset"]["n_train_per_class"]
     sets = {
@@ -490,20 +475,20 @@ def _run_grid(config: ExperimentConfig, grid: list[McdParams], losses: list[str]
     runs = [(cell, loss, seed) for cell in range(len(grid)) for loss in losses
             for seed in config.seeds]
     traces = train_many(
-        _trainer(config),
+        train_ber if config.train.objective == "ber" else train_auc,
         [sets[cell, seed] for cell, _, seed in runs],
         [replace(config.train, loss=loss, seed=seed) for _, loss, seed in runs],
     )
     tests, zero_one = _test_sets(config), get_loss("zero_one")
-    results = {loss: [] for loss in losses}
-    for (_, loss, seed), trace in zip(runs, traces):
+    records = []
+    for (cell, loss, seed), trace in zip(runs, traces):
         scores_pos, scores_neg = (trace.scorer(test) for test in tests[seed])
         ber = empirical_ber_risk(zero_one, scores_pos, scores_neg)
-        results[loss].append((trace, ber, auc_score(scores_pos, scores_neg)))
-    return results
+        records.append((grid[cell], loss, seed, trace, ber, auc_score(scores_pos, scores_neg)))
+    return records
 
 
-def _stderr(values: list[float]) -> float:
+def _stderr(values: Sequence[float]) -> float:
     return float(np.std(values, ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
 
 
@@ -514,35 +499,36 @@ def _run_sweep(config: ExperimentConfig, cells: Optional[int]) -> tuple[dict, in
     grid = config.noise_grid[:cells]
     if not grid:
         raise ConfigurationError("[noise] pi_corr_pos: noise grid is empty")
-    results = _run_grid(config, grid, config.losses)
-    rows, aggregate, status = [], [], 0
-    for cell, params in enumerate(grid):
-        mean_ber = {}
-        for loss_name in config.losses:
-            runs = results[loss_name][cell * len(config.seeds) :][: len(config.seeds)]
-            for seed, (_, ber, auc) in zip(config.seeds, runs):
-                rows.append({
-                    "loss": loss_name,
-                    "pi_corr_pos": params.pi_corr_pos,
-                    "pi_corr_neg": params.pi_corr_neg,
-                    "seed": seed,
-                    "clean_test_ber": ber,
-                    "clean_test_auc": auc,
-                })
-            bers, aucs = [ber for _, ber, _ in runs], [auc for _, _, auc in runs]
-            mean_ber[loss_name] = float(np.mean(bers))
-            aggregate.append({
-                "pi_corr_pos": params.pi_corr_pos,
-                "pi_corr_neg": params.pi_corr_neg,
-                "loss": loss_name,
-                "mean_clean_ber": mean_ber[loss_name],
-                "stderr_clean_ber": _stderr(bers),
-                "mean_clean_auc": float(np.mean(aucs)),
-                "stderr_clean_auc": _stderr(aucs),
-            })
-        if config.loss_order is not None:
-            first, second = config.loss_order
-            status = status or int(mean_ber[first] > mean_ber[second])
+    records = _run_grid(config, grid, config.losses)
+    rows = [
+        {
+            "loss": loss,
+            "pi_corr_pos": params.pi_corr_pos,
+            "pi_corr_neg": params.pi_corr_neg,
+            "seed": seed,
+            "clean_test_ber": ber,
+            "clean_test_auc": auc,
+        }
+        for params, loss, seed, _, ber, auc in records
+    ]
+    aggregate, mean_ber, status = [], {}, 0
+    # each (cell, loss) is a run of len(seeds) consecutive records
+    for start in range(0, len(records), len(config.seeds)):
+        params, loss = records[start][:2]
+        *_, bers, aucs = zip(*records[start : start + len(config.seeds)])
+        mean_ber[params, loss] = float(np.mean(bers))
+        aggregate.append({
+            "pi_corr_pos": params.pi_corr_pos,
+            "pi_corr_neg": params.pi_corr_neg,
+            "loss": loss,
+            "mean_clean_ber": mean_ber[params, loss],
+            "stderr_clean_ber": _stderr(bers),
+            "mean_clean_auc": float(np.mean(aucs)),
+            "stderr_clean_auc": _stderr(aucs),
+        })
+    if config.loss_order is not None:
+        first, second = config.loss_order
+        status = int(any(mean_ber[params, first] > mean_ber[params, second] for params in grid))
     return {"results.csv": rows, "aggregate.csv": aggregate}, status
 
 
@@ -558,15 +544,15 @@ def _run_reduction_demo(config: ExperimentConfig, reduction: str) -> tuple[dict,
         reduced = uu_params(uu["pi_u"], uu["pi_u_prime"])
         generic = McdParams(uu["pi_u"], uu["pi_u_prime"])
 
-    [runs] = _run_grid(config, [reduced, generic], [config.train.loss]).values()
+    records = _run_grid(config, [reduced, generic], [config.train.loss])
+    n = len(config.seeds)   # the reduced runs, then as many generic ones
     rows = []
-    n = len(config.seeds)
-    for (trace, ber, auc), (generic_trace, _, _) in zip(runs[:n], runs[n:]):
+    for (_, _, seed, trace, ber, auc), (*_, generic_trace, _, _) in zip(records[:n], records[n:]):
         identical = trace.objective == generic_trace.objective and np.array_equal(
             trace.scorer.params, generic_trace.scorer.params
         )
         rows.append({
-            "seed": trace.config.seed,
+            "seed": seed,
             "reduction": reduction,
             "pi_corr_pos": reduced.pi_corr_pos,
             "pi_corr_neg": reduced.pi_corr_neg,
@@ -636,10 +622,11 @@ _EXPERIMENTS = {
 }
 EXPERIMENTS = tuple(_EXPERIMENTS)
 
-# section -> key -> (kind, default).  A kind is a type, a tuple of allowed
-# strings, or a one-type list for comma-separated values.  [train] keys are
-# TrainConfig field names; its epochs and batch_size defaults are the
-# config-level ones, not TrainConfig's.
+# section -> key -> (kind, default[, rule]).  A kind is a type, a tuple of
+# allowed strings, or a one-type list for comma-separated values.  A rule
+# raises ValueError on a given number out of range (defaults are not checked).
+# [train] keys are TrainConfig field names; its epochs and batch_size
+# defaults are the config-level ones, not TrainConfig's.
 _SCHEMA: dict[str, dict[str, tuple]] = {
     "experiment": {
         "name": (EXPERIMENTS, None),  # None: the invoked command's experiment
@@ -651,8 +638,8 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "mean_pos": ([float], None),  # None: 1.5 in every coordinate
         "mean_neg": ([float], None),  # None: -1.5 in every coordinate
         "covariance": ([float], None),  # None: 1.0 in every coordinate
-        "n_train_per_class": (int, 500),
-        "n_test_per_class": (int, 2000),
+        "n_train_per_class": (int, 500, _at_least(1)),
+        "n_test_per_class": (int, 2000, _at_least(1)),
     },
     "noise": {"pi_corr_pos": ([float], []), "pi_corr_neg": ([float], [])},
     "losses": {"names": ([str], ["sigmoid"])},  # "all": the whole catalog
@@ -670,22 +657,22 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "hidden_units": (int, 8),
     },
     "identities": {
-        "instances": (int, 100),
-        "max_support": (int, 5),
-        "score_range": (float, 3.0),
-        "tolerance": (float, 1e-10),
-        "symmetric_tolerance": (float, 1e-12),
+        "instances": (int, 100, _at_least(1)),
+        "max_support": (int, 5, _at_least(2)),
+        "score_range": (float, 3.0, _check_score_range),
+        "tolerance": (float, 1e-10, _at_least(0)),
+        "symmetric_tolerance": (float, 1e-12, _at_least(0)),
     },
-    "pu": {"class_prior_unlabeled": (float, 0.4)},
+    "pu": {"class_prior_unlabeled": (float, 0.4, pu_params)},
     "uu": {"pi_u": (float, 0.7), "pi_u_prime": (float, 0.3)},
     "corpus": {
         "corpus_path": (str, "bundled"),
         "keywords_path": (str, "bundled"),
-        "tau": (float, 0.15),
+        "tau": (float, 0.15, check_tau),
         "scheme": (("tf", "tf_idf"), "tf_idf"),
-        "min_doc_freq": (int, 1),
+        "min_doc_freq": (int, 1, _at_least(1)),
         "threshold_method": (tuple(THRESHOLD_ALIASES) + THRESHOLD_METHODS, "breakeven"),
-        "prior": (float, None),
+        "prior": (float, None, check_prior),
     },
 }
 

@@ -23,8 +23,8 @@ product a run trained alone makes, so its parameters and objective equal
 that run's bit for bit on this numpy/OpenBLAS build; the serial loop is
 the oracle in ``tests/test_training.py``.
 :func:`train_ber` and :func:`train_auc` are batches of one, and the
-gradients of :func:`make_ber_objective` and :func:`make_auc_objective`
-are the same rules at R = 1.
+gradients of :func:`make_objective` ("ber" or "auc") are the same rules
+at R = 1.
 
 A brute-force minimizer over enumerated scorer families and a central
 finite-difference gradient check are included as oracles for the
@@ -54,8 +54,7 @@ __all__ = [
     "train_many",
     "brute_force_minimizer",
     "finite_difference_check",
-    "make_ber_objective",
-    "make_auc_objective",
+    "make_objective",
 ]
 
 # decay rates of the first and second moment estimates, and the floor added
@@ -272,53 +271,35 @@ def _objectives(ber: bool, loss: LossSpec, scorer: Scorer, theta, X_pos, X_neg, 
     return risk + weight_decay * (theta[:, None, :] @ theta[:, :, None])[:, 0, 0]
 
 
-def _value(ber: bool, loss: LossSpec, scorer: Scorer, X_pos, X_neg, weight_decay):
-    """The full-data objective of one parameter vector."""
+def make_objective(
+    objective: str,
+    loss: LossSpec,
+    X_pos: np.ndarray,
+    X_neg: np.ndarray,
+    scorer: Scorer,
+    weight_decay: float = 0.0,
+) -> tuple[Callable[[np.ndarray], float], Callable[[np.ndarray], np.ndarray]]:
+    """The full-data balanced ("ber") or pairwise ("auc") objective and its
+    analytic parameter gradient: the rules training runs, at R = 1.  The
+    pairwise gradient is the sampled-pair step's rule over all n+ x n-
+    pairs, in chunks of 512 positives, with weights 1 / (n+ n-)."""
+    if objective not in ("ber", "auc"):
+        raise ValueError(f"objective must be 'ber' or 'auc', got {objective!r}")
+    ber = objective == "ber"
+    X_pos, X_neg = np.asarray(X_pos, dtype=float), np.asarray(X_neg, dtype=float)
+    n_pos, n_neg = len(X_pos), len(X_neg)
+    J_pos, J_neg = _jacobian_rows(scorer, X_pos), _jacobian_rows(scorer, X_neg)
 
     def value(theta: np.ndarray) -> float:
         theta = np.asarray(theta, dtype=float)[None]
         return float(_objectives(ber, loss, scorer, theta, X_pos[None], X_neg[None], weight_decay)[0])
 
-    return value
-
-
-def make_ber_objective(
-    loss: LossSpec,
-    X_pos: np.ndarray,
-    X_neg: np.ndarray,
-    scorer: Scorer,
-    weight_decay: float = 0.0,
-) -> tuple[Callable[[np.ndarray], float], Callable[[np.ndarray], np.ndarray]]:
-    """Full-data balanced objective and its analytic parameter gradient:
-    the rules training runs, at R = 1."""
-    X_pos, X_neg = np.asarray(X_pos, dtype=float), np.asarray(X_neg, dtype=float)
-    J_pos, J_neg = _jacobian_rows(scorer, X_pos), _jacobian_rows(scorer, X_neg)
-
     def gradient(theta: np.ndarray) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)[None]
-        grad_pos = _class_sums(loss.grad, scorer, theta, J_pos[None, None], 1.0)[:, 0] / len(X_pos)
-        grad_neg = _class_sums(loss.grad, scorer, theta, J_neg[None, None], -1.0)[:, 0] / len(X_neg)
-        return _ber_gradient(grad_pos, grad_neg, theta, weight_decay)[0]
-
-    return _value(True, loss, scorer, X_pos, X_neg, weight_decay), gradient
-
-
-def make_auc_objective(
-    loss: LossSpec,
-    X_pos: np.ndarray,
-    X_neg: np.ndarray,
-    scorer: Scorer,
-    weight_decay: float = 0.0,
-) -> tuple[Callable[[np.ndarray], float], Callable[[np.ndarray], np.ndarray]]:
-    """Full pairwise objective and its analytic parameter gradient: the
-    sampled-pair step's rule over all n+ x n- pairs, in chunks of 512
-    positives, with weights 1 / (n+ n-)."""
-    X_pos, X_neg = np.asarray(X_pos, dtype=float), np.asarray(X_neg, dtype=float)
-    n_pos, n_neg = len(X_pos), len(X_neg)
-    J_pos, J_neg = _jacobian_rows(scorer, X_pos), _jacobian_rows(scorer, X_neg)
-
-    def gradient(theta: np.ndarray) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)[None]
+        if ber:
+            grad_pos = _class_sums(loss.grad, scorer, theta, J_pos[None, None], 1.0)[:, 0] / n_pos
+            grad_neg = _class_sums(loss.grad, scorer, theta, J_neg[None, None], -1.0)[:, 0] / n_neg
+            return _ber_gradient(grad_pos, grad_neg, theta, weight_decay)[0]
         total = 2.0 * weight_decay * theta
         for start in range(0, n_pos, _PAIR_CHUNK):
             chunk = np.arange(start, min(start + _PAIR_CHUNK, n_pos))
@@ -327,7 +308,7 @@ def make_auc_objective(
             total = total + _pair_sums(loss.grad, scorer, theta, pairs, n_pos * n_neg)
         return total[0]
 
-    return _value(False, loss, scorer, X_pos, X_neg, weight_decay), gradient
+    return value, gradient
 
 
 # overflow is not warned about: a run that overflows reaches a non-finite
@@ -340,12 +321,11 @@ def _run_steps(
     batch_gradient: Callable,
     step_gradient: Callable,
     full_objective: Callable[[np.ndarray], np.ndarray],
-    steps_per_epoch: int,
 ) -> tuple[np.ndarray, dict]:
     """Moment-rescaled or plain steps on the stacked parameters ``theta``
     (R, P), in place.
 
-    ``draw(steps)`` gives an epoch's batches, one per step;
+    ``draw()`` gives an epoch's batches, one per step;
     ``batch_gradient(theta, batch, step_gradient)`` the (R, P) gradients,
     calling ``step_gradient`` once per run; ``full_objective(theta)`` the
     (R,) objectives, called after epochs 1, 2, 4, 8, ... and the last.
@@ -359,7 +339,7 @@ def _run_steps(
     step = 0
     diverged = {}
     for epoch in range(1, config.epochs + 1):
-        for batch in draw(steps_per_epoch):
+        for batch in draw():
             grad = batch_gradient(theta, batch, step_gradient)
             step += 1
             if config.adaptive_moments:
@@ -488,13 +468,13 @@ def _train_stack(runs: list[_Run]) -> None:
     steps_per_epoch = max(1, math.ceil(max(n_pos, n_neg) / config.batch_size))
     drawn = np.empty((steps_per_epoch, len(stack), 2, k), dtype=np.int64)
 
-    def draw(steps: int) -> np.ndarray:
+    def draw() -> np.ndarray:
         """Row numbers (steps, R, 2, k) in ``rows`` of an epoch's batches,
         from one draw per run: the indices its per-step draws would give."""
         for place, run in enumerate(stack):
-            drawn[:steps, place] = run.rng.integers(0, high, size=(steps, 2, k))
-        drawn[:steps] += first_row
-        return drawn[:steps]
+            drawn[:, place] = run.rng.integers(0, high, size=(steps_per_epoch, 2, k))
+        drawn[:] += first_row
+        return drawn
 
     def grad(margins):
         """l' of the (R, ...) margins, each slice's by its own loss."""
@@ -521,9 +501,7 @@ def _train_stack(runs: list[_Run]) -> None:
         ])
 
     theta = np.array([run.trace.scorer.params for run in stack])
-    objectives, diverged = _run_steps(
-        config, theta, draw, batch_gradient, _contract, full_objective, steps_per_epoch
-    )
+    objectives, diverged = _run_steps(config, theta, draw, batch_gradient, _contract, full_objective)
     if diverged:
         place = min(diverged, key=order.__getitem__)   # the first in list order
         (epoch, value), run = diverged[place], stack[place]

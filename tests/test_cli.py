@@ -18,6 +18,7 @@ import symloss.textpipe
 import symloss.training
 from symloss.cli import main
 from symloss.datasets import default_config_path, load_mini_corpus, mini_corpus_path
+from symloss.distributions import McdParams
 from symloss.errors import ConfigurationError
 from symloss.experiments import _SCHEMA, parse_config, run_experiment, write_csv
 from symloss.textpipe import Corpus
@@ -343,8 +344,13 @@ names = sigmoid, logistic
         monkeypatch.setattr(Scorer, "score", counted)
         monkeypatch.setattr(Scorer, "__call__", counted)
         config = parse_config(sweep_config(tmp_path))
-        results = symloss.experiments._run_grid(config, config.noise_grid, config.losses)
-        assert sum(map(len, results.values())) == 4  # 1 cell x 2 losses x 2 seeds
+        records = symloss.experiments._run_grid(config, config.noise_grid, config.losses)
+        # 1 cell x 2 losses x 2 seeds, in the (cell, loss, seed) order they train
+        cell = McdParams(0.8, 0.3)
+        assert [record[:3] for record in records] == [
+            (cell, "sigmoid", 0), (cell, "sigmoid", 1), (cell, "logistic", 0), (cell, "logistic", 1)
+        ]
+        assert [(r[3].config.loss, r[3].config.seed) for r in records] == [r[1:3] for r in records]
         assert sizes == [200] * (4 * 2)  # a positive and a negative test set per run
 
 

@@ -92,6 +92,15 @@ class TestDiscreteBinaryDistribution:
             DiscreteBinaryDistribution([[0.0], [1.0]], [1.2, -0.2], [0.3, 0.7])
         with pytest.raises(ValueError, match="distinct"):
             DiscreteBinaryDistribution([[1.0], [1.0]], [0.5, 0.5], [0.3, 0.7])
+        # a NaN sum is not more than 1e-12 away from 1, and NaN is not negative
+        for support, p_pos, p_neg in [
+            ([[0.0], [1.0]], [np.nan, 1.0], [0.5, 0.5]),
+            ([[0.0], [1.0]], [0.5, 0.5], [0.5, np.nan]),
+            ([[np.nan], [1.0]], [0.5, 0.5], [0.3, 0.7]),
+            ([[0.0], [np.inf]], [0.5, 0.5], [0.3, 0.7]),
+        ]:
+            with pytest.raises(ValueError, match="finite"):
+                DiscreteBinaryDistribution(support, p_pos, p_neg)
 
     def test_scalar_support_promoted(self):
         dist = DiscreteBinaryDistribution([0.0, 1.0, 2.0], [0.2, 0.3, 0.5], [0.6, 0.3, 0.1])
@@ -167,3 +176,13 @@ class TestGaussianPairConfig:
             GaussianPairConfig([0.0], [1.0], [1.0, 2.0], dimension=1)
         with pytest.raises(ValueError, match="positive"):
             GaussianPairConfig([0.0], [1.0], [0.0], dimension=1)
+        # cov <= 0 is false for NaN
+        for mean_pos, mean_neg, cov in [
+            ([np.nan], [1.0], [1.0]),
+            ([0.0], [np.inf], [1.0]),
+            ([-np.inf], [1.0], [1.0]),
+            ([0.0], [1.0], [np.nan]),
+            ([0.0], [1.0], [np.inf]),
+        ]:
+            with pytest.raises(ValueError, match="finite"):
+                GaussianPairConfig(mean_pos, mean_neg, cov, dimension=1)

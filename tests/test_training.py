@@ -37,8 +37,7 @@ from symloss.training import (
     TrainConfig,
     brute_force_minimizer,
     finite_difference_check,
-    make_auc_objective,
-    make_ber_objective,
+    make_objective,
     train_auc,
     train_ber,
     train_many,
@@ -62,7 +61,7 @@ def clean_sets(n, seed):
 
 def initial_objective(set_pos, set_neg, scorer):
     """The sigmoid balanced objective at ``scorer``'s parameters."""
-    value, _ = make_ber_objective(get_loss("sigmoid"), set_pos.points, set_neg.points, scorer)
+    value, _ = make_objective("ber", get_loss("sigmoid"), set_pos.points, set_neg.points, scorer)
     return value(scorer.params)
 
 
@@ -510,8 +509,9 @@ class TestGradientChecks:
         X_pos = rng.normal(0.5, 1.0, size=(40, 3))
         X_neg = rng.normal(-0.5, 1.0, size=(30, 3))
         scorer = Scorer.linear(3)
-        make = make_ber_objective if objective == "ber" else make_auc_objective
-        value, gradient = make(get_loss(name), X_pos, X_neg, scorer, weight_decay=0.01)
+        value, gradient = make_objective(
+            objective, get_loss(name), X_pos, X_neg, scorer, weight_decay=0.01
+        )
         err = finite_difference_check(value, gradient, scorer.params, probes=6, seed=1)
         assert err <= 1e-5, f"{name}/{objective}: {err}"
 
@@ -522,8 +522,9 @@ class TestGradientChecks:
         X_pos = rng.normal(0.5, 1.0, size=(25, 2))
         X_neg = rng.normal(-0.5, 1.0, size=(20, 2))
         scorer = Scorer.mlp(2, 5, rng)
-        make = make_ber_objective if objective == "ber" else make_auc_objective
-        value, gradient = make(get_loss(name), X_pos, X_neg, scorer, weight_decay=0.01)
+        value, gradient = make_objective(
+            objective, get_loss(name), X_pos, X_neg, scorer, weight_decay=0.01
+        )
         err = finite_difference_check(value, gradient, scorer.params, probes=6, seed=2)
         assert err <= 1e-4, f"{name}/{objective}: {err}"
 
@@ -534,8 +535,8 @@ class TestGradientChecks:
         X_pos = rng.normal(0.5, 1.0, size=(600, 2))
         X_neg = rng.normal(-0.5, 1.0, size=(50, 2))
         scorer = Scorer.linear(2) if model == "linear" else Scorer.mlp(2, 3, rng)
-        value, gradient = make_auc_objective(
-            get_loss("sigmoid"), X_pos, X_neg, scorer, weight_decay=0.01
+        value, gradient = make_objective(
+            "auc", get_loss("sigmoid"), X_pos, X_neg, scorer, weight_decay=0.01
         )
         err = finite_difference_check(value, gradient, scorer.params, probes=3, seed=4)
         assert err <= (1e-5 if model == "linear" else 1e-4)
@@ -548,11 +549,16 @@ class TestGradientChecks:
         X_pos = rng.normal(0.5, 1.0, size=(30, 3))
         X_neg = rng.normal(-0.5, 1.0, size=(30, 3))
         scorer = Scorer.linear(3)
-        value, gradient = make_ber_objective(
-            get_loss("unhinged"), X_pos, X_neg, scorer, weight_decay=0.01
+        value, gradient = make_objective(
+            "ber", get_loss("unhinged"), X_pos, X_neg, scorer, weight_decay=0.01
         )
         err = finite_difference_check(value, gradient, scorer.params, probes=6, seed=3)
         assert err <= 1e-9
+
+    def test_unknown_objective_raises(self):
+        X = np.zeros((3, 2))
+        with pytest.raises(ValueError, match="objective must be 'ber' or 'auc', got 'cer'"):
+            make_objective("cer", get_loss("sigmoid"), X, X, Scorer.linear(2))
 
 
 class TestBruteForceMinimizer:

@@ -43,12 +43,12 @@ class LossSpec:
     "unknown" for losses whose status is not established here.
 
     ``pair_inplace``, when set, is a two-step pair hook.  The call
-    ``fill = pair_inplace(block_pos, scores_neg)`` does the work shared by
-    the whole block x negatives grid; then ``fill(rows, out)`` writes
-    l(s - s') for the block rows ``rows`` (a slice) into ``out``, of shape
-    (rows, negatives), and returns ``out``.  It lets
-    :func:`~symloss.risks.pairwise_mean_loss` fill one small tile at a time
-    in a reused buffer and skip forming the margins.  A hook returns None
+    ``fill = pair_inplace(scores_pos, scores_neg)`` does the work shared by
+    the whole positives x negatives grid; then ``fill(rows, out)`` writes
+    l(s - s') for the positive rows ``rows`` (a slice) into ``out``, of
+    shape (rows, negatives), and returns ``out``.  It lets
+    :func:`~symloss.risks.pairwise_mean_loss` fill one block at a time in
+    a reused buffer and skip forming the margins.  A hook returns None
     for a grid it cannot fill, and that grid takes the margin path through
     ``value``.  Only the sigmoid has one.  Its relative error against
     ``value`` on the margins is at most (16 + max|s - s'|) * eps, with eps

@@ -29,7 +29,6 @@ algebraic identities, so the checks demand residuals at roundoff scale.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -52,14 +51,9 @@ __all__ = [
     "symmetric_excess_constant",
 ]
 
-_PAIR_CHUNK = 512
-# the most losses one tile of a pair grid holds: 512 KB, which fits a
-# core's L2 cache
-_TILE = 65_536
-# the fewest rows a tile holds: a tile fills whole rows, and on a wide
-# grid the two rows it only partly sums would otherwise be most of its
-# work (4x the time at 512 x 99,999 with the hinge)
-_TILE_ROWS = 8
+# the most losses one block of a pair grid holds: 256 KB, which fits a
+# core's L2 cache with the margin path's two temporaries
+_BLOCK = 32_768
 
 
 @dataclass
@@ -109,34 +103,11 @@ def empirical_ber_risk(loss: LossSpec, scores_pos, scores_neg) -> float:
     return 0.5 * (pos_term + neg_term)
 
 
-def _margin_losses(value, block, scores_neg, rows, out):
-    np.subtract(block[rows, None], scores_neg, out=out)
-    return value(out)
-
-
-def _tree_sum(losses, tile: int, width: int, start: int, size: int, buf: np.ndarray) -> np.float64:
-    """Sum of a chunk's losses at flat positions ``[start, start + size)``
-    of its row-major grid, ``width`` losses a row, added as ``np.sum``
-    adds the whole grid.
-
-    numpy sums a contiguous array pairwise and, above 128 elements, splits
-    n at ``n // 2`` rounded down to a multiple of 8.  This takes the same
-    splits down to nodes of at most ``tile`` >= 128 losses, so every
-    split is one numpy makes.  A node's covering rows go to
-    ``losses(rows, out)`` with ``out`` a view of ``buf``, and the node is
-    summed as one flat slice of what it returns.  The sums stay numpy
-    floats, so an overflow between two nodes warns as numpy's does.
-    """
-    if size > tile:
-        half = size // 2
-        half -= half % 8
-        return _tree_sum(losses, tile, width, start, half, buf) + _tree_sum(
-            losses, tile, width, start + half, size - half, buf
-        )
-    first, stop = start // width, -(-(start + size) // width)
-    grid = losses(slice(first, stop), buf[: (stop - first) * width].reshape(-1, width))
-    offset = start - first * width
-    return grid.reshape(-1)[offset : offset + size].sum()
+def _row_blocks(n_pos: int, n_neg: int) -> list[slice]:
+    """The positive rows of an n_pos x n_neg pair grid cut into blocks of
+    at most ``_BLOCK`` pairs, or of one row where a row holds more."""
+    rows = max(1, _BLOCK // n_neg)
+    return [slice(start, min(start + rows, n_pos)) for start in range(0, n_pos, rows)]
 
 
 def pairwise_mean_loss(
@@ -144,43 +115,36 @@ def pairwise_mean_loss(
 ) -> float:
     """Mean of l(s - s') over the full pos x neg score grid.
 
-    The grid is cut into chunks of ``_PAIR_CHUNK`` = 512 positive rows,
-    summed one after another on the calling thread and added in chunk
-    order.  Each chunk is filled and summed in tiles of at most ``_TILE``
-    = 65,536 losses or 8 rows, whichever is more, through one reused
-    buffer, so a call holds a tile's rows, never a whole chunk.  The
-    loss's ``pair_inplace`` hook, when it has one and it fills the chunk,
-    writes a tile's losses there.  Else the tile's margins are formed
-    there and passed to ``value``, which makes up to two temporaries of
-    their size, so those tiles hold half as many losses.  The tiles follow
-    numpy's pairwise summation tree, so each chunk sum equals ``np.sum``
-    of the whole chunk bit for bit, as in the serial ``loss.value`` loop.
-    A chunk without a ``pair_inplace`` fill takes the margin path, which
-    evaluates the same values, so its sum equals that loop's bit for bit.
-    The sigmoid's hook factors each chunk into one exponential per score,
-    but leaves a chunk with a non-finite score or a score spread above 700
-    to the margin path; elsewhere its relative error is at most
-    (16 + max|s - s'|) * eps, with eps the float64 machine epsilon.
+    The grid is filled and summed in the row blocks of :func:`_row_blocks`,
+    one after another in one reused buffer, so a call holds a block, never
+    the grid.  Each block is summed by one ``np.sum``, and the block sums
+    are added in order as numpy floats, so an overflow between two blocks
+    warns as numpy does.  The loss's ``pair_inplace`` hook, when it has one,
+    is called once per grid and writes each block's losses.  Else, or where
+    it returns None, the margins are formed in the buffer and passed to
+    ``value``, so the sum equals the serial ``loss.value`` block loop bit
+    for bit.  The sigmoid's hook needs one exponential per score and
+    returns None for a non-finite score or a score spread above 700;
+    elsewhere its relative error is at most (16 + max|s - s'|) * eps, with
+    eps the float64 machine epsilon.
     """
     scores_pos = np.asarray(scores_pos, dtype=float).reshape(-1)
     scores_neg = np.asarray(scores_neg, dtype=float).reshape(-1)
     if scores_pos.size == 0 or scores_neg.size == 0:
         raise ValueError("pairwise_mean_loss needs non-empty score lists")
-    width = scores_neg.shape[0]
-    hook_tile, margin_tile = (max(size, _TILE_ROWS * width, 128) for size in (_TILE, _TILE // 2))
-    largest = hook_tile if loss.pair_inplace else margin_tile
-    buf = np.empty(min(min(_PAIR_CHUNK, scores_pos.shape[0]) * width, largest + 2 * width))
-    # not sum(): from Python 3.12 it compensates float sums, which changes the bits
-    total = 0.0
-    for start in range(0, scores_pos.shape[0], _PAIR_CHUNK):
-        block = scores_pos[start : start + _PAIR_CHUNK]
-        losses = loss.pair_inplace(block, scores_neg) if loss.pair_inplace else None
-        tile = hook_tile
-        if losses is None:
-            losses = functools.partial(_margin_losses, loss.value, block, scores_neg)
-            tile = margin_tile
-        total += float(_tree_sum(losses, tile, width, 0, block.shape[0] * width, buf))
-    return total / (scores_pos.shape[0] * width)
+    (n_pos,), (width,) = scores_pos.shape, scores_neg.shape
+    blocks = _row_blocks(n_pos, width)
+    fill = loss.pair_inplace(scores_pos, scores_neg) if loss.pair_inplace else None
+    buf = np.empty((blocks[0].stop, width))
+    total = np.float64(0.0)
+    for rows in blocks:
+        out = buf[: rows.stop - rows.start]
+        if fill is None:
+            out = loss.value(np.subtract(scores_pos[rows, None], scores_neg, out=out))
+        else:
+            out = fill(rows, out)
+        total += out.sum()
+    return float(total / (n_pos * width))
 
 
 def exact_ber_risk(loss: LossSpec, dist: DiscreteBinaryDistribution, scores) -> float:

@@ -43,7 +43,7 @@ import numpy as np
 from .distributions import SampleSet
 from .errors import NonDifferentiableLossError, TrainingDivergedError
 from .losses import LossSpec, get_loss
-from .risks import _PAIR_CHUNK, pairwise_mean_loss
+from .risks import _row_blocks, pairwise_mean_loss
 
 __all__ = [
     "Scorer",
@@ -88,6 +88,8 @@ class Scorer:
                 f"{self.kind} scorer of dimension {self.dimension} needs "
                 f"{expected} parameters, got {self.params.shape}"
             )
+        if not np.all(np.isfinite(self.params)):
+            raise ValueError(f"{self.kind} scorer params must be finite")
 
     @classmethod
     def linear(cls, dimension: int) -> "Scorer":
@@ -196,13 +198,12 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.objective not in ("ber", "auc"):
             raise ValueError(f"objective must be 'ber' or 'auc', got {self.objective!r}")
-        if self.step_size < 0:
-            raise ValueError("step_size must be >= 0")
+        for name in ("step_size", "weight_decay"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         for name in ("epochs", "batch_size", "pair_batch", "hidden_units"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive count")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be >= 0")
         if self.model not in ("linear", "mlp"):
             raise ValueError(f"model must be 'linear' or 'mlp', got {self.model!r}")
 
@@ -282,7 +283,7 @@ def make_objective(
     """The full-data balanced ("ber") or pairwise ("auc") objective and its
     analytic parameter gradient: the rules training runs, at R = 1.  The
     pairwise gradient is the sampled-pair step's rule over all n+ x n-
-    pairs, in chunks of 512 positives, with weights 1 / (n+ n-)."""
+    pairs, in the blocks of ``risks._row_blocks``, weighted 1 / (n+ n-)."""
     if objective not in ("ber", "auc"):
         raise ValueError(f"objective must be 'ber' or 'auc', got {objective!r}")
     ber = objective == "ber"
@@ -301,9 +302,8 @@ def make_objective(
             grad_neg = _class_sums(loss.grad, scorer, theta, J_neg[None, None], -1.0)[:, 0] / n_neg
             return _ber_gradient(grad_pos, grad_neg, theta, weight_decay)[0]
         total = 2.0 * weight_decay * theta
-        for start in range(0, n_pos, _PAIR_CHUNK):
-            chunk = np.arange(start, min(start + _PAIR_CHUNK, n_pos))
-            pos, neg = np.repeat(chunk, n_neg), np.tile(np.arange(n_neg), len(chunk))
+        for rows in _row_blocks(n_pos, n_neg):
+            pos, neg = np.divmod(np.arange(rows.start * n_neg, rows.stop * n_neg), n_neg)
             pairs = np.stack([J_pos[pos], J_neg[neg]])[None]
             total = total + _pair_sums(loss.grad, scorer, theta, pairs, n_pos * n_neg)
         return total[0]
@@ -370,13 +370,15 @@ class _Run:
     trace: TrainTrace
 
 
-def _points_of(sample_set) -> np.ndarray:
+def _points_of(sample_set, name: str) -> np.ndarray:
     points = sample_set.points if isinstance(sample_set, SampleSet) else sample_set
     points = np.asarray(points, dtype=float)
     if points.ndim == 1:
         points = points.reshape(-1, 1)
     if points.shape[0] == 0:
-        raise ValueError("sample set is empty")
+        raise ValueError(f"sample set {name} is empty")
+    if not np.all(np.isfinite(points)):
+        raise ValueError(f"sample set {name} holds a non-finite point")
     return points
 
 
@@ -396,7 +398,7 @@ def _train(objective: str, set_pos, set_neg, config: TrainConfig) -> TrainTrace:
     ceil(max(n_pos, n_neg) / batch_size) steps for both.
     """
     _resolve_loss(config)
-    X_pos, X_neg = _points_of(set_pos), _points_of(set_neg)
+    X_pos, X_neg = _points_of(set_pos, "set_pos"), _points_of(set_neg, "set_neg")
     rng = np.random.default_rng(config.seed)
     if config.model == "linear":
         scorer = Scorer.linear(X_pos.shape[1])

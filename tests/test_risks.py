@@ -373,51 +373,56 @@ class TestAucScore:
             auc_score(pos, neg)
 
 
+def block_rows(scores_pos, scores_neg):
+    """The positive rows of each block of the pair grid: at most
+    ``symloss.risks._BLOCK`` losses, or one row."""
+    rows = max(1, symloss.risks._BLOCK // scores_neg.shape[0])
+    return [slice(start, start + rows) for start in range(0, scores_pos.shape[0], rows)]
+
+
 def serial_pairwise_mean(loss, scores_pos, scores_neg):
-    """The serial 512-row chunk loop, the oracle for pairwise_mean_loss."""
-    total = 0.0
-    for start in range(0, scores_pos.shape[0], 512):
-        block = scores_pos[start : start + 512]
-        total += float(loss.value(block[:, None] - scores_neg).sum())
-    return total / (scores_pos.shape[0] * scores_neg.shape[0])
+    """The serial block loop, the oracle for pairwise_mean_loss."""
+    total = np.float64(0.0)
+    for rows in block_rows(scores_pos, scores_neg):
+        total += loss.value(scores_pos[rows, None] - scores_neg).sum()
+    return float(total / (scores_pos.shape[0] * scores_neg.shape[0]))
 
 
 def hook_pairwise_mean(loss, scores_pos, scores_neg):
-    """The serial 512-row chunk loop with each chunk filled whole by the
-    loss's pair hook, or by its margins where the hook returns None: the
-    oracle for the sigmoid's factored tiles."""
-    total = 0.0
-    for start in range(0, scores_pos.shape[0], 512):
-        block = scores_pos[start : start + 512]
-        fill = loss.pair_inplace(block, scores_neg)
+    """The serial block loop with each block filled by the loss's pair
+    hook, called once for the grid, or by its margins where the hook
+    returns None: the oracle for the sigmoid's factored blocks."""
+    fill = loss.pair_inplace(scores_pos, scores_neg)
+    total = np.float64(0.0)
+    for rows in block_rows(scores_pos, scores_neg):
         if fill is None:
-            grid = loss.value(block[:, None] - scores_neg)
+            grid = loss.value(scores_pos[rows, None] - scores_neg)
         else:
-            grid = fill(slice(None), np.empty((block.shape[0], scores_neg.shape[0])))
-        total += float(grid.sum())
-    return total / (scores_pos.shape[0] * scores_neg.shape[0])
+            grid = fill(rows, np.empty((scores_pos[rows].shape[0], scores_neg.shape[0])))
+        total += grid.sum()
+    return float(total / (scores_pos.shape[0] * scores_neg.shape[0]))
 
 
 def takes_the_margin_path(scores_pos, scores_neg):
-    """Whether every chunk's scores spread over more than 700, where the
-    sigmoid's pair hook leaves the chunk to the margin path, as the serial
-    loop forms it."""
-    return all(
-        np.ptp(np.concatenate([scores_pos[start : start + 512], scores_neg])) > 700.0
-        for start in range(0, scores_pos.shape[0], 512)
-    )
+    """Whether the grid's scores spread over more than 700, where the
+    sigmoid's pair hook leaves every block to the margin path, as the
+    serial loop forms it."""
+    return np.ptp(np.concatenate([scores_pos, scores_neg])) > 700.0
 
 
 class TestPairwiseMeanLoss:
-    # one chunk, an exact multiple of the chunk, and odd and even chunk counts
+    # a lone row, and row counts about multiples of 512, the default
+    # block's rows at 64 negatives
     ROWS = [1, 511, 512, 513, 1024, 1537]
+    # one row a block, several rows and a partial last block, and the default
+    BLOCKS = [1, 100, 1000, symloss.risks._BLOCK]
 
     @pytest.mark.parametrize("n_pos", ROWS)
     @pytest.mark.parametrize("name", LOSS_NAMES)
     @given(
-        n_neg=st.integers(1, 64),
+        n_neg=st.integers(1, 300),
         seed=st.integers(0, 2**32 - 1),
-        scale=st.sampled_from([0.1, 3.0, 200.0]),
+        scale=st.sampled_from([0.1, 3.0, 200.0, 800.0]),
         ties=st.booleans(),
     )
     @settings(max_examples=8, deadline=None)
@@ -428,56 +433,36 @@ class TestPairwiseMeanLoss:
         if ties:
             scores_pos, scores_neg = np.round(scores_pos), np.round(scores_neg)
         before = scores_pos.tobytes(), scores_neg.tobytes()
-        value = pairwise_mean_loss(LOSSES[name], scores_pos, scores_neg)
-        expected = serial_pairwise_mean(LOSSES[name], scores_pos, scores_neg)
-        if name == "sigmoid" and not takes_the_margin_path(scores_pos, scores_neg):
-            # the sigmoid's factored chunks round differently from its margins
-            margins = np.abs(scores_pos[:, None] - scores_neg[None, :])
-            assert abs(value - expected) <= (16.0 + margins.max()) * np.finfo(float).eps * expected
-        else:
-            assert value == expected
+        loss = LOSSES[name]
+        # each block size is checked in every case; the exponential's sums
+        # overflow at the widest scale, in every path
+        for block in self.BLOCKS:
+            with pytest.MonkeyPatch.context() as patch, np.errstate(over="ignore"):
+                patch.setattr(symloss.risks, "_BLOCK", block)
+                value = pairwise_mean_loss(loss, scores_pos, scores_neg)
+                expected = serial_pairwise_mean(loss, scores_pos, scores_neg)
+                if loss.pair_inplace is not None:
+                    assert value == hook_pairwise_mean(loss, scores_pos, scores_neg)
+            if name == "sigmoid" and not takes_the_margin_path(scores_pos, scores_neg):
+                # the sigmoid's factored blocks round differently from its margins
+                margins = np.abs(scores_pos[:, None] - scores_neg[None, :])
+                assert abs(value - expected) <= (16.0 + margins.max()) * np.finfo(float).eps * expected
+            else:
+                assert value == expected
         assert (scores_pos.tobytes(), scores_neg.tobytes()) == before
 
-    # small tiles cut rows, and with no fewest rows a tile can lie inside one
-    @pytest.mark.parametrize("tile", [128, 1000, 4096])
-    @pytest.mark.parametrize("n_pos", ROWS)
-    @given(
-        name=st.sampled_from(LOSS_NAMES),
-        n_neg=st.integers(1, 300),
-        tile_rows=st.sampled_from([0, 1, 8]),
-        seed=st.integers(0, 2**32 - 1),
-        scale=st.sampled_from([0.1, 3.0, 800.0]),
-    )
-    @settings(max_examples=6, deadline=None)
-    def test_tiles_sum_each_chunk_as_numpy_does(
-        self, tile, n_pos, name, n_neg, tile_rows, seed, scale
-    ):
-        rng = np.random.default_rng(seed)
-        scores_pos = rng.normal(scale=scale, size=n_pos)
-        scores_neg = rng.normal(scale=scale, size=n_neg)
-        loss = LOSSES[name]
-        # the exponential's sums overflow at the widest scale, in every path
-        with pytest.MonkeyPatch.context() as patch, np.errstate(over="ignore"):
-            patch.setattr(symloss.risks, "_TILE", tile)
-            patch.setattr(symloss.risks, "_TILE_ROWS", tile_rows)
-            value = pairwise_mean_loss(loss, scores_pos, scores_neg)
-            if loss.pair_inplace is not None:
-                assert value == hook_pairwise_mean(loss, scores_pos, scores_neg)
-            if loss.pair_inplace is None or takes_the_margin_path(scores_pos, scores_neg):
-                assert value == serial_pairwise_mean(loss, scores_pos, scores_neg)
-
     def test_an_overflow_between_tiles_warns_as_the_serial_loop(self, monkeypatch):
-        # each loss is e^700, so a tile of 4096 sums to 4.2e307, and two
-        # tiles to more than the largest float
-        monkeypatch.setattr(symloss.risks, "_TILE", 4096)
+        # each loss is e^700, so a block of 4096 sums to 4.2e307, and two
+        # blocks to more than the largest float
+        monkeypatch.setattr(symloss.risks, "_BLOCK", 4096)
         scores_pos, scores_neg = np.full(512, -350.0), np.full(64, 350.0)
         for mean in (pairwise_mean_loss, serial_pairwise_mean):
             with pytest.warns(RuntimeWarning, match="overflow encountered"):
                 assert mean(get_loss("exponential"), scores_pos, scores_neg) == math.inf
 
-    # one 512-row chunk of this grid is 4 MB of losses, one tile 512 KB
+    # the whole grid is 8 MB of losses, one block 256 KB
     @pytest.mark.parametrize("name", ["sigmoid", "hinge"])
-    def test_a_trace_holds_tiles_not_chunks(self, name):
+    def test_a_trace_holds_blocks_not_the_grid(self, name):
         rng = np.random.default_rng(0)
         scores_pos, scores_neg = rng.normal(size=1000), rng.normal(size=1000)
         pairwise_mean_loss(get_loss(name), scores_pos, scores_neg)  # a warm-up call
@@ -490,8 +475,7 @@ class TestPairwiseMeanLoss:
         assert peak < 2 * 2**20
 
     @pytest.mark.parametrize("name", LOSS_NAMES)
-    def test_every_loss_uses_the_worker_for_two_chunks(self, name):
-        """The calling thread is the only worker: it evaluates each chunk once."""
+    def test_every_loss_evaluates_each_block_once_on_the_calling_thread(self, name):
         loss = LOSSES[name]
         calls = []
 
@@ -503,22 +487,33 @@ class TestPairwiseMeanLoss:
 
             return evaluate_counted
 
+        def hook(scores_pos, scores_neg):
+            grid = (scores_pos.shape[0], scores_neg.shape[0])
+            calls.append(("hook", grid, threading.current_thread() is threading.main_thread()))
+            return counted("pairs", loss.pair_inplace(scores_pos, scores_neg))
+
         changes = {"value": counted("value", loss.value)}
         if loss.pair_inplace is not None:
-            changes["pair_inplace"] = lambda *args: counted("pairs", loss.pair_inplace(*args))
+            changes["pair_inplace"] = hook
         spy = dataclasses.replace(loss, **changes)
         rng = np.random.default_rng(0)
         threads = threading.active_count()
-        pairwise_mean_loss(spy, rng.normal(size=512), rng.normal(size=5))
-        pairwise_mean_loss(spy, rng.normal(size=1024), rng.normal(size=5))
-        # one evaluation per chunk, the pair hook where there is one, else
-        # value, and every one on the main thread
-        kind = "value" if loss.pair_inplace is None else "pairs"
-        assert calls == [(kind, (512, 5), True)] * 3
+        rows = symloss.risks._BLOCK // 1000
+        n_pos = 2 * rows + 1
+        pairwise_mean_loss(spy, rng.normal(size=n_pos), rng.normal(size=1000))
+        # one hook call for the grid where there is a hook, then one
+        # evaluation per block, by the hook's fill where there is one, else
+        # by value, and every one on the main thread
+        blocks = [(rows, 1000)] * 2 + [(1, 1000)]
+        if loss.pair_inplace is None:
+            assert calls == [("value", shape, True) for shape in blocks]
+        else:
+            assert calls == [("hook", (n_pos, 1000), True)] + [("pairs", shape, True) for shape in blocks]
         assert threading.active_count() == threads
 
     # +inf - +inf is NaN, which numpy flags as an invalid subtraction; the
-    # +inf row sits in the first or the second chunk
+    # +inf row is the grid's first or one inside it, and either way the
+    # sigmoid's hook leaves the whole grid to the margin path
     # (sigmoid has a pair hook, hinge has none)
     @pytest.mark.parametrize("row", [0, 600])
     def test_non_finite_scores_warn_as_the_serial_loop(self, row):

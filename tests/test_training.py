@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import symloss.risks
 import symloss.training
 from symloss.distributions import (
     DiscreteBinaryDistribution,
@@ -77,6 +78,11 @@ class TestScorer:
         with pytest.raises(ValueError, match="kind"):
             Scorer(kind="forest", dimension=2, params=np.zeros(3))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_params_rejected(self, bad):
+        with pytest.raises(ValueError, match="linear scorer params must be finite"):
+            Scorer("linear", 1, [bad, 0.0])
+
     def test_mlp_init_bounds_and_determinism(self):
         first = Scorer.mlp(4, 8, np.random.default_rng(3))
         second = Scorer.mlp(4, 8, np.random.default_rng(3))
@@ -118,6 +124,12 @@ class TestTrainConfig:
             TrainConfig(step_size=-0.1)
         # a zero step size is allowed: it is the degenerate no-op run
         assert TrainConfig(step_size=0.0).step_size == 0.0
+
+    @pytest.mark.parametrize("name", ["step_size", "weight_decay"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.1])
+    def test_step_size_and_weight_decay_must_be_finite_and_non_negative(self, name, bad):
+        with pytest.raises(ValueError, match=f"{name} must be finite and >= 0"):
+            TrainConfig(**{name: bad})
 
 
 class TestTrainBer:
@@ -168,6 +180,15 @@ class TestTrainBer:
         pos, _ = clean_sets(10, seed=4)
         with pytest.raises(ValueError, match="empty"):
             train_ber(pos, np.zeros((0, 2)), TrainConfig(objective="ber"))
+
+    @pytest.mark.parametrize("trainer", [train_ber, train_auc])
+    @pytest.mark.parametrize("side", ["set_pos", "set_neg"])
+    def test_a_non_finite_point_is_rejected_naming_its_set(self, trainer, side):
+        pos, neg = clean_sets(10, seed=4)
+        sets = {"set_pos": pos.points.copy(), "set_neg": neg.points.copy()}
+        sets[side][3, 1] = math.nan
+        with pytest.raises(ValueError, match=f"sample set {side} holds a non-finite point"):
+            trainer(sets["set_pos"], sets["set_neg"], TrainConfig(epochs=1))
 
     def test_objective_falls_from_its_initial_value(self):
         pos, neg = clean_sets(200, seed=5)
@@ -530,10 +551,11 @@ class TestGradientChecks:
 
     @pytest.mark.parametrize("model", ["linear", "mlp"])
     def test_auc_gradient_across_a_pair_chunk_boundary(self, model):
-        # 600 positives span two 512-row chunks of the full pairwise gradient
+        # 700 x 50 pairs span two row blocks of the full pairwise gradient
         rng = np.random.default_rng(23)
-        X_pos = rng.normal(0.5, 1.0, size=(600, 2))
+        X_pos = rng.normal(0.5, 1.0, size=(700, 2))
         X_neg = rng.normal(-0.5, 1.0, size=(50, 2))
+        assert len(symloss.risks._row_blocks(len(X_pos), len(X_neg))) == 2
         scorer = Scorer.linear(2) if model == "linear" else Scorer.mlp(2, 3, rng)
         value, gradient = make_objective(
             "auc", get_loss("sigmoid"), X_pos, X_neg, scorer, weight_decay=0.01

@@ -414,8 +414,8 @@ class TestPairwiseMeanLoss:
     # a lone row, and row counts about multiples of 512, the default
     # block's rows at 64 negatives
     ROWS = [1, 511, 512, 513, 1024, 1537]
-    # one row a block, several rows and a partial last block, and the default
-    BLOCKS = [1, 100, 1000, symloss.risks._BLOCK]
+    # one row a block, and the default
+    BLOCKS = [1, symloss.risks._BLOCK]
 
     @pytest.mark.parametrize("n_pos", ROWS)
     @pytest.mark.parametrize("name", LOSS_NAMES)
@@ -451,6 +451,34 @@ class TestPairwiseMeanLoss:
                 assert value == expected
         assert (scores_pos.tobytes(), scores_neg.tobytes()) == before
 
+    # small blocks (the former tiles) cut the grid into several rows a
+    # block and a partial last block, and where the negatives outnumber a
+    # block, into one row a block
+    @pytest.mark.parametrize("tile", [128, 1000, 4096])
+    @pytest.mark.parametrize("n_pos", ROWS)
+    @given(
+        name=st.sampled_from(LOSS_NAMES),
+        n_neg=st.integers(1, 300),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([0.1, 3.0, 800.0]),
+    )
+    @settings(max_examples=6, deadline=None)
+    def test_tiles_sum_each_chunk_as_numpy_does(self, tile, n_pos, name, n_neg, seed, scale):
+        """Each block is summed by one np.sum, and the block sums are added
+        in order, as the serial block loop does."""
+        rng = np.random.default_rng(seed)
+        scores_pos = rng.normal(scale=scale, size=n_pos)
+        scores_neg = rng.normal(scale=scale, size=n_neg)
+        loss = LOSSES[name]
+        # the exponential's sums overflow at the widest scale, in every path
+        with pytest.MonkeyPatch.context() as patch, np.errstate(over="ignore"):
+            patch.setattr(symloss.risks, "_BLOCK", tile)
+            value = pairwise_mean_loss(loss, scores_pos, scores_neg)
+            if loss.pair_inplace is not None:
+                assert value == hook_pairwise_mean(loss, scores_pos, scores_neg)
+            if loss.pair_inplace is None or takes_the_margin_path(scores_pos, scores_neg):
+                assert value == serial_pairwise_mean(loss, scores_pos, scores_neg)
+
     def test_an_overflow_between_tiles_warns_as_the_serial_loop(self, monkeypatch):
         # each loss is e^700, so a block of 4096 sums to 4.2e307, and two
         # blocks to more than the largest float
@@ -460,9 +488,10 @@ class TestPairwiseMeanLoss:
             with pytest.warns(RuntimeWarning, match="overflow encountered"):
                 assert mean(get_loss("exponential"), scores_pos, scores_neg) == math.inf
 
-    # the whole grid is 8 MB of losses, one block 256 KB
+    # the whole grid is 8 MB of losses, one 512-row chunk of it 4 MB, and
+    # one block (what a tile was) 256 KB
     @pytest.mark.parametrize("name", ["sigmoid", "hinge"])
-    def test_a_trace_holds_blocks_not_the_grid(self, name):
+    def test_a_trace_holds_tiles_not_chunks(self, name):
         rng = np.random.default_rng(0)
         scores_pos, scores_neg = rng.normal(size=1000), rng.normal(size=1000)
         pairwise_mean_loss(get_loss(name), scores_pos, scores_neg)  # a warm-up call
@@ -475,7 +504,9 @@ class TestPairwiseMeanLoss:
         assert peak < 2 * 2**20
 
     @pytest.mark.parametrize("name", LOSS_NAMES)
-    def test_every_loss_evaluates_each_block_once_on_the_calling_thread(self, name):
+    def test_every_loss_uses_the_worker_for_two_chunks(self, name):
+        """The calling thread is the only worker: on a grid of two blocks,
+        a full one and a one-row one, it evaluates each block once."""
         loss = LOSSES[name]
         calls = []
 
@@ -499,12 +530,12 @@ class TestPairwiseMeanLoss:
         rng = np.random.default_rng(0)
         threads = threading.active_count()
         rows = symloss.risks._BLOCK // 1000
-        n_pos = 2 * rows + 1
+        n_pos = rows + 1
         pairwise_mean_loss(spy, rng.normal(size=n_pos), rng.normal(size=1000))
         # one hook call for the grid where there is a hook, then one
         # evaluation per block, by the hook's fill where there is one, else
         # by value, and every one on the main thread
-        blocks = [(rows, 1000)] * 2 + [(1, 1000)]
+        blocks = [(rows, 1000), (1, 1000)]
         if loss.pair_inplace is None:
             assert calls == [("value", shape, True) for shape in blocks]
         else:

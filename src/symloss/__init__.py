@@ -54,12 +54,7 @@ from .textpipe import (
     pseudo_label,
     run_pipeline,
 )
-from .threshold import (
-    ThresholdResult,
-    default_threshold,
-    heuristic_threshold,
-    select_threshold,
-)
+from .threshold import ThresholdResult, select_threshold
 from .training import (
     Scorer,
     TrainConfig,

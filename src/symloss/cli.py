@@ -35,6 +35,10 @@ _KEYWORDS_FLAGS = {
     "--tau": ("corpus", "tau", "pseudo-labeling cosine cutoff"),
 }
 
+# how numpy's ValueError begins for an array size it cannot index: reported
+# like a MemoryError, while every other ValueError is a bug and still raises
+_NUMPY_TOO_BIG = ("Maximum allowed dimension exceeded", "array is too big")
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -70,9 +74,11 @@ def main(argv=None) -> int:
         }
         config = parse_config(config_path, args.experiment, overrides)
         status = run_experiment(config)
-    except (ConfigurationError, MemoryError) as exc:
-        if isinstance(exc, MemoryError):
+    except (MemoryError, ValueError) as exc:
+        if isinstance(exc, MemoryError) or str(exc).startswith(_NUMPY_TOO_BIG):
             exc = f"{config_path}: needs more memory than is available ({str(exc) or 'MemoryError'})"
+        elif not isinstance(exc, ConfigurationError):
+            raise
         print(f"symloss: error: {exc}", file=sys.stderr)
         return 2
     if status == 0:

@@ -28,13 +28,7 @@ from .distributions import SampleSet
 from .errors import ConfigurationError, DegenerateSplitError, cannot_read, not_utf8
 from .losses import get_loss
 from .risks import auc_score, classification_metrics
-from .threshold import (
-    THRESHOLD_METHODS,
-    classify_scores,
-    default_threshold,
-    heuristic_threshold,
-    select_threshold,
-)
+from .threshold import THRESHOLD_METHODS, classify_scores, select_threshold
 from .training import Scorer, TrainConfig, train_auc
 
 __all__ = [
@@ -382,7 +376,7 @@ def build_vectorizer(texts, scheme: str = "tf_idf", min_doc_freq: int = 1) -> Ve
     kept = [(token, count) for token, count in df.items() if count >= min_doc_freq]
     if not kept:
         raise ConfigurationError(
-            f"no token reaches document frequency {min_doc_freq}; vocabulary is empty"
+            f"no token is in at least min_doc_freq = {min_doc_freq} documents; vocabulary is empty"
         )
     kept.sort(key=lambda item: (-item[1], item[0]))
     vocabulary = {token: index for index, (token, _) in enumerate(kept)}
@@ -492,6 +486,11 @@ class PipelineConfig:
 def run_pipeline(corpus: Corpus, keywords: KeywordSet, config: PipelineConfig) -> dict:
     """Pseudo-label, train the ranker, pick a threshold, evaluate.
 
+    The threshold is picked in one :func:`select_threshold` call on the
+    validation scores (the train scores for ``default_zero`` without them),
+    given the known prior, the train split's pseudo-positive fraction or no
+    prior, by method.
+
     The result is the run's ``report.json`` object: the pseudo-split sizes,
     the measured proportions ``empirical_pi_pos`` and ``empirical_pi_neg``
     (None without hidden labels), the ``threshold``, the ``test_metrics``
@@ -545,23 +544,18 @@ def run_pipeline(corpus: Corpus, keywords: KeywordSet, config: PipelineConfig) -
     trace = train_auc(pseudo_pos, pseudo_neg, config.train)
     scorer = trace.scorer
 
-    if config.threshold_method == "default_zero":
-        threshold = default_threshold(
-            _score_texts(vectorizer, scorer, validation_texts) if validation_texts
-            else scorer(train_matrix)
-        )
+    method = config.threshold_method
+    if validation_texts:
+        scores = _score_texts(vectorizer, scorer, validation_texts)
+    elif method == "default_zero":
+        scores = scorer(train_matrix)
     else:
-        if not validation_texts:
-            raise ConfigurationError(
-                "threshold selection needs validation_unlabeled documents"
-            )
-        validation_scores = _score_texts(vectorizer, scorer, validation_texts)
-        if config.threshold_method == "breakeven_known_prior":
-            threshold = select_threshold(validation_scores, config.known_prior)
-        else:
-            threshold = heuristic_threshold(
-                len(pseudo_pos), len(train_texts), validation_scores
-            )
+        raise ConfigurationError("threshold selection needs validation_unlabeled documents")
+    prior = {
+        "breakeven_known_prior": config.known_prior,
+        "heuristic_pseudo_ratio": len(pseudo_pos) / len(train_texts),
+    }.get(method)
+    threshold = select_threshold(scores, prior, method)
     del train_matrix  # not held through the test slice's transform
 
     test_metrics = None

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -26,8 +26,6 @@ __all__ = [
     "ThresholdResult",
     "check_prior",
     "select_threshold",
-    "heuristic_threshold",
-    "default_threshold",
     "classify_scores",
     "THRESHOLD_METHODS",
 ]
@@ -108,35 +106,25 @@ def _select(scores: np.ndarray, target_prior: float, method: str) -> ThresholdRe
     return ThresholdResult(beta, fraction, method, degenerate=(fraction != k / n))
 
 
-def select_threshold(scores_validation: Sequence[float], target_prior: float) -> ThresholdResult:
-    """Cutoff matching a known positive-class prior on validation scores."""
+def select_threshold(
+    scores_validation: Sequence[float], target_prior: Optional[float], method: str
+) -> ThresholdResult:
+    """The ``method`` cutoff on validation scores: ``default_zero`` is beta = 0
+    and ignores ``target_prior``; the other two match ``target_prior``, the
+    known prior or the pseudo-positive ratio standing in for it."""
+    if method not in THRESHOLD_METHODS:
+        raise ValueError(f"method must be one of {THRESHOLD_METHODS}, got {method!r}")
     scores = _validated_scores(scores_validation)
-    return _select(scores, check_prior(target_prior), "breakeven_known_prior")
+    if method == "default_zero":
+        return ThresholdResult(0.0, _positive_fraction(scores, 0.0), method)
+    return _select(scores, check_prior(target_prior), method)
 
 
-def check_prior(prior: float) -> float:
+def check_prior(prior: Optional[float]) -> float:
     """``prior`` if it is a usable positive-class prior, i.e. in (0, 1)."""
-    if not (0.0 < prior < 1.0):
+    if prior is None or not (0.0 < prior < 1.0):
         raise ValueError(f"target prior must be in (0, 1), got {prior}")
     return prior
-
-
-def heuristic_threshold(
-    n_pseudo_pos: int, n_unlabeled: int, scores_validation: Sequence[float]
-) -> ThresholdResult:
-    """Cutoff using the pseudo-positive/unlabeled ratio as a prior stand-in."""
-    if not (0 < n_pseudo_pos < n_unlabeled):
-        raise ValueError(
-            f"need 0 < n_pseudo_pos < n_unlabeled, got {n_pseudo_pos}/{n_unlabeled}"
-        )
-    scores = _validated_scores(scores_validation)
-    return _select(scores, n_pseudo_pos / n_unlabeled, "heuristic_pseudo_ratio")
-
-
-def default_threshold(scores_validation: Sequence[float]) -> ThresholdResult:
-    """The baseline cutoff beta = 0."""
-    scores = _validated_scores(scores_validation)
-    return ThresholdResult(0.0, _positive_fraction(scores, 0.0), "default_zero")
 
 
 def classify_scores(scores, beta: float) -> np.ndarray:

@@ -307,7 +307,9 @@ def test_criterion_7_breakeven_threshold(bundled_corpus, pipeline_runs):
     )
 
     n_positive = int((truth == 1).sum())
-    threshold = select_threshold(scores, target_prior=n_positive / truth.size)
+    threshold = select_threshold(
+        scores, target_prior=n_positive / truth.size, method="breakeven_known_prior"
+    )
     metrics = classification_metrics(classify_scores(scores, threshold.beta), truth)
     gap = abs(metrics["precision"] - metrics["recall"])
     report(

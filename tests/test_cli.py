@@ -264,6 +264,34 @@ class TestNoiseSweepCommand:
         )
         assert not (tmp_path / "out").exists()
 
+    def test_any_other_value_error_still_raises(self, tmp_path, monkeypatch):
+        def runner(config):
+            raise ValueError("a bug")
+
+        experiments = symloss.experiments._EXPERIMENTS
+        _, reads, one_seed = experiments["noise_sweep"]
+        monkeypatch.setitem(experiments, "noise_sweep", (runner, reads, one_seed))
+        with pytest.raises(ValueError, match="a bug"):
+            main(["noise-sweep", "--config", str(sweep_config(tmp_path))])
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("batch_size = 64", "batch_size = 100000000000000000000"),
+            ("objective = ber", "objective = auc\npair_batch = 100000000000000000000"),
+            ("n_train_per_class = 120", f"n_train_per_class = {2**62}"),
+        ],
+        ids=["batch_size", "pair_batch", "n_train_per_class"],
+    )
+    def test_a_count_numpy_cannot_index_exits_two(self, tmp_path, capsys, key, value):
+        config = sweep_config(tmp_path)
+        config.write_text(config.read_text().replace(key, value))
+        assert main(["noise-sweep", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"symloss: error: {config}: needs more memory than is available (")
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
     def test_clean_cell_reaches_low_ber_for_both_losses(self, tmp_path):
         config = write_config(
             tmp_path,
@@ -468,6 +496,14 @@ batch_size = 64
         config = self.keywords_config(tmp_path, keywords=str(missing))
         assert main(["keywords", "--config", str(config)]) == 2
         assert str(missing) in capsys.readouterr().err
+
+    def test_an_empty_vocabulary_names_min_doc_freq(self, tmp_path, capsys):
+        config = self.keywords_config(tmp_path)
+        config.write_text(config.read_text().replace("tau = 0.15", "min_doc_freq = 100000"))
+        assert main(["keywords", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "min_doc_freq = 100000" in err and "vocabulary is empty" in err
+        assert not (tmp_path / "out").exists()
 
     def test_threshold_method_flag(self, tmp_path):
         config = self.keywords_config(tmp_path)

@@ -1,6 +1,7 @@
 """Vectorization, pseudo-labeling, and the end-to-end keyword pipeline."""
 
 import json
+import math
 import re
 import tracemalloc
 from unittest import mock
@@ -734,6 +735,14 @@ class TestRunPipeline:
             corpus, keywords, pipeline_config(threshold_method="heuristic_pseudo_ratio")
         )
         assert heuristic["threshold"]["method"] == "heuristic_pseudo_ratio"
+        # the cutoff matches the pseudo-positive ratio (140/200 = 0.7 here),
+        # not the known prior (0.3)
+        n_train = len(corpus.columns("train_unlabeled")[0])
+        n_val = len(corpus.columns("validation_unlabeled")[0])
+        ratio = heuristic["n_pseudo_pos"] / n_train
+        fraction = math.floor(ratio * n_val + 0.5) / n_val
+        assert heuristic["threshold"]["achieved_positive_fraction"] == fraction
+        assert not heuristic["threshold"]["degenerate"]
         default = run_pipeline(
             corpus, keywords, pipeline_config(threshold_method="default_zero")
         )

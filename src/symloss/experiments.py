@@ -198,8 +198,9 @@ def _read_sections(parser: configparser.ConfigParser, at) -> dict[str, dict]:
 
 @dataclass
 class ExperimentConfig:
-    """Everything one experiment run needs, already validated: every schema
-    key's value (or default) in ``sections``, plus the values built from them."""
+    """Everything one experiment run needs: every schema key's checked value
+    (or default) in ``sections``, plus the values built from them.  A runner
+    checks the rules of the object it builds: breakeven's prior, ``[uu]``'s order."""
 
     experiment: str
     output_dir: Path
@@ -362,17 +363,8 @@ def parse_config(
         raise ConfigurationError("[train] objective: the keywords pipeline trains only 'auc'")
     train = check_value("[train]", TrainConfig, **sections["train"])
 
-    uu = sections["uu"]
-    check_value("[uu] pi_u, pi_u_prime", uu_params, uu["pi_u"], uu["pi_u_prime"])
-
-    corpus = sections["corpus"]
-    method = THRESHOLD_ALIASES.get(corpus["threshold_method"], corpus["threshold_method"])
-    corpus["threshold_method"] = method
-    if "corpus" in reads and method == "breakeven_known_prior" and corpus["prior"] is None:
-        raise ConfigurationError(
-            "[corpus] prior: breakeven thresholding needs the known positive-class prior; "
-            "set it, or pick another threshold_method"
-        )
+    method = sections["corpus"]["threshold_method"]
+    sections["corpus"]["threshold_method"] = THRESHOLD_ALIASES.get(method, method)
 
     return ExperimentConfig(
         experiment=name,
@@ -534,14 +526,14 @@ def _run_sweep(config: ExperimentConfig, cells: Optional[int]) -> tuple[dict, in
 
 def _run_reduction_demo(config: ExperimentConfig, reduction: str) -> tuple[dict, int]:
     """PU/UU route vs. the generic corrupted route: their trained parameters
-    and final objectives must match."""
+    and final objectives must match; ``reduced`` is built before any sample."""
     if reduction == "pu":
         prior = config.sections["pu"]["class_prior_unlabeled"]
         reduced = pu_params(prior)
         generic = McdParams(1.0, prior)
     else:
         uu = config.sections["uu"]
-        reduced = uu_params(uu["pi_u"], uu["pi_u_prime"])
+        reduced = check_value("[uu] pi_u, pi_u_prime", uu_params, uu["pi_u"], uu["pi_u_prime"])
         generic = McdParams(uu["pi_u"], uu["pi_u_prime"])
 
     records = _run_grid(config, [reduced, generic], [config.train.loss])
@@ -572,18 +564,13 @@ def _load_asset(setting: str, bundled, from_file):
 
 
 def run_keywords(config: ExperimentConfig) -> tuple[dict, int]:
-    """The full keywords-to-classifier pipeline on a corpus."""
-    settings = config.sections["corpus"]
-    corpus = _load_asset(settings["corpus_path"], load_mini_corpus, Corpus.from_jsonl)
-    keywords = _load_asset(settings["keywords_path"], load_keywords, KeywordSet.from_file)
-    pipeline_config = PipelineConfig(
-        train=replace(config.train, objective="auc", seed=config.seeds[0]),
-        known_prior=settings["prior"],
-        tau=settings["tau"],
-        scheme=settings["scheme"],
-        min_doc_freq=settings["min_doc_freq"],
-        threshold_method=settings["threshold_method"],
-    )
+    """The keywords-to-classifier pipeline on a corpus, configured before any read."""
+    settings = dict(config.sections["corpus"])
+    corpus_path, keywords_path = settings.pop("corpus_path"), settings.pop("keywords_path")
+    train = replace(config.train, objective="auc", seed=config.seeds[0])
+    pipeline_config = check_value("[corpus] prior", PipelineConfig, train, **settings)
+    corpus = _load_asset(corpus_path, load_mini_corpus, Corpus.from_jsonl)
+    keywords = _load_asset(keywords_path, load_keywords, KeywordSet.from_file)
     report = run_pipeline(corpus, keywords, pipeline_config)
 
     # an absent or undefined value is None: an empty cell and JSON null
@@ -681,8 +668,9 @@ def run_experiment(config: ExperimentConfig) -> int:
     """Run ``config``'s experiment, then write its artifacts and manifest
     into ``config.output_dir``; the exit status is the runner's.  A directory
     that cannot be made, or a file that cannot be written, is a
-    ConfigurationError naming it; the artifacts already written are deleted
-    first, so none is left without its manifest."""
+    ConfigurationError naming it.  The run's files are deleted first: those
+    written, and the one that failed after its open, so none is left without
+    its manifest and no file is left part written."""
     artifacts, status = _EXPERIMENTS[config.experiment][0](config)
     try:
         config.output_dir.mkdir(parents=True, exist_ok=True)
@@ -699,9 +687,12 @@ def run_experiment(config: ExperimentConfig) -> int:
             else:
                 write_csv(path, content)
             written.append(path)
+        path = config.output_dir / "manifest.json"
         write_manifest(config, paths)
     except OSError as exc:
-        for path in written:
-            path.unlink()
-        raise ConfigurationError(f"{exc.filename}: cannot write ({exc.strerror})") from None
+        if exc.filename is None:  # a write or close failed: the file was opened
+            written.append(path)
+        for done in written:
+            done.unlink(missing_ok=True)
+        raise ConfigurationError(f"{path}: cannot write ({exc.strerror})") from None
     return status

@@ -2,9 +2,9 @@
 
 Every loss is a function of the margin z (z = y*g(x) for classification,
 z = g(x) - g(x') for pairwise ranking).  Each catalog entry bundles the
-value function, an analytic derivative where one exists, and the metadata
-the rest of the package keys on: convexity, AUC consistency, and
-symmetry.
+value function, an analytic derivative where one exists, and metadata.
+The package keys on symmetry and differentiability; convexity and AUC
+consistency are catalog facts, which no code in the package reads.
 
 A loss is *symmetric* when l(z) + l(-z) = K for a constant K independent
 of z.  Symmetric losses are the reason corrupted-label risks share their

@@ -465,21 +465,23 @@ def pseudo_label(
 
 @dataclass
 class PipelineConfig:
-    """Settings for the keywords-to-classifier pipeline."""
+    """Settings for the keywords-to-classifier pipeline: each field but
+    ``train`` is the ``[corpus]`` key of its name.  A breakeven config needs ``prior``."""
 
     train: TrainConfig
     tau: float = 0.15
     scheme: str = "tf_idf"
     min_doc_freq: int = 1
     threshold_method: str = "breakeven_known_prior"
-    known_prior: Optional[float] = None
+    prior: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.threshold_method not in THRESHOLD_METHODS:
             raise ConfigurationError(f"unknown threshold method {self.threshold_method!r}")
-        if self.threshold_method == "breakeven_known_prior" and self.known_prior is None:
+        if self.threshold_method == "breakeven_known_prior" and self.prior is None:
             raise ConfigurationError(
-                "breakeven thresholding needs known_prior in the pipeline config"
+                "breakeven thresholding needs the known positive-class prior; "
+                "set it, or pick another threshold_method"
             )
 
 
@@ -552,7 +554,7 @@ def run_pipeline(corpus: Corpus, keywords: KeywordSet, config: PipelineConfig) -
     else:
         raise ConfigurationError("threshold selection needs validation_unlabeled documents")
     prior = {
-        "breakeven_known_prior": config.known_prior,
+        "breakeven_known_prior": config.prior,
         "heuristic_pseudo_ratio": len(pseudo_pos) / len(train_texts),
     }.get(method)
     threshold = select_threshold(scores, prior, method)

@@ -89,7 +89,7 @@ def pipeline_runs(bundled_corpus):
             scheme="tf_idf",
             min_doc_freq=1,
             threshold_method=threshold_method,
-            known_prior=0.3,
+            prior=0.3,
         )
 
     breakeven = run_pipeline(corpus, keywords, config("breakeven_known_prior"))

@@ -579,6 +579,36 @@ batch_size = 64
         values = dict(zip(header, row))
         assert values["ber"] == "" and values["cer"] != ""
 
+    def test_a_pseudo_split_that_is_not_informative_exits_one(self, tmp_path, capsys):
+        # every keyword document is a negative, so the pseudo-positive side
+        # holds no true positive and the pseudo-negative side only positives
+        keywords = ["orbit", "comet", "planet", "rocket", "galaxy"]
+        records = []
+        for split, n in (("train_unlabeled", 60), ("validation_unlabeled", 40),
+                         ("test_labeled", 40)):
+            for i in range(n):
+                label = -1 if i < n // 3 else 1
+                words = " ".join(keywords) if label == -1 else "recipe bread oven flour"
+                records.append({"id": f"{split}-{i}", "text": f"{words} w{i % 5}",
+                                "label": label, "split": split})
+        corpus, keyword_file = tmp_path / "corpus.jsonl", tmp_path / "keywords.txt"
+        corpus.write_text("".join(json.dumps(record) + "\n" for record in records))
+        keyword_file.write_text("\n".join(keywords) + "\n")
+        config = self.keywords_config(tmp_path, corpus=str(corpus), keywords=str(keyword_file))
+        config.write_text(config.read_text().replace("epochs = 60", "epochs = 5"))
+        with pytest.warns(UserWarning, match="pseudo split is not informative"):
+            assert main(["keywords", "--config", str(config)]) == 1
+        out = tmp_path / "out"
+        assert capsys.readouterr().err == (
+            f"keywords: FAILED an internal assertion (see artifacts in {out})\n"
+        )
+        assert sorted(path.name for path in out.iterdir()) == [
+            "manifest.json", "metrics.csv", "report.json"
+        ]
+        report = json.loads((out / "report.json").read_text())
+        assert (report["empirical_pi_pos"], report["empirical_pi_neg"]) == (0.0, 1.0)
+        assert any("pseudo split is not informative" in note for note in report["warnings"])
+
     @pytest.mark.parametrize(
         "kind, flags, message",
         [
@@ -998,7 +1028,7 @@ class TestSchema:
         assert pipeline.train == replace(self.TRAIN, seed=3)
         assert (
             pipeline.tau, pipeline.scheme, pipeline.min_doc_freq,
-            pipeline.threshold_method, pipeline.known_prior,
+            pipeline.threshold_method, pipeline.prior,
         ) == (0.2, "tf", 2, "heuristic_pseudo_ratio", 0.35)
 
     @pytest.mark.parametrize(
@@ -1086,6 +1116,9 @@ class TestSchema:
         ("noise_sweep", "[noise]\npi_corr_pos = 0.8\npi_corr_neg = 0.3\n\n"
          "[losses]\nnames = sigmoid, logistic\n\n[assertions]\nloss_order = sigmoid <= sigmoid\n",
          [], "[assertions] loss_order: 'sigmoid' is on both sides"),
+        ("noise_sweep", "[noise]\npi_corr_pos = 0.8\npi_corr_neg = 0.3\n\n"
+         "[losses]\nnames = sigmoid, logistic\n\n[assertions]\nloss_order = sigmoid < logistic\n",
+         [], "[assertions] loss_order: expected 'lossA <= lossB'"),
     ],
     ids=["pu-prior", "uu-order", "tau", "tau-flag", "prior", "prior-flag", "max-support",
          "zero-one-train", "zero-one-flag", "zero-one-names", "seed-flag", "method-flag",
@@ -1096,7 +1129,7 @@ class TestSchema:
          "repeated-noise-cell", "breakeven-no-prior", "breakeven-flag-no-prior",
          "repeated-seed", "repeated-seed-flag", "min-doc-freq-negative",
          "tolerance-negative", "symmetric-tolerance-negative", "repeated-loss-name",
-         "loss-order-one-loss"],
+         "loss-order-one-loss", "loss-order-without-operator"],
 )
 def test_out_of_range_value_exits_two_before_any_output(
     tmp_path, capsys, experiment, text, flags, location
@@ -1176,6 +1209,42 @@ def test_an_artifact_that_cannot_be_written_exits_two(tmp_path, capsys, name):
     assert err.startswith(f"symloss: error: {out / name}: cannot write (")
     # no residuals.csv is left behind without its manifest
     assert [path.name for path in out.iterdir()] == [name]
+
+
+@pytest.mark.parametrize("name", ["residuals.csv", "manifest.json"])
+@pytest.mark.parametrize("how", ["dev-full", "part-written"])
+def test_an_artifact_whose_write_fails_after_its_open_exits_two(
+    tmp_path, capsys, monkeypatch, how, name
+):
+    out = tmp_path / "out"
+    if how == "dev-full":
+        # /dev/full opens, then fails the write with ENOSPC and no filename
+        if not os.path.exists("/dev/full"):
+            pytest.skip("needs /dev/full")
+        out.mkdir()
+        (out / name).symlink_to("/dev/full")
+    else:
+        # a filling disk: the file takes some bytes, then the write fails
+        def filling(path, *args):
+            with open(path, "w") as fh:
+                fh.write("part of the file\n")
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        if name == "residuals.csv":
+            monkeypatch.setattr(symloss.experiments, "write_csv", filling)
+        else:
+            monkeypatch.setattr(symloss.experiments, "write_manifest",
+                                lambda config, paths: filling(config.output_dir / name))
+    path = write_config(
+        tmp_path,
+        "[experiment]\nname = verify_identities\n\n"
+        "[losses]\nnames = sigmoid\n\n[identities]\ninstances = 1\n",
+    )
+    assert main(["verify-identities", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"symloss: error: {out / name}: cannot write (No space left on device)\n"
+    )
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize(

@@ -685,7 +685,7 @@ def pipeline_config(seed=0, **overrides):
         scheme="tf_idf",
         min_doc_freq=1,
         threshold_method="breakeven_known_prior",
-        known_prior=0.3,
+        prior=0.3,
     )
     defaults.update(overrides)
     return PipelineConfig(**defaults)
@@ -726,8 +726,8 @@ class TestRunPipeline:
 
     def test_missing_prior_for_breakeven(self, bundled):
         corpus, keywords = bundled
-        with pytest.raises(ConfigurationError, match="known_prior"):
-            run_pipeline(corpus, keywords, pipeline_config(known_prior=None))
+        with pytest.raises(ConfigurationError, match="needs the known positive-class prior"):
+            run_pipeline(corpus, keywords, pipeline_config(prior=None))
 
     def test_heuristic_and_default_methods(self, bundled):
         corpus, keywords = bundled

@@ -63,6 +63,12 @@ class TestSelectThreshold:
         with pytest.raises(ValueError, match="prior"):
             select_threshold([1.0], 1.0, BREAKEVEN)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("method", [BREAKEVEN, HEURISTIC, DEFAULT])
+    def test_a_non_finite_score_is_rejected(self, bad, method):
+        with pytest.raises(ValueError, match="validation scores must be finite"):
+            select_threshold([0.5, bad, -0.5], 0.5, method)
+
     @given(
         st.lists(st.floats(-100, 100), min_size=1, max_size=60),
         st.floats(0.01, 0.99),

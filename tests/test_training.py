@@ -424,6 +424,16 @@ class TestTrainMany:
                 train_ber, sets, [config, replace(config, seed=2, loss="logistic", **change)]
             )
 
+    @pytest.mark.parametrize("declared", [0, 2], ids=["none", "two"])
+    def test_each_trainer_call_declares_one_run(self, declared):
+        def trainer(pos, neg, config):
+            for _ in range(declared):
+                train_ber(pos, neg, config)
+
+        pos, neg = gaussian_sets(McdParams(0.8, 0.3), 30, seed=42)
+        with pytest.raises(ValueError, match="each trainer call must declare exactly one run"):
+            train_many(trainer, [(pos, neg)], [TrainConfig(epochs=1, seed=42)])
+
     @pytest.mark.parametrize("model", ["linear", "mlp"])
     @pytest.mark.parametrize("trainer", [train_ber, train_auc])
     def test_a_mixed_loss_batch_equals_each_loss_batch(self, trainer, model):

@@ -9,7 +9,8 @@ its bundled default config and ``--out`` pointed into a temporary
 directory.  Standard output is only one JSON object, sorted: experiment
 name -> the ``artifacts`` map of its ``manifest.json`` (file name ->
 sha256).  The CLI's own "ok" lines are kept out of it.  A run that does
-not exit 0 is an error, and nothing is printed.
+not exit 0, or that emits a ``RuntimeWarning`` (an overflow or a NaN in
+numpy), is an error, and nothing is printed.
 
 ``tools/default_hashes.json`` holds the map of a known-good commit.  A
 change that should keep every artifact byte-identical must reproduce it.
@@ -28,6 +29,7 @@ import io
 import json
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -38,8 +40,10 @@ from symloss.experiments import EXPERIMENTS  # noqa: E402
 
 def run_default(experiment: str, out: Path) -> None:
     """Run ``experiment`` with its bundled default config into ``out``,
-    its "ok" line kept off standard output; a nonzero exit is an error."""
-    with contextlib.redirect_stdout(io.StringIO()):
+    its "ok" line kept off standard output; a nonzero exit is an error, and
+    a ``RuntimeWarning`` is raised as one."""
+    with contextlib.redirect_stdout(io.StringIO()), warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         status = main([experiment.replace("_", "-"), "--out", str(out)])
     if status != 0:
         raise SystemExit(f"{experiment}: exited {status}")

@@ -35,6 +35,20 @@ __all__ = [
 Sampler = Callable[[np.random.Generator, int], np.ndarray]
 
 
+def _points(points) -> np.ndarray:
+    """The one point rule: a float array of rows, a 1-D length-n input as n scalar points."""
+    points = np.asarray(points, dtype=float)
+    return points.reshape(-1, 1) if points.ndim == 1 else points
+
+
+def _labels(labels, name: str) -> np.ndarray:
+    """The one label rule: an int array of values exactly +1 or -1, no bools."""
+    labels = np.asarray(labels)
+    if labels.dtype == bool or not np.all(np.isin(labels, (-1, 1))):
+        raise ValueError(f"{name} must be +1 or -1")
+    return labels.astype(int, copy=False)
+
+
 @dataclass(frozen=True)
 class McdParams:
     """Mixture proportions of the corrupted-positive and corrupted-negative sets.
@@ -101,10 +115,7 @@ class DiscreteBinaryDistribution:
     p_neg: np.ndarray
 
     def __post_init__(self) -> None:
-        support = np.asarray(self.support, dtype=float)
-        if support.ndim == 1:
-            # a 1-D length-m input is m scalar points, not one m-dim point
-            support = support.reshape(-1, 1)
+        support = _points(self.support)
         p_pos = np.asarray(self.p_pos, dtype=float)
         p_neg = np.asarray(self.p_neg, dtype=float)
         object.__setattr__(self, "support", support)
@@ -160,17 +171,12 @@ class SampleSet:
     hidden_labels: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
-        points = np.asarray(self.points, dtype=float)
-        if points.ndim == 1:
-            points = points.reshape(-1, 1)
-        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "points", _points(self.points))
         if self.hidden_labels is not None:
-            labels = np.asarray(self.hidden_labels, dtype=int)
+            labels = _labels(self.hidden_labels, "hidden labels")
             object.__setattr__(self, "hidden_labels", labels)
-            if labels.shape != (points.shape[0],):
+            if labels.shape != (len(self),):
                 raise ValueError("hidden_labels length must match points")
-            if not np.all(np.isin(labels, (-1, 1))):
-                raise ValueError("hidden labels must be +1 or -1")
 
     def __len__(self) -> int:
         return self.points.shape[0]

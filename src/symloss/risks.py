@@ -31,11 +31,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .distributions import DiscreteBinaryDistribution, McdParams, corrupt_distribution
+from .distributions import DiscreteBinaryDistribution, McdParams, _labels, corrupt_distribution
 from .losses import LossSpec
 
 __all__ = [
@@ -71,14 +71,17 @@ class DecompositionCheck:
         return abs(self.lhs - self.rhs)
 
 
-def _scores(scores, n_points: Optional[int] = None) -> np.ndarray:
-    """``scores`` as a flat float array, rejected when empty or, given
-    ``n_points``, when it holds other than one score per support point."""
+def _scores(scores, n_points=None, finite=False, name="scores") -> np.ndarray:
+    """``scores``, named ``name``, as a flat float array: the one score rule.
+    It is rejected when empty, given ``n_points`` when it holds other than
+    one score per support point, and with ``finite`` when a score is not."""
     scores = np.asarray(scores, dtype=float).reshape(-1)
     if scores.size == 0:
-        raise ValueError("empty score list")
+        raise ValueError(f"need a non-empty list of {name}")
     if n_points is not None and scores.size != n_points:
         raise ValueError(f"got {scores.size} scores for {n_points} points")
+    if finite and not np.all(np.isfinite(scores)):
+        raise ValueError(f"{name} must be finite")
     return scores
 
 
@@ -128,10 +131,7 @@ def pairwise_mean_loss(
     elsewhere its relative error is at most (16 + max|s - s'|) * eps, with
     eps the float64 machine epsilon.
     """
-    scores_pos = np.asarray(scores_pos, dtype=float).reshape(-1)
-    scores_neg = np.asarray(scores_neg, dtype=float).reshape(-1)
-    if scores_pos.size == 0 or scores_neg.size == 0:
-        raise ValueError("pairwise_mean_loss needs non-empty score lists")
+    scores_pos, scores_neg = _scores(scores_pos), _scores(scores_neg)
     (n_pos,), (width,) = scores_pos.shape, scores_neg.shape
     blocks = _row_blocks(n_pos, width)
     fill = loss.pair_inplace(scores_pos, scores_neg) if loss.pair_inplace else None
@@ -219,12 +219,8 @@ def auc_score(scores_pos: Sequence[float], scores_neg: Sequence[float]) -> float
     counts of negatives strictly below and tied with it are integers, so
     the result equals exhaustive pair counting exactly.
     """
-    scores_pos = np.asarray(scores_pos, dtype=float).reshape(-1)
-    scores_neg = np.sort(np.asarray(scores_neg, dtype=float).reshape(-1))
-    if scores_pos.size == 0 or scores_neg.size == 0:
-        raise ValueError("auc_score needs non-empty score lists")
-    if not (np.all(np.isfinite(scores_pos)) and np.all(np.isfinite(scores_neg))):
-        raise ValueError("auc_score needs finite scores")
+    scores_pos = _scores(scores_pos, finite=True)
+    scores_neg = np.sort(_scores(scores_neg, finite=True))
     below = np.searchsorted(scores_neg, scores_pos, side="left")
     ties = np.searchsorted(scores_neg, scores_pos, side="right") - below
     u_stat = below.sum() + 0.5 * ties.sum()
@@ -238,17 +234,14 @@ def classification_metrics(predicted, truth) -> dict[str, object]:
     naming metrics whose denominators vanish (single-class truth makes
     ber, and possibly recall/f1, undefined).
     """
-    predicted = np.asarray(predicted, dtype=int).reshape(-1)
-    truth = np.asarray(truth, dtype=int).reshape(-1)
+    predicted = _labels(predicted, "predicted labels").reshape(-1)
+    truth = _labels(truth, "truth labels").reshape(-1)
     if predicted.shape != truth.shape:
         raise ValueError(
             f"length mismatch: {predicted.shape[0]} predictions vs {truth.shape[0]} labels"
         )
     if predicted.size == 0:
         raise ValueError("empty label vectors")
-    for name, labels in (("predicted", predicted), ("truth", truth)):
-        if not np.all(np.isin(labels, (-1, 1))):
-            raise ValueError(f"{name} labels must be +1 or -1")
 
     n_pos = int(np.sum(truth == 1))
     n_neg = int(np.sum(truth == -1))

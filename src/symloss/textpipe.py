@@ -489,9 +489,9 @@ def run_pipeline(corpus: Corpus, keywords: KeywordSet, config: PipelineConfig) -
     """Pseudo-label, train the ranker, pick a threshold, evaluate.
 
     The threshold is picked in one :func:`select_threshold` call on the
-    validation scores (the train scores for ``default_zero`` without them),
-    given the known prior, the train split's pseudo-positive fraction or no
-    prior, by method.
+    validation scores (the train scores for ``default_zero`` without them;
+    other methods fail before vectorizing), given the known prior, the
+    train split's pseudo-positive fraction or no prior, by method.
 
     The result is the run's ``report.json`` object: the pseudo-split sizes,
     the measured proportions ``empirical_pi_pos`` and ``empirical_pi_neg``
@@ -524,6 +524,8 @@ def run_pipeline(corpus: Corpus, keywords: KeywordSet, config: PipelineConfig) -
     test_texts, test_labels = corpus.columns("test_labeled")
     if not train_texts:
         raise ConfigurationError("corpus has no train_unlabeled documents")
+    if not validation_texts and config.threshold_method != "default_zero":
+        raise ConfigurationError("threshold selection needs validation_unlabeled documents")
 
     vectorizer = build_vectorizer(train_texts, config.scheme, config.min_doc_freq)
     train_matrix = vectorizer.transform(train_texts)
@@ -549,10 +551,8 @@ def run_pipeline(corpus: Corpus, keywords: KeywordSet, config: PipelineConfig) -
     method = config.threshold_method
     if validation_texts:
         scores = _score_texts(vectorizer, scorer, validation_texts)
-    elif method == "default_zero":
-        scores = scorer(train_matrix)
     else:
-        raise ConfigurationError("threshold selection needs validation_unlabeled documents")
+        scores = scorer(train_matrix)
     prior = {
         "breakeven_known_prior": config.prior,
         "heuristic_pseudo_ratio": len(pseudo_pos) / len(train_texts),

@@ -22,6 +22,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .risks import _scores
+
 __all__ = [
     "ThresholdResult",
     "check_prior",
@@ -53,15 +55,6 @@ class ThresholdResult:
             raise ValueError("achieved_positive_fraction must lie in [0, 1]")
         if self.method not in THRESHOLD_METHODS:
             raise ValueError(f"method must be one of {THRESHOLD_METHODS}")
-
-
-def _validated_scores(scores: Sequence[float]) -> np.ndarray:
-    scores = np.asarray(scores, dtype=float).reshape(-1)
-    if scores.size == 0:
-        raise ValueError("threshold selection needs a non-empty score list")
-    if not np.all(np.isfinite(scores)):
-        raise ValueError("validation scores must be finite")
-    return scores
 
 
 def _positive_fraction(scores: np.ndarray, beta: float) -> float:
@@ -114,7 +107,7 @@ def select_threshold(
     known prior or the pseudo-positive ratio standing in for it."""
     if method not in THRESHOLD_METHODS:
         raise ValueError(f"method must be one of {THRESHOLD_METHODS}, got {method!r}")
-    scores = _validated_scores(scores_validation)
+    scores = _scores(scores_validation, finite=True, name="validation scores")
     if method == "default_zero":
         return ThresholdResult(0.0, _positive_fraction(scores, 0.0), method)
     return _select(scores, check_prior(target_prior), method)

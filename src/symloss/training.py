@@ -9,9 +9,10 @@ The balanced objective draws equal-size positive/negative mini-batches
 each step (resampled with replacement) so every step is an unbiased
 estimate of the half-and-half risk regardless of the class counts.  The
 pairwise objective draws a batch of (positive, negative) pairs uniformly
-with replacement.  A run evaluates its full-data objective after epochs
-1, 2, 4, 8, ... and the last, and a non-finite value at any of them ends
-it with :class:`~symloss.errors.TrainingDivergedError`.
+with replacement.  A run evaluates its full-data objective (its scores'
+``empirical_ber_risk`` or ``pairwise_mean_loss`` plus its weight decay)
+after epochs 1, 2, 4, 8, ... and the last, and a non-finite value at any
+of them ends it with :class:`~symloss.errors.TrainingDivergedError`.
 
 :func:`train_many` trains R runs that share every :class:`TrainConfig`
 field but ``seed`` and ``loss``, and their point counts and dimension, as
@@ -40,10 +41,10 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .distributions import SampleSet
+from .distributions import SampleSet, _points
 from .errors import NonDifferentiableLossError, TrainingDivergedError
 from .losses import LossSpec, get_loss
-from .risks import _row_blocks, pairwise_mean_loss
+from .risks import _row_blocks, empirical_ber_risk, pairwise_mean_loss
 
 __all__ = [
     "Scorer",
@@ -263,13 +264,12 @@ def _ber_gradient(grad_pos, grad_neg, theta, weight_decay) -> np.ndarray:
 
 def _objectives(ber: bool, loss: LossSpec, scorer: Scorer, theta, X_pos, X_neg, weight_decay):
     """Full-data balanced (``ber``) or pairwise objectives (R,) of R runs,
-    each on its own points X_pos (R, m, d) and X_neg (R, n, d)."""
+    each on its own points X_pos (R, m, d) and X_neg (R, n, d): each run's
+    ``empirical_ber_risk`` or ``pairwise_mean_loss`` plus its weight decay."""
+    risk = empirical_ber_risk if ber else pairwise_mean_loss
     sp, sn = _run_scores(scorer, theta, X_pos), _run_scores(scorer, theta, X_neg)
-    if ber:
-        risk = 0.5 * (np.mean(loss.value(sp), axis=1) + np.mean(loss.value(-sn), axis=1))
-    else:
-        risk = np.array([pairwise_mean_loss(loss, pos, neg) for pos, neg in zip(sp, sn)])
-    return risk + weight_decay * (theta[:, None, :] @ theta[:, :, None])[:, 0, 0]
+    values = np.array([risk(loss, pos, neg) for pos, neg in zip(sp, sn)])
+    return values + weight_decay * (theta[:, None, :] @ theta[:, :, None])[:, 0, 0]
 
 
 def make_objective(
@@ -371,10 +371,7 @@ class _Run:
 
 
 def _points_of(sample_set, name: str) -> np.ndarray:
-    points = sample_set.points if isinstance(sample_set, SampleSet) else sample_set
-    points = np.asarray(points, dtype=float)
-    if points.ndim == 1:
-        points = points.reshape(-1, 1)
+    points = _points(sample_set.points if isinstance(sample_set, SampleSet) else sample_set)
     if points.shape[0] == 0:
         raise ValueError(f"sample set {name} is empty")
     if not np.all(np.isfinite(points)):

@@ -505,6 +505,22 @@ batch_size = 64
         assert "min_doc_freq = 100000" in err and "vocabulary is empty" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("method", ["breakeven", "heuristic"])
+    def test_a_corpus_without_validation_documents_exits_two_before_training(
+        self, tmp_path, capsys, monkeypatch, method
+    ):
+        corpus = tmp_path / "no_validation.jsonl"
+        Corpus(
+            row for row in load_mini_corpus().rows if row[3] != "validation_unlabeled"
+        ).to_jsonl(corpus)
+        config = self.keywords_config(tmp_path, corpus=str(corpus))
+        calls = []
+        monkeypatch.setattr(symloss.textpipe, "train_auc", lambda *args: calls.append(args))
+        assert main(["keywords", "--config", str(config), "--threshold-method", method]) == 2
+        assert "threshold selection needs validation_unlabeled documents" in capsys.readouterr().err
+        assert calls == []
+        assert not (tmp_path / "out").exists()
+
     def test_threshold_method_flag(self, tmp_path):
         config = self.keywords_config(tmp_path)
         assert main(

@@ -169,6 +169,34 @@ class TestSampleSet:
         with pytest.raises(ValueError, match="length"):
             SampleSet(points=np.zeros((3, 2)), hidden_labels=[1, -1])
 
+    def test_a_label_column_fails_the_length_check(self):
+        with pytest.raises(ValueError, match="^hidden_labels length must match points$"):
+            SampleSet(points=np.zeros((2, 1)), hidden_labels=np.array([[1], [-1]]))
+
+    # each was stored, truncated or cast, as +1 or -1 before the label rule
+    @pytest.mark.parametrize("labels", [[1.7, -1.2], [True, True]], ids=["fractions", "bools"])
+    def test_a_label_other_than_plus_or_minus_one_is_rejected(self, labels):
+        with pytest.raises(ValueError, match="^hidden labels must be \\+1 or -1$"):
+            SampleSet(points=np.zeros((2, 1)), hidden_labels=labels)
+
+    def test_whole_valued_float_labels_are_stored_as_ints(self):
+        labels = SampleSet(points=np.zeros((3, 1)), hidden_labels=[1.0, -1.0, 1.0]).hidden_labels
+        assert labels.dtype == int and labels.tolist() == [1, -1, 1]
+
+
+class TestPointRule:
+    """A 1-D length-n input is n scalar points, not one n-dim point."""
+
+    @pytest.mark.parametrize("build", [
+        lambda flat: SampleSet(flat).points,
+        lambda flat: DiscreteBinaryDistribution(flat, [0.2, 0.3, 0.5], [0.6, 0.3, 0.1]).support,
+    ], ids=["sample-set", "support"])
+    def test_a_flat_input_is_n_scalar_points(self, build):
+        flat = [0.0, 1.0, 2.0]
+        points = build(flat)
+        assert points.shape == (3, 1) and points.dtype == float
+        np.testing.assert_array_equal(points, build(np.array(flat).reshape(-1, 1)))
+
 
 class TestGaussianPairConfig:
     def test_validation(self):

@@ -39,6 +39,7 @@ from symloss.risks import (
     pairwise_mean_loss,
     symmetric_excess_constant,
 )
+from symloss.threshold import select_threshold
 
 
 @pytest.fixture
@@ -561,6 +562,16 @@ class TestPairwiseMeanLoss:
                 with pytest.raises(RuntimeWarning, match="invalid value encountered in subtract"):
                     mean(loss, scores_pos, scores_neg)
 
+    # training's divergence check reads a non-finite objective, so the mean
+    # takes such scores and returns a non-finite value instead of raising
+    @pytest.mark.parametrize("name", ["sigmoid", "hinge"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_a_non_finite_score_gives_a_non_finite_mean(self, name, bad):
+        with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+            warnings.simplefilter("error")
+            mean = pairwise_mean_loss(get_loss(name), [0.5, bad], [bad, -0.5])
+        assert not math.isfinite(mean)
+
     @pytest.mark.parametrize("name", ["sigmoid", "hinge"])
     @pytest.mark.parametrize("n_pos,n_neg", [(0, 3), (3, 0), (0, 0)])
     def test_empty_scores_rejected(self, name, n_pos, n_neg):
@@ -668,6 +679,45 @@ class TestExactRisksOfTheEmpiricalMeasure:
                 assert abs(exact - empirical) <= 1e-12 * magnitude
 
 
+SCORES_POS = np.array([0.3, -1.2, 2.0])
+SCORES_NEG = np.array([0.1, -0.4, 1.5, -2.5])
+THREE_POINTS = DiscreteBinaryDistribution([0.0, 1.0, 2.0], [0.2, 0.3, 0.5], [0.6, 0.3, 0.1])
+
+# every function that reads score arrays, each given its arrays in one form
+SCORE_READERS = {
+    "empirical_ber_risk": lambda form: empirical_ber_risk(
+        get_loss("sigmoid"), form(SCORES_POS), form(SCORES_NEG)
+    ),
+    "pairwise_mean_loss": lambda form: pairwise_mean_loss(
+        get_loss("sigmoid"), form(SCORES_POS), form(SCORES_NEG)
+    ),
+    "auc_score": lambda form: auc_score(form(SCORES_POS), form(SCORES_NEG)),
+    "select_threshold": lambda form: select_threshold(
+        form(SCORES_NEG), 0.5, "breakeven_known_prior"
+    ),
+    "exact_ber_risk": lambda form: exact_ber_risk(
+        get_loss("sigmoid"), THREE_POINTS, form(SCORES_POS)
+    ),
+}
+
+
+class TestScoreRule:
+    """One rule reads every score array: any array-like of n scores is the
+    flat float array of them, and an empty one is rejected."""
+
+    @pytest.mark.parametrize("form", [list, tuple, lambda scores: scores.reshape(-1, 1)],
+                             ids=["list", "tuple", "column"])
+    @pytest.mark.parametrize("reader", SCORE_READERS)
+    def test_any_form_gives_the_flat_arrays_value(self, reader, form):
+        read = SCORE_READERS[reader]
+        assert read(form) == read(np.asarray)
+
+    @pytest.mark.parametrize("reader", SCORE_READERS)
+    def test_an_empty_input_is_rejected(self, reader):
+        with pytest.raises(ValueError, match="non-empty"):
+            SCORE_READERS[reader](lambda scores: scores[:0])
+
+
 class TestClassificationMetrics:
     def test_harmonic_mean_example(self):
         out = classification_metrics([1, -1, -1], [1, 1, -1])
@@ -692,6 +742,17 @@ class TestClassificationMetrics:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             classification_metrics([1, -1], [1])
+
+    # each was truncated or cast to +1 or -1 before the label rule
+    @pytest.mark.parametrize("predicted,truth,name", [
+        ([1.9, -1.5], [1, -1], "predicted"),
+        ([1, -1], [1.7, -1.2], "truth"),
+        ([True, True], [1, -1], "predicted"),
+        ([1, 1], [True, True], "truth"),
+    ], ids=["predicted-fractions", "truth-fractions", "predicted-bools", "truth-bools"])
+    def test_a_label_other_than_plus_or_minus_one_is_rejected(self, predicted, truth, name):
+        with pytest.raises(ValueError, match=f"^{name} labels must be \\+1 or -1$"):
+            classification_metrics(predicted, truth)
 
     def test_single_class_truth_flagged(self):
         out = classification_metrics([1, -1], [1, 1])

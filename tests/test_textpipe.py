@@ -724,6 +724,17 @@ class TestRunPipeline:
             with pytest.raises(ConfigurationError, match="unknown threshold method 'oracle'"):
                 run_pipeline(corpus, keywords, pipeline_config(threshold_method="oracle"))
 
+    @pytest.mark.parametrize("method", ["breakeven_known_prior", "heuristic_pseudo_ratio"])
+    def test_a_missing_validation_split_fails_before_training(self, bundled, method):
+        corpus, keywords = bundled
+        kept = Corpus(row for row in corpus.rows if row[3] != "validation_unlabeled")
+        with mock.patch.object(symloss.textpipe, "train_auc") as spy:
+            with pytest.raises(
+                ConfigurationError, match="^threshold selection needs validation_unlabeled documents$"
+            ):
+                run_pipeline(kept, keywords, pipeline_config(threshold_method=method))
+        spy.assert_not_called()
+
     def test_missing_prior_for_breakeven(self, bundled):
         corpus, keywords = bundled
         with pytest.raises(ConfigurationError, match="needs the known positive-class prior"):

@@ -176,6 +176,25 @@ class TestTrainBer:
         for part in ("epoch 4 of 10", "'exponential'", "seed 1", "step_size 5.0"):
             assert part in message
 
+    def test_a_flat_input_is_n_scalar_points(self):
+        rng = np.random.default_rng(8)
+        pos, neg = rng.normal(1.0, 1.0, size=30), rng.normal(-1.0, 1.0, size=20)
+        config = TrainConfig(objective="ber", epochs=3, seed=8)
+        flat = train_ber(pos, neg, config)
+        column = train_ber(pos.reshape(-1, 1), neg.reshape(-1, 1), config)
+        assert flat.scorer.dimension == 1
+        np.testing.assert_array_equal(flat.scorer.params, column.scorer.params)
+        assert flat.objective == column.objective
+
+    @pytest.mark.parametrize("model", ["linear", "mlp"])
+    def test_the_objective_is_the_balanced_risk_of_the_trained_scores(self, model):
+        pos, neg = gaussian_sets(McdParams(0.8, 0.3), 60, seed=9)
+        config = TrainConfig(objective="ber", loss="logistic", epochs=4, seed=9, model=model)
+        trace = train_ber(pos, neg, config)
+        scores_pos, scores_neg = trace.scorer(pos.points), trace.scorer(neg.points)
+        risk = empirical_ber_risk(get_loss("logistic"), scores_pos, scores_neg)
+        assert trace.objective == pytest.approx(risk, rel=1e-12)
+
     def test_empty_set_rejected(self):
         pos, _ = clean_sets(10, seed=4)
         with pytest.raises(ValueError, match="empty"):

@@ -59,8 +59,6 @@ from .training import (
     Scorer,
     TrainConfig,
     TrainTrace,
-    brute_force_minimizer,
-    finite_difference_check,
     train_auc,
     train_ber,
 )

@@ -90,7 +90,7 @@ def generate_mini_corpus(
     Split after split, in ``SPLITS`` order, the positive flags are
     shuffled and then each document's words drawn.  The records go to
     ``Corpus`` as they are drawn, so no list of them is held beside the
-    corpus rows.
+    corpus columns.
     """
     rng = np.random.default_rng(seed)
 

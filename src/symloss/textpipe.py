@@ -20,6 +20,7 @@ import json
 import warnings
 from dataclasses import asdict, dataclass
 from functools import cached_property
+from itertools import compress
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -104,7 +105,7 @@ def _record(
         if type(label) is not int:
             label = int(label)
     try:
-        # the constant itself, so the rows of a corpus share three strings
+        # the constant itself, so the split column of a corpus shares three strings
         split = SPLITS[SPLITS.index(split)]
     except ValueError:
         raise ValueError(f"split must be one of {SPLITS}, got {split!r}") from None
@@ -138,44 +139,53 @@ def _loads(line: str, where: str):
 class Corpus:
     """Documents tagged with purpose splits; test documents carry labels.
 
-    The corpus stores each record once, as the row ``(id, text, label,
-    split)`` of its normalized fields, in the order given (``rows``).
-    ``Corpus(records)`` takes ``(id, text[, label[, split]])`` tuples and
-    passes each through the record rule (:func:`_record`), as
-    :meth:`from_jsonl` does its lines; everything downstream reads a
-    split's texts and labels (``columns``).
+    The corpus stores its records' normalized fields as four parallel
+    columns (ids, texts, labels, splits), in the order given, so it holds
+    no object per record beyond the fields themselves; ``rows`` builds the
+    ``(id, text, label, split)`` tuples on demand.  ``Corpus(records)``
+    takes ``(id, text[, label[, split]])`` tuples and passes each through
+    the record rule (:func:`_record`), as :meth:`from_jsonl` does its
+    lines; everything downstream reads a split's texts and labels
+    (``columns``).
     """
 
     def __init__(self, records: Iterable[tuple]) -> None:
-        rows = [_record(*record) for record in records]
-        if len({row[0] for row in rows}) != len(rows):
+        self._columns = ids, texts, labels, splits = [], [], [], []
+        for record in records:
+            doc_id, text, label, split = _record(*record)
+            ids.append(doc_id)
+            texts.append(text)
+            labels.append(label)
+            splits.append(split)
+        if len(set(ids)) != len(ids):
             raise ValueError("document ids must be unique")
-        self._rows = rows
 
     @property
     def rows(self) -> list[tuple[str, str, Optional[int], str]]:
-        return list(self._rows)
+        return list(zip(*self._columns))
 
     def columns(self, tag: str) -> tuple[list[str], list[Optional[int]]]:
         """The texts and the labels of the ``tag`` split, in corpus order."""
         if tag not in SPLITS:
             raise ValueError(f"unknown split {tag!r}")
-        rows = [row for row in self._rows if row[3] == tag]
-        return [row[1] for row in rows], [row[2] for row in rows]
+        _, texts, labels, splits = self._columns
+        kept = [split == tag for split in splits]
+        return list(compress(texts, kept)), list(compress(labels, kept))
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._columns[0])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Corpus):
             return NotImplemented
-        return self._rows == other._rows
+        return self._columns == other._columns
 
     @classmethod
     def from_jsonl(cls, path) -> "Corpus":
-        """Read one record per non-blank line; a bad record, or an id seen
-        on an earlier line (the integer 7 and the string "7" are one id),
-        is a ConfigurationError naming ``path:line``.
+        """Read one record per non-blank line; a bad record, a field other
+        than ``id``, ``text``, ``label`` and ``split``, or an id seen on an
+        earlier line (the integer 7 and the string "7" are one id), is a
+        ConfigurationError naming ``path:line``.
 
         Each stripped line is decoded by one call of the JSON scanner
         (``scan_once``), which must consume the whole line, so a line is
@@ -187,10 +197,14 @@ class Corpus:
         that are not UTF-8 name the first line that does not decode.  The
         ``path:line`` text is formatted only for a rejected line.
 
-        Each record passes the record rule (:func:`_record`) and is stored
-        as its row of normalized fields.
+        Each record passes the record rule (:func:`_record`), and its length
+        must be the count of the four fields it holds; the unknown field is
+        named only for a rejected line.  Its normalized fields are appended
+        to the four columns.
         """
-        rows = []
+        # filled here, not by __init__: the loop checks each record and its id
+        corpus = cls.__new__(cls)
+        corpus._columns = ids, texts, labels, splits = [], [], [], []
         first_line: dict[str, int] = {}
         for line_number, line in _stripped_lines(path):
             try:
@@ -204,7 +218,7 @@ class Corpus:
                     f"{path}:{line_number}: expected a JSON object, got {type(record).__name__}"
                 )
             try:
-                row = _record(
+                doc_id, text, label, split = _record(
                     record["id"], record["text"], record.get("label"),
                     record.get("split", "train_unlabeled"),
                 )
@@ -212,24 +226,27 @@ class Corpus:
                 raise ConfigurationError(f"{path}:{line_number}: missing field {exc}") from None
             except ValueError as exc:
                 raise ConfigurationError(f"{path}:{line_number}: {exc}") from None
-            doc_id = row[0]
+            # id and text are present: a longer record holds a field besides the four
+            if len(record) != 2 + ("label" in record) + ("split" in record):
+                field = next(key for key in record if key not in ("id", "text", "label", "split"))
+                raise ConfigurationError(f"{path}:{line_number}: unknown field {field!r}")
             if doc_id in first_line:
                 raise ConfigurationError(
                     f"{path}:{line_number}: duplicate document id {doc_id!r}, "
                     f"first at {path}:{first_line[doc_id]}"
                 )
             first_line[doc_id] = line_number
-            rows.append(row)
-        if not rows:
+            ids.append(doc_id)
+            texts.append(text)
+            labels.append(label)
+            splits.append(split)
+        if not ids:
             raise ConfigurationError(f"{path}: corpus is empty")
-        # every row has passed the record rule and its id is unique
-        corpus = cls.__new__(cls)
-        corpus._rows = rows
         return corpus
 
     def to_jsonl(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            for doc_id, text, label, split in self._rows:
+            for doc_id, text, label, split in zip(*self._columns):
                 record: dict = {"id": doc_id, "text": text, "split": split}
                 if label is not None:
                     record["label"] = label
@@ -504,7 +521,7 @@ def run_pipeline(corpus: Corpus, keywords: KeywordSet, config: PipelineConfig) -
     transformed once with the fitted vocabulary.  Only the training slice
     is held as a matrix: validation and test are transformed and scored in
     256-row blocks (:func:`_score_texts`), so each costs O(256 * vocabulary)
-    memory beyond the corpus rows.  All three slices are read from the
+    memory beyond the corpus columns.  All three slices are read from the
     corpus as text and label lists (``Corpus.columns``).
     A non-symmetric training loss is allowed (for comparison experiments)
     but warned about, since the noisy-split guarantee needs symmetry.

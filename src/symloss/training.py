@@ -26,10 +26,6 @@ the oracle in ``tests/test_training.py``.
 :func:`train_ber` and :func:`train_auc` are batches of one, and the
 gradients of :func:`make_objective` ("ber" or "auc") are the same rules
 at R = 1.
-
-A brute-force minimizer over enumerated scorer families and a central
-finite-difference gradient check are included as oracles for the
-analytic machinery.
 """
 
 from __future__ import annotations
@@ -37,7 +33,7 @@ from __future__ import annotations
 import math
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -53,8 +49,6 @@ __all__ = [
     "train_ber",
     "train_auc",
     "train_many",
-    "brute_force_minimizer",
-    "finite_difference_check",
     "make_objective",
 ]
 
@@ -559,41 +553,3 @@ def train_many(trainer, sets, configs) -> list[TrainTrace]:
     if runs:
         _train_stack(runs)
     return traces
-
-
-def brute_force_minimizer(
-    risk: Callable[[object], float], scorer_family: Iterable[object], tol: float = 1e-12
-) -> list[object]:
-    """All members of a finite family whose risk is within ``tol`` of the minimum."""
-    members = list(scorer_family)
-    if not members:
-        raise ValueError("scorer family is empty")
-    values = [float(risk(member)) for member in members]
-    best = min(values)
-    return [member for member, value in zip(members, values) if value <= best + tol]
-
-
-def finite_difference_check(
-    value: Callable[[np.ndarray], float],
-    gradient: Callable[[np.ndarray], np.ndarray],
-    theta0: np.ndarray,
-    probes: int = 8,
-    step: float = 1e-5,
-    seed: int = 0,
-) -> float:
-    """Max relative disagreement between the analytic gradient and central
-    differences over random parameter probes around ``theta0``."""
-    theta0 = np.asarray(theta0, dtype=float)
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(probes):
-        theta = theta0 + rng.uniform(-0.5, 0.5, size=theta0.shape)
-        analytic = gradient(theta)
-        numeric = np.empty_like(theta)
-        for i in range(theta.size):
-            bump = np.zeros_like(theta)
-            bump[i] = step
-            numeric[i] = (value(theta + bump) - value(theta - bump)) / (2.0 * step)
-        scale = max(1.0, float(np.max(np.abs(analytic))), float(np.max(np.abs(numeric))))
-        worst = max(worst, float(np.max(np.abs(analytic - numeric))) / scale)
-    return worst

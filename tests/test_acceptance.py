@@ -11,6 +11,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from oracles import brute_force_minimizer, finite_difference_check
 from symloss.datasets import load_keywords, load_mini_corpus
 from symloss.distributions import (
     DiscreteBinaryDistribution,
@@ -36,8 +37,6 @@ from symloss.threshold import classify_scores, select_threshold
 from symloss.training import (
     Scorer,
     TrainConfig,
-    brute_force_minimizer,
-    finite_difference_check,
     make_objective,
     train_auc,
     train_ber,

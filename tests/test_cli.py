@@ -521,6 +521,17 @@ batch_size = 64
         assert calls == []
         assert not (tmp_path / "out").exists()
 
+    def test_a_misspelled_record_field_exits_two_naming_it(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(
+            '{"id": "a", "text": "x y"}\n'
+            '{"id": "b", "text": "x y", "splt": "test_labeled", "lable": 1}\n'
+        )
+        config = self.keywords_config(tmp_path, corpus=str(corpus))
+        assert main(["keywords", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == f"symloss: error: {corpus}:2: unknown field 'splt'\n"
+        assert not (tmp_path / "out").exists()
+
     def test_threshold_method_flag(self, tmp_path):
         config = self.keywords_config(tmp_path)
         assert main(

@@ -1,5 +1,6 @@
 """Vectorization, pseudo-labeling, and the end-to-end keyword pipeline."""
 
+import gc
 import json
 import math
 import re
@@ -68,7 +69,8 @@ def loop_transform(vectorizer, texts, scheme, fit_texts):
 def _read_record(line, where):
     """Oracle: one JSONL record by ``json.loads``, as the reader did before
     ``Corpus.from_jsonl`` moved to one ``raw_decode`` per line, checked by
-    the record rule through a one-record ``Corpus``."""
+    the record rule through a one-record ``Corpus``, then for a field
+    besides the four."""
     try:
         record = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -81,9 +83,13 @@ def _read_record(line, where):
         raise ConfigurationError(f"{where}: missing field {exc}") from None
     fields = (doc_id, text, record.get("label"), record.get("split", "train_unlabeled"))
     try:
-        return Corpus([fields]).rows[0]
+        row = Corpus([fields]).rows[0]
     except ValueError as exc:
         raise ConfigurationError(f"{where}: {exc}") from None
+    unknown = [key for key in record if key not in ("id", "text", "label", "split")]
+    if unknown:
+        raise ConfigurationError(f"{where}: unknown field {unknown[0]!r}")
+    return row
 
 
 def loop_read(path):
@@ -131,6 +137,7 @@ _ANY_RECORDS = st.fixed_dictionaries({}, optional={
     "text": st.sampled_from(["x y", "", 7, None, ["x"]]),
     "label": st.sampled_from([1, -1, 1.0, 2, 0.5, True, None, "pos"]),
     "split": st.sampled_from([*SPLITS, "trian", None]),
+    "splt": st.sampled_from(["test_labeled", None]),
 })
 _PADDING = st.sampled_from(["", " ", "\t", "\u00a0", "\u2003", "\r", "\x0c"])
 _GOOD_LINES = st.builds(json.dumps, _GOOD_RECORDS, ensure_ascii=st.booleans())
@@ -220,6 +227,34 @@ class TestCorpus:
             corpus.to_jsonl(path)
             assert Corpus.from_jsonl(path) == corpus
 
+    def test_holds_no_object_per_record(self, tmp_path):
+        records = [(f"doc{i}", "x y", 1 - 2 * (i % 2), SPLITS[i % 3]) for i in range(2000)]
+        path = tmp_path / "corpus.jsonl"
+        Corpus(records).to_jsonl(path)
+        gc.collect()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            read = Corpus.from_jsonl(path)
+            after_read = len(gc.get_objects())
+            built = Corpus(records)
+            after_build = len(gc.get_objects())
+        finally:
+            gc.enable()
+        # a handful of containers, not one tuple per record
+        assert after_read - before < 50
+        assert after_build - after_read < 50
+        assert read == built
+
+    def test_rows_is_a_fresh_list(self):
+        corpus = Corpus([("a", "x"), ("b", "y", -1, "test_labeled")])
+        rows = corpus.rows
+        assert rows is not corpus.rows
+        rows.append(("c", "z", None, "train_unlabeled"))
+        del rows[0]
+        assert corpus.rows == [("a", "x", None, "train_unlabeled"), ("b", "y", -1, "test_labeled")]
+        assert len(corpus) == 2
+
     def test_unknown_split_is_named(self):
         corpus = Corpus([("a", "x")])
         with pytest.raises(ValueError, match="unknown split 'trian'"):
@@ -265,11 +300,16 @@ class TestCorpus:
             ('{"id": ' + "1" * 5000 + ', "text": "a b"}',
              "invalid JSON (Exceeds the limit (4300 digits) for integer string conversion"),
             ("[" * 100_000, "invalid JSON (maximum recursion depth exceeded"),
+            ('{"id": "x", "text": "a b", "splt": "test_labeled", "lable": 1}',
+             "unknown field 'splt'"),
+            ('{"id": "x", "text": "a b", "label": 1, "split": "test_labeled", "": 0}',
+             "unknown field ''"),
         ],
         ids=["no-id", "no-text", "label-pos", "label-fraction", "label-negative-fraction",
              "label-true", "split-trian", "not-an-object", "text-null", "text-list",
              "text-number", "id-null", "id-list", "id-fraction", "id-true", "test-unlabeled",
-             "integer-past-digit-limit", "nested-past-recursion-limit"],
+             "integer-past-digit-limit", "nested-past-recursion-limit", "field-misspelled",
+             "field-beside-all-four"],
     )
     def test_bad_record_names_path_and_line(self, tmp_path, record, message):
         path = tmp_path / "corpus.jsonl"
@@ -295,6 +335,7 @@ class TestCorpus:
     ])
     @example(['{"id": "a", "text": "x"}', '{"id": "b", "text": "y\x1cz"}'])
     @example(['{"id": "a", "text": "x\ty"}'])  # a literal tab: the scanner's JSONDecodeError
+    @example(['{"id": "a", "text": "x"}', '{"id": "b", "text": "y", "lable": 1}'])
     @example(['{"id": "a", "text": "x"}', '{"id": ' + "7" * 5000 + ', "text": "y"}'])
     @settings(max_examples=300, deadline=None)
     def test_equals_the_per_line_loads_loop(self, tmp_path_factory, lines):

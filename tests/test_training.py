@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import symloss.risks
 import symloss.training
+from oracles import brute_force_minimizer, finite_difference_check
 from symloss.distributions import (
     DiscreteBinaryDistribution,
     GaussianPairConfig,
@@ -36,8 +37,6 @@ from symloss.training import (
     MOMENT_DECAY2,
     Scorer,
     TrainConfig,
-    brute_force_minimizer,
-    finite_difference_check,
     make_objective,
     train_auc,
     train_ber,
